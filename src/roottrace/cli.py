@@ -9,8 +9,8 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -23,8 +23,8 @@ from .report import (
     TopCategory,
     empty_query_stats,
     fold,
-    merge,
     read_report_doc,
+    render_doc,
     top_senders,
     trend_csv_from_docs,
     write_report,
@@ -69,13 +69,15 @@ def _parse_day_origin(text: str) -> int:
 
 def _add_ingest_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--in", dest="inputs", nargs="+", action="extend", required=True,
-                     metavar="PATH", help="input trace file(s); multiple inputs are merged")
+                     metavar="PATH", help="input trace file(s), folded into one report")
     sub.add_argument("--format", choices=("tsv", "pcap"), default="tsv")
     sub.add_argument("--tld-list", metavar="PATH",
                      help="TLD registry file (default: $ROOTTRACE_TLDS or the pinned snapshot)")
     sub.add_argument("--appletalk", default="appletalk", metavar="TLDS",
                      help="comma-separated TLDs treated as appletalk leakage")
-    sub.add_argument("--sample-rate", type=float, default=1.0)
+    sub.add_argument("--sample-rate", type=float, default=1.0, metavar="F",
+                     help="keep each record with probability F; every --in file is sampled "
+                          "afresh from --seed, so each file keeps the same positions")
     sub.add_argument("--seed", type=int, default=0, help="sampling seed")
     sub.add_argument("--window", metavar="HH:MM-HH:MM",
                      help="keep a time-of-day window (requires --day-origin)")
@@ -158,23 +160,25 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
     registry = _registry_for(args)
     appletalk = _appletalk_set(args)
 
-    shards = []
-    dropped = 0
-    for path in args.inputs:
-        stats = IngestStats()
-        tally = StreamTally()
-        with open(path, "rb") as fh:
-            records = read_pcap(fh, stats) if args.format == "pcap" else read_tsv(fh, stats)
-            if args.sample_rate < 1:
-                records = sample(records, args.sample_rate, args.seed)
-            if win:
-                records = window(records, win[0], win[1], origin)
-            pairs = classify_stream(records, registry, appletalk, tally)
-            shards.append(fold(pairs, label=args.label, track_senders=track_senders))
-        dropped += stats.records_dropped_unparseable + tally.unparseable
+    stats = IngestStats()
+    tally = StreamTally()
 
-    report = functools.reduce(merge, shards)
-    report.dropped += dropped
+    def streams():
+        # each file stays open while chain drains its stream, and closes
+        # when chain asks for the next one
+        for path in args.inputs:
+            with open(path, "rb") as fh:
+                stream = read_pcap(fh, stats) if args.format == "pcap" else read_tsv(fh, stats)
+                if args.sample_rate < 1:
+                    # reseeded per file: what a file keeps does not depend on the files before it
+                    stream = sample(stream, args.sample_rate, args.seed)
+                if win:
+                    stream = window(stream, win[0], win[1], origin)
+                yield stream
+
+    pairs = classify_stream(chain.from_iterable(streams()), registry, appletalk, tally)
+    report = fold(pairs, label=args.label, track_senders=track_senders)
+    report.dropped = stats.records_dropped_unparseable + tally.unparseable
     meta = {
         "tool": f"roottrace {__version__}",
         "inputs": list(args.inputs),
@@ -200,10 +204,7 @@ def _cmd_classify(args, parser) -> int:
 
 def _cmd_report(args, parser) -> int:
     doc = read_report_doc(Path(args.inputs[0]).read_bytes())
-    from .report import doc_to_csv, doc_to_json_bytes, doc_to_plotdata
-
-    emit = {"json": doc_to_json_bytes, "csv": doc_to_csv, "plotdata": doc_to_plotdata}[args.format]
-    Path(args.out).write_bytes(emit(doc))
+    Path(args.out).write_bytes(render_doc(doc, args.format))
     return 0
 
 

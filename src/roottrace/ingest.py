@@ -44,7 +44,8 @@ class PcapError(IngestError):
 
 @dataclass
 class IngestStats:
-    """Counters for one reader run; all monotonically non-decreasing."""
+    """Reader counters, monotonically non-decreasing; one instance may be
+    shared by the readers of several files to count them together."""
 
     records_emitted: int = 0
     records_dropped_unparseable: int = 0

@@ -8,6 +8,7 @@ functions compute every table and series the report formats expose.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -175,14 +176,15 @@ def top_senders(report: Report, k: int) -> list[TopSender]:
         raise ValueError("k must be positive")
     if not report.senders_tracked:
         raise ValueError("sender tracking was disabled for this report")
+    table = report.sender_counts
+    ranked = heapq.nsmallest(k, ((-sum(by_leaf.values()), key) for key, by_leaf in table.items()))
     rows = []
-    for key, by_leaf in report.sender_counts.items():
+    for neg_total, key in ranked:
         categories = {cat: 0 for cat in TopCategory}
-        for leaf, n in by_leaf.items():
+        for leaf, n in table[key].items():
             categories[LEAF_TOP[leaf]] += n
-        rows.append(TopSender(key, sum(by_leaf.values()), categories))
-    rows.sort(key=lambda r: (-r.total, r.prefix.prefix))
-    return rows[:k]
+        rows.append(TopSender(key, -neg_total, categories))
+    return rows
 
 
 @dataclass
@@ -208,12 +210,11 @@ def empty_query_stats(report: Report, k: int = 10) -> EmptyQueryStats:
     total = report.leaf_counts.get(CLS_EMPTY, 0)
     senders = report.empty_by_sender
     qtype_totals: Counter = Counter()
-    rows = []
+    totals = []
     for key, by_qtype in senders.items():
-        n = sum(by_qtype.values())
         qtype_totals.update(by_qtype)
-        rows.append(EmptySender(key, n, dict(by_qtype)))
-    rows.sort(key=lambda r: (-r.total, r.prefix.prefix))
+        totals.append((-sum(by_qtype.values()), key))
+    rows = [EmptySender(key, -neg_total, dict(senders[key])) for neg_total, key in heapq.nsmallest(k, totals)]
     mean = total / len(senders) if senders else None
     fractions = {m: n / total for m, n in sorted(qtype_totals.items())} if total else {}
     return EmptyQueryStats(
@@ -221,7 +222,7 @@ def empty_query_stats(report: Report, k: int = 10) -> EmptyQueryStats:
         sender_count=len(senders),
         mean_per_sender=mean,
         qtype_fractions=fractions,
-        top=rows[:k],
+        top=rows,
     )
 
 
@@ -491,6 +492,23 @@ def doc_to_plotdata(doc: dict) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+RENDERERS = {
+    "json": doc_to_json_bytes,
+    "csv": doc_to_csv,
+    "plotdata": doc_to_plotdata,
+    "tsv-plotdata": doc_to_plotdata,
+}
+
+
+def render_doc(doc: dict, fmt: str) -> bytes:
+    """Render a report document in one of the RENDERERS formats."""
+    try:
+        emit = RENDERERS[fmt]
+    except KeyError:
+        raise ValueError(f"unknown report format {fmt!r}") from None
+    return emit(doc)
+
+
 def write_report(
     report: Report,
     fmt: str = "json",
@@ -499,14 +517,7 @@ def write_report(
     top_k: int = 10,
 ) -> bytes:
     """Serialize a Report; identical inputs give byte-identical output."""
-    doc = build_report_doc(report, meta=meta, policy=policy, top_k=top_k)
-    if fmt == "json":
-        return doc_to_json_bytes(doc)
-    if fmt == "csv":
-        return doc_to_csv(doc)
-    if fmt in ("plotdata", "tsv-plotdata"):
-        return doc_to_plotdata(doc)
-    raise ValueError(f"unknown report format {fmt!r}")
+    return render_doc(build_report_doc(report, meta=meta, policy=policy, top_k=top_k), fmt)
 
 
 def read_report_doc(data: bytes | str) -> dict:

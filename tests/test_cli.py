@@ -87,6 +87,33 @@ def test_classify_merges_multiple_inputs(tmp_path, trace):
     assert doc["totals"]["records"] == 10_000
 
 
+def test_classify_same_report_however_inputs_are_split(tmp_path, trace):
+    lines = trace.read_bytes().splitlines(keepends=True)
+    first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    first.write_bytes(b"".join(lines[:1700]))
+    second.write_bytes(b"".join(lines[1700:]))
+    whole, split = tmp_path / "whole.json", tmp_path / "split.json"
+    assert run("classify", "--in", str(trace), "--label", "b+a", "--out", str(whole)) == 0
+    assert run("classify", "--in", str(first), str(second), "--label", "b+a", "--out", str(split)) == 0
+    docs = [json.loads(path.read_text()) for path in (whole, split)]
+    assert docs[0]["meta"]["label"] == docs[1]["meta"]["label"] == "b+a"
+    for doc in docs:
+        doc["meta"].pop("inputs")
+    assert json.dumps(docs[0], sort_keys=True, indent=2) == json.dumps(docs[1], sort_keys=True, indent=2)
+    assert docs[0]["senders"]["count"] > 10
+
+
+def test_classify_samples_each_input_from_the_seed(tmp_path, trace):
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    args = ["--sample-rate", "0.3", "--seed", "5"]
+    assert run("classify", "--in", str(trace), *args, "--out", str(once)) == 0
+    assert run("classify", "--in", str(trace), str(trace), *args, "--out", str(twice)) == 0
+    one, two = (json.loads(path.read_text()) for path in (once, twice))
+    assert 0 < one["totals"]["records"] < 5000
+    assert two["totals"]["records"] == 2 * one["totals"]["records"]
+    assert two["qtypes"] == {m: 2 * n for m, n in one["qtypes"].items()}
+
+
 def test_classify_sample_seed_recorded(tmp_path, trace):
     out = tmp_path / "r.json"
     assert run("classify", "--in", str(trace), "--sample-rate", "0.25",

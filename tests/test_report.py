@@ -5,6 +5,7 @@ import pytest
 
 from roottrace.classify import classify_stream
 from roottrace.model import (
+    LEAF_TOP,
     Classification,
     Leaf,
     QueryRecord,
@@ -22,6 +23,7 @@ from roottrace.report import (
     merge,
     qmin_series,
     read_report_doc,
+    render_doc,
     top_level_fractions,
     top_senders,
     trend_csv_from_docs,
@@ -404,3 +406,109 @@ def test_sender_rollup_consistency(registry):
             n for cls, n in report.leaf_counts.items() if cls.top is cat
         )
         assert total_cat == leaf_total
+
+
+# --- top-k selection: must equal a full sort on (-total, prefix) -------------
+
+
+def full_sort_senders(report):
+    rows = []
+    for key, by_leaf in report.sender_counts.items():
+        categories = {cat: 0 for cat in TopCategory}
+        for leaf, n in by_leaf.items():
+            categories[LEAF_TOP[leaf]] += n
+        rows.append((key.prefix, sum(by_leaf.values()), categories))
+    rows.sort(key=lambda r: (-r[1], r[0]))
+    return rows
+
+
+def full_sort_empty_senders(report):
+    rows = [(key.prefix, sum(q.values()), dict(q)) for key, q in report.empty_by_sender.items()]
+    rows.sort(key=lambda r: (-r[1], r[0]))
+    return rows
+
+
+def tied_report():
+    # Per-/16 totals 5, 3, 3, 3, 1, of which root-name queries 3, 2, 2, 2, 1:
+    # with k=3 a three-way tie spans the cut in both tables, and only the two
+    # smallest prefixes (as strings) may be kept.
+    empty, valid = Classification(Leaf.EMPTY), Classification(Leaf.VALID_TLD, "com", False)
+    plan = [("10.9.0.1", 5), ("10.30.0.1", 3), ("10.4.0.1", 3), ("10.200.0.1", 3), ("10.1.0.1", 1)]
+    pairs = []
+    for source, n in plan:
+        for i in range(n):
+            qtype = 2 if i % 4 == 0 else 48  # empties alternate NS, DNSKEY
+            pairs.append((QueryRecord(len(pairs) + 1, source, 1, qtype, "."), valid if i % 2 else empty))
+    return fold(pairs)
+
+
+def test_top_senders_tie_across_kth_place():
+    report = tied_report()
+    rows = top_senders(report, k=3)
+    assert [(r.prefix.prefix, r.total) for r in rows] == [
+        ("10.9.0.0/16", 5), ("10.200.0.0/16", 3), ("10.30.0.0/16", 3),
+    ]
+    assert [(r.prefix.prefix, r.total, r.categories) for r in rows] == full_sort_senders(report)[:3]
+
+
+def test_top_senders_k_beyond_population_equals_full_sort():
+    report = tied_report()
+    rows = top_senders(report, k=50)
+    assert [(r.prefix.prefix, r.total, r.categories) for r in rows] == full_sort_senders(report)
+
+
+def test_empty_query_stats_tie_across_kth_place():
+    report = tied_report()
+    full = empty_query_stats(report, k=len(report.empty_by_sender))
+    for k in (1, 2, 3, 4, 5, 50):
+        stats = empty_query_stats(report, k=k)
+        assert [(r.prefix.prefix, r.total, r.qtypes) for r in stats.top] == full_sort_empty_senders(report)[:k]
+        assert (stats.total, stats.sender_count, stats.mean_per_sender, stats.qtype_fractions) == (
+            full.total, full.sender_count, full.mean_per_sender, full.qtype_fractions,
+        )
+    assert [r.prefix.prefix for r in empty_query_stats(report, k=3).top] == [
+        "10.9.0.0/16", "10.200.0.0/16", "10.30.0.0/16",
+    ]
+
+
+def test_top_k_matches_full_sort_on_tie_heavy_reports():
+    sources = tuple(f"10.{i}.0.1" for i in range(40)) + ("2600:1:2:3::9", "2600:1:2:4::9")
+    for seed in range(20):
+        rng = random.Random(seed)
+        report = fold(random_pairs(rng, rng.randint(0, 150), sources=sources))
+        senders = full_sort_senders(report)
+        empties = full_sort_empty_senders(report)
+        empty_total = sum(r[1] for r in empties)
+        qtype_totals = {}
+        for _, _, qtypes in empties:
+            for m, n in qtypes.items():
+                qtype_totals[m] = qtype_totals.get(m, 0) + n
+        for k in (1, 2, 5, 17, 41, 100):
+            rows = top_senders(report, k)
+            assert [(r.prefix.prefix, r.total, r.categories) for r in rows] == senders[:k]
+            stats = empty_query_stats(report, k=k)
+            assert [(r.prefix.prefix, r.total, r.qtypes) for r in stats.top] == empties[:k]
+            assert stats.sender_count == len(empties)
+            assert stats.mean_per_sender == (empty_total / len(empties) if empties else None)
+            assert stats.qtype_fractions == (
+                {m: n / empty_total for m, n in sorted(qtype_totals.items())} if empty_total else {}
+            )
+
+
+# --- the renderer table --------------------------------------------------------
+
+
+def test_render_doc_formats_and_alias(registry):
+    report = fold_tsv_like([".", "com.", "x.com."], registry)
+    doc = build_report_doc(report)
+    assert render_doc(doc, "tsv-plotdata") == render_doc(doc, "plotdata") == doc_to_plotdata(doc)
+    for fmt in ("json", "csv", "plotdata", "tsv-plotdata"):
+        assert write_report(report, fmt) == render_doc(doc, fmt)
+
+
+def test_render_doc_rejects_unknown_format(registry):
+    report = fold_tsv_like(["com."], registry)
+    with pytest.raises(ValueError, match="unknown report format 'xml'"):
+        render_doc(build_report_doc(report), "xml")
+    with pytest.raises(ValueError, match="unknown report format 'xml'"):
+        write_report(report, "xml")
