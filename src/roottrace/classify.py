@@ -23,6 +23,7 @@ from .model import (
     Leaf,
     QueryRecord,
 )
+from .ingest import IngestStats
 from .names import NameParseError, label_has_bad_encoding, parse_presentation
 from .tlds import TldRegistry
 
@@ -94,36 +95,25 @@ def classify(
     return Classification(Leaf.INVALID_OTHER, folded.decode("ascii"))
 
 
-class StreamTally:
-    """Mutable counters for a classification pass over a record stream."""
-
-    __slots__ = ("classified", "unparseable")
-
-    def __init__(self) -> None:
-        self.classified = 0
-        self.unparseable = 0
-
-
 def classify_stream(
     records: Iterable[QueryRecord],
     registry: TldRegistry,
     appletalk_tlds: frozenset[str] = DEFAULT_APPLETALK_TLDS,
-    tally: Optional[StreamTally] = None,
+    stats: Optional[IngestStats] = None,
 ) -> Iterator[tuple[QueryRecord, Classification]]:
     """Parse and classify a record stream, skipping unparseable names.
 
-    Name parse failures never abort the stream; they bump tally.unparseable
-    and the record is dropped from classification.
+    Name parse failures never abort the stream; they bump
+    stats.names_unparseable and the record is dropped from classification.
     """
-    if tally is None:
-        tally = StreamTally()
+    if stats is None:
+        stats = IngestStats()
     parse = parse_presentation
     decide = classify
     for record in records:
         try:
             name = parse(record.qname_raw)
         except NameParseError:
-            tally.unparseable += 1
+            stats.names_unparseable += 1
             continue
-        tally.classified += 1
         yield record, decide(name, registry, appletalk_tlds)

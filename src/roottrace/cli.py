@@ -14,7 +14,7 @@ from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .classify import DEFAULT_APPLETALK_TLDS, StreamTally, classify_stream
+from .classify import DEFAULT_APPLETALK_TLDS, classify_stream
 from .ingest import IngestError, IngestStats, read_pcap, read_tsv, sample, window
 from .names import NameParseError
 from .report import (
@@ -161,7 +161,6 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
     appletalk = _appletalk_set(args)
 
     stats = IngestStats()
-    tally = StreamTally()
 
     def streams():
         # each file stays open while chain drains its stream, and closes
@@ -176,9 +175,9 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
                     stream = window(stream, win[0], win[1], origin)
                 yield stream
 
-    pairs = classify_stream(chain.from_iterable(streams()), registry, appletalk, tally)
+    pairs = classify_stream(chain.from_iterable(streams()), registry, appletalk, stats)
     report = fold(pairs, label=args.label, track_senders=track_senders)
-    report.dropped = stats.records_dropped_unparseable + tally.unparseable
+    report.dropped = stats.records_dropped_unparseable + stats.names_unparseable
     meta = {
         "tool": f"roottrace {__version__}",
         "inputs": list(args.inputs),

@@ -44,13 +44,15 @@ class PcapError(IngestError):
 
 @dataclass
 class IngestStats:
-    """Reader counters, monotonically non-decreasing; one instance may be
-    shared by the readers of several files to count them together."""
+    """Ingest counters, monotonically non-decreasing; one instance may be
+    shared by the readers of several files and by classify_stream to count
+    them together."""
 
     records_emitted: int = 0
     records_dropped_unparseable: int = 0
     packets_skipped: int = 0
     bytes_read: int = 0
+    names_unparseable: int = 0  # emitted records whose name failed to parse
 
 
 def _valid_v6(text: str) -> bool:
@@ -172,7 +174,8 @@ def read_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterato
 
     Handles Ethernet and raw-IP link types, IPv4/IPv6, UDP to port 53.
     Queries (QR=0) that fail to decode count as unparseable; everything
-    else (responses, TCP, other ports/protocols) counts as skipped.
+    else (responses, TCP, other ports/protocols, malformed IP headers)
+    counts as skipped.
     """
     if stats is None:
         stats = IngestStats()
@@ -222,14 +225,19 @@ def read_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterato
             ip = data
 
         if version == 4:
-            if len(ip) < 20 or ip[0] >> 4 != 4:
+            # version 4 with a header of at least five words (IHL >= 5)
+            if len(ip) < 20 or not 0x45 <= ip[0] <= 0x4F:
                 stats.packets_skipped += 1
                 continue
             if ip[9] != 17 or (((ip[6] << 8) | ip[7]) & 0x1FFF) != 0:
                 stats.packets_skipped += 1
                 continue
+            header_len = (ip[0] & 0x0F) * 4
+            if header_len > len(ip):
+                stats.packets_skipped += 1
+                continue
             source = f"{ip[12]}.{ip[13]}.{ip[14]}.{ip[15]}"
-            udp = ip[(ip[0] & 0x0F) * 4 :]
+            udp = ip[header_len:]
         elif version == 6:
             if len(ip) < 40 or ip[6] != 17:
                 stats.packets_skipped += 1

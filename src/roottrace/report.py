@@ -29,6 +29,12 @@ from .model import (
 QMIN_NAMED_TLDS = ("com", "net", "org")
 
 
+# sender table rows hold one count per leaf, in this order
+LEAVES = tuple(Leaf)
+LEAF_INDEX = {leaf: i for i, leaf in enumerate(LEAVES)}
+_ROW_TOPS = tuple(LEAF_TOP[leaf] for leaf in LEAVES)
+
+
 @dataclass
 class Report:
     """Aggregate counts for one labelled slice of traffic (e.g. a year)."""
@@ -37,8 +43,8 @@ class Report:
     total: int = 0
     leaf_counts: Counter = field(default_factory=Counter)  # Classification -> n
     qtype_counts: Counter = field(default_factory=Counter)  # mnemonic -> n
-    sender_counts: dict = field(default_factory=dict)  # SenderKey -> Counter[Leaf]
-    empty_by_sender: dict = field(default_factory=dict)  # SenderKey -> Counter[mnemonic]
+    sender_counts: dict = field(default_factory=dict)  # prefix str -> list[int], one per LEAVES entry
+    empty_by_sender: dict = field(default_factory=dict)  # prefix str -> {qtype code: n}
     dropped: int = 0
     senders_tracked: bool = True
 
@@ -49,13 +55,20 @@ def fold(
     dropped: int = 0,
     track_senders: bool = True,
 ) -> Report:
-    """Count every classified record exactly once into a fresh Report."""
+    """Count every classified record exactly once into a fresh Report.
+
+    The sender tables are returned as counted: a LEAVES-ordered row of
+    counts per sender prefix, and the root-name queries per prefix by
+    qtype code.
+    """
     leaf_counts: dict = {}
     qtype_ints: dict = {}
     senders: dict = {}
     empties: dict = {}
     total = 0
     empty_leaf = Leaf.EMPTY
+    leaf_index = LEAF_INDEX
+    blank_row = [0] * len(LEAVES)
 
     for record, cls in classified:
         total += 1
@@ -69,23 +82,12 @@ def fold(
         except KeyError:
             qtype_ints[qtype] = 1
         if track_senders:
-            src = record.source
-            if ":" in src:
-                prefix = sender_prefix(src)
-            else:
-                second = src.find(".", src.find(".") + 1)
-                if second < 0:
-                    raise ValueError(f"not an IP address: {src!r}")
-                prefix = src[:second] + ".0.0/16"
+            prefix = sender_prefix(record.source)
             leaf = cls.leaf
-            by_leaf = senders.get(prefix)
-            if by_leaf is None:
-                senders[prefix] = {leaf: 1}
-            else:
-                try:
-                    by_leaf[leaf] += 1
-                except KeyError:
-                    by_leaf[leaf] = 1
+            row = senders.get(prefix)
+            if row is None:
+                row = senders[prefix] = blank_row.copy()
+            row[leaf_index[leaf]] += 1
             if leaf is empty_leaf:
                 by_qtype = empties.get(prefix)
                 if by_qtype is None:
@@ -96,19 +98,13 @@ def fold(
                     except KeyError:
                         by_qtype[qtype] = 1
 
-    mnemonics = {code: qtype_mnemonic(code) for code in qtype_ints}
     return Report(
         label=label,
         total=total,
         leaf_counts=Counter(leaf_counts),
-        qtype_counts=Counter({mnemonics[c]: n for c, n in qtype_ints.items()}),
-        sender_counts={
-            SenderKey(p): Counter(d) for p, d in senders.items()
-        },
-        empty_by_sender={
-            SenderKey(p): Counter({mnemonics[c]: n for c, n in d.items()})
-            for p, d in empties.items()
-        },
+        qtype_counts=Counter({qtype_mnemonic(c): n for c, n in qtype_ints.items()}),
+        sender_counts=senders,
+        empty_by_sender=empties,
         dropped=dropped,
         senders_tracked=track_senders,
     )
@@ -120,29 +116,34 @@ def _merge_labels(a: str, b: str) -> str:
     return "+".join(sorted(parts))
 
 
-def _merge_sender_tables(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for table in (a, b):
-        for key, counts in table.items():
-            acc = out.get(key)
-            if acc is None:
-                out[key] = Counter(counts)
-            else:
-                acc.update(counts)
+def _merge_rows(a: dict, b: dict) -> dict:
+    out = {key: row.copy() for key, row in a.items()}
+    for key, row in b.items():
+        acc = out.get(key)
+        out[key] = row.copy() if acc is None else [x + y for x, y in zip(acc, row)]
+    return out
+
+
+def _merge_qtypes(a: dict, b: dict) -> dict:
+    out = {key: counts.copy() for key, counts in a.items()}
+    for key, counts in b.items():
+        acc = out.setdefault(key, {})
+        for code, n in counts.items():
+            acc[code] = acc.get(code, 0) + n
     return out
 
 
 def merge(a: Report, b: Report) -> Report:
     """Pointwise sum of two Reports; commutative, associative, and the
-    empty Report is the identity."""
+    empty Report is the identity. Sender rows add element-wise."""
     tracked = a.senders_tracked and b.senders_tracked
     return Report(
         label=_merge_labels(a.label, b.label),
         total=a.total + b.total,
         leaf_counts=a.leaf_counts + b.leaf_counts,
         qtype_counts=a.qtype_counts + b.qtype_counts,
-        sender_counts=_merge_sender_tables(a.sender_counts, b.sender_counts) if tracked else {},
-        empty_by_sender=_merge_sender_tables(a.empty_by_sender, b.empty_by_sender) if tracked else {},
+        sender_counts=_merge_rows(a.sender_counts, b.sender_counts) if tracked else {},
+        empty_by_sender=_merge_qtypes(a.empty_by_sender, b.empty_by_sender) if tracked else {},
         dropped=a.dropped + b.dropped,
         senders_tracked=tracked,
     )
@@ -177,13 +178,13 @@ def top_senders(report: Report, k: int) -> list[TopSender]:
     if not report.senders_tracked:
         raise ValueError("sender tracking was disabled for this report")
     table = report.sender_counts
-    ranked = heapq.nsmallest(k, ((-sum(by_leaf.values()), key) for key, by_leaf in table.items()))
+    ranked = heapq.nsmallest(k, ((-sum(row), prefix) for prefix, row in table.items()))
     rows = []
-    for neg_total, key in ranked:
+    for neg_total, prefix in ranked:
         categories = {cat: 0 for cat in TopCategory}
-        for leaf, n in table[key].items():
-            categories[LEAF_TOP[leaf]] += n
-        rows.append(TopSender(key, -neg_total, categories))
+        for top, n in zip(_ROW_TOPS, table[prefix]):
+            categories[top] += n
+        rows.append(TopSender(SenderKey(prefix), -neg_total, categories))
     return rows
 
 
@@ -203,20 +204,28 @@ class EmptyQueryStats:
     top: list  # list[EmptySender]
 
 
+def _by_mnemonic(by_code: dict) -> dict:
+    return {qtype_mnemonic(code): n for code, n in by_code.items()}
+
+
 def empty_query_stats(report: Report, k: int = 10) -> EmptyQueryStats:
     """Priming-oriented view: who sends root-name queries, and of what type."""
     if not report.senders_tracked:
         raise ValueError("sender tracking was disabled for this report")
     total = report.leaf_counts.get(CLS_EMPTY, 0)
     senders = report.empty_by_sender
-    qtype_totals: Counter = Counter()
+    qtype_totals: dict = {}
     totals = []
-    for key, by_qtype in senders.items():
-        qtype_totals.update(by_qtype)
-        totals.append((-sum(by_qtype.values()), key))
-    rows = [EmptySender(key, -neg_total, dict(senders[key])) for neg_total, key in heapq.nsmallest(k, totals)]
+    for prefix, by_qtype in senders.items():
+        for code, n in by_qtype.items():
+            qtype_totals[code] = qtype_totals.get(code, 0) + n
+        totals.append((-sum(by_qtype.values()), prefix))
+    rows = [
+        EmptySender(SenderKey(prefix), -neg_total, _by_mnemonic(senders[prefix]))
+        for neg_total, prefix in heapq.nsmallest(k, totals)
+    ]
     mean = total / len(senders) if senders else None
-    fractions = {m: n / total for m, n in sorted(qtype_totals.items())} if total else {}
+    fractions = {m: n / total for m, n in sorted(_by_mnemonic(qtype_totals).items())} if total else {}
     return EmptyQueryStats(
         total=total,
         sender_count=len(senders),

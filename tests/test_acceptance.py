@@ -262,7 +262,7 @@ def test_throughput_ten_million_soft_gate():
     total = report.total
     rate = total / elapsed
     within = elapsed <= 60.0
-    verdict = "PASS" if within else "SOFT FAIL (recorded; see docs/BENCHMARK.md)"
+    verdict = "PASS" if within else "SOFT FAIL (recorded; see perfbench/README.md)"
     print(f"ACCEPTANCE throughput-benchmark: {verdict} "
           f"({total} records in {elapsed:.1f}s, {rate / 1000:.0f}k records/s)")
     # hard assertions cover pipeline correctness only; the time target is soft

@@ -5,12 +5,12 @@ import pytest
 
 from fuzznames import random_name
 from roottrace.classify import (
-    StreamTally,
     classify,
     classify_stream,
     is_all_numeric,
     is_chromium_label,
 )
+from roottrace.ingest import IngestStats
 from roottrace.model import Classification, DomainName, Leaf, QueryRecord
 from roottrace.names import parse_presentation
 
@@ -179,8 +179,8 @@ def test_classify_stream_counts_unparseable(registry):
         QueryRecord(2, "1.2.3.4", 1, 1, "bad..name."),
         QueryRecord(3, "1.2.3.4", 1, 2, "."),
     ]
-    tally = StreamTally()
-    out = list(classify_stream(records, registry, tally=tally))
-    assert tally.classified == 2
-    assert tally.unparseable == 1
+    stats = IngestStats()
+    out = list(classify_stream(records, registry, stats=stats))
+    assert len(out) == 2
+    assert stats.names_unparseable == 1
     assert [cls.leaf for _, cls in out] == [Leaf.VALID_TLD, Leaf.EMPTY]

@@ -238,6 +238,18 @@ def test_pcap_crafted_ns_query():
     assert (stats.records_emitted, stats.records_dropped_unparseable, stats.packets_skipped) == (1, 0, 0)
 
 
+@pytest.mark.parametrize("ihl", [0, 4, 15])
+def test_pcap_bad_ipv4_header_length_skipped(ihl):
+    # total length 53, so a header length of 0 would read the IP header
+    # itself as a UDP header bound for port 53
+    frame = bytearray(udp4("10.0.0.1", dns_payload([b"example"], 1)))
+    assert frame[16:18] == b"\x00\x35"
+    frame[14] = 0x40 | ihl
+    records, stats = run_pcap(pcap_file([bytes(frame)]))
+    assert records == []
+    assert (stats.records_emitted, stats.records_dropped_unparseable, stats.packets_skipped) == (0, 0, 1)
+
+
 def test_pcap_tcp_skipped():
     frame = udp4("44.242.1.2", dns_payload([b"com"], 2), proto=6)
     records, stats = run_pcap(pcap_file([frame]))

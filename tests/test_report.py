@@ -10,10 +10,12 @@ from roottrace.model import (
     Leaf,
     QueryRecord,
     TopCategory,
+    qtype_mnemonic,
 )
 from roottrace.report import (
     DEFAULT_POLICY,
     INVALID_ONLY_POLICY,
+    LEAVES,
     Report,
     build_report_doc,
     chromium_series,
@@ -96,7 +98,7 @@ def test_fold_counting_invariants(registry):
     assert report.total == 5_000
     assert sum(report.leaf_counts.values()) == report.total
     assert sum(report.qtype_counts.values()) == report.total
-    per_sender = sum(sum(c.values()) for c in report.sender_counts.values())
+    per_sender = sum(sum(row) for row in report.sender_counts.values())
     assert per_sender == report.total
     empty_total = report.leaf_counts.get(Classification(Leaf.EMPTY), 0)
     assert sum(sum(c.values()) for c in report.empty_by_sender.values()) == empty_total
@@ -413,17 +415,20 @@ def test_sender_rollup_consistency(registry):
 
 def full_sort_senders(report):
     rows = []
-    for key, by_leaf in report.sender_counts.items():
+    for prefix, row in report.sender_counts.items():
         categories = {cat: 0 for cat in TopCategory}
-        for leaf, n in by_leaf.items():
+        for leaf, n in zip(LEAVES, row):
             categories[LEAF_TOP[leaf]] += n
-        rows.append((key.prefix, sum(by_leaf.values()), categories))
+        rows.append((prefix, sum(row), categories))
     rows.sort(key=lambda r: (-r[1], r[0]))
     return rows
 
 
 def full_sort_empty_senders(report):
-    rows = [(key.prefix, sum(q.values()), dict(q)) for key, q in report.empty_by_sender.items()]
+    rows = [
+        (prefix, sum(q.values()), {qtype_mnemonic(code): n for code, n in q.items()})
+        for prefix, q in report.empty_by_sender.items()
+    ]
     rows.sort(key=lambda r: (-r[1], r[0]))
     return rows
 
