@@ -9,7 +9,7 @@ from .classify import (  # noqa: F401
     is_all_numeric,
     is_chromium_label,
 )
-from .ingest import IngestStats, read_pcap, read_tsv, sample, window  # noqa: F401
+from .ingest import IngestStats, PcapQuery, decode_pcap, read_pcap, read_tsv, sample, window  # noqa: F401
 from .model import (  # noqa: F401
     Classification,
     DomainName,

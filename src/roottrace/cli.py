@@ -14,8 +14,8 @@ from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .classify import DEFAULT_APPLETALK_TLDS, classify_stream
-from .ingest import IngestError, IngestStats, read_pcap, read_tsv, sample, window
+from .classify import DEFAULT_APPLETALK_TLDS, classify, classify_stream
+from .ingest import IngestError, IngestStats, decode_pcap, read_tsv, sample, window
 from .names import NameParseError
 from .report import (
     POLICIES,
@@ -161,13 +161,14 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
     appletalk = _appletalk_set(args)
 
     stats = IngestStats()
+    read = decode_pcap if args.format == "pcap" else read_tsv
 
     def streams():
         # each file stays open while chain drains its stream, and closes
         # when chain asks for the next one
         for path in args.inputs:
             with open(path, "rb") as fh:
-                stream = read_pcap(fh, stats) if args.format == "pcap" else read_tsv(fh, stats)
+                stream = read(fh, stats)
                 if args.sample_rate < 1:
                     # reseeded per file: what a file keeps does not depend on the files before it
                     stream = sample(stream, args.sample_rate, args.seed)
@@ -175,7 +176,12 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
                     stream = window(stream, win[0], win[1], origin)
                 yield stream
 
-    pairs = classify_stream(chain.from_iterable(streams()), registry, appletalk, stats)
+    records = chain.from_iterable(streams())
+    if args.format == "pcap":
+        # decoded names are already valid, so none can fail to parse
+        pairs = ((q, classify(q.name, registry, appletalk)) for q in records)
+    else:
+        pairs = classify_stream(records, registry, appletalk, stats)
     report = fold(pairs, label=args.label, track_senders=track_senders)
     report.dropped = stats.records_dropped_unparseable + stats.names_unparseable
     meta = {

@@ -1,8 +1,10 @@
 """Trace ingestion: TSV logs and classic pcap captures.
 
-Both readers stream QueryRecords and keep running counters. Malformed
+Both readers stream QueryRecords and keep running counters; for pcap,
+decode_pcap also streams each query with its name still decoded. Malformed
 records never abort a stream; only a corrupt container (unreadable file,
-bad pcap global header) does.
+bad pcap global header, a pcap record header claiming an impossible
+length) does.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import random
 import re
 import struct
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Optional
+from typing import IO, Iterable, Iterator, NamedTuple, Optional
 
 from .model import (
     QCLASS_MNEMONICS,
@@ -122,6 +124,9 @@ _PCAP_MAGICS = {
 
 LINKTYPE_ETHERNET = 1
 LINKTYPE_RAW = frozenset({12, 101})
+# libpcap's MAXIMUM_SNAPLEN: a larger caplen can only come from a corrupt
+# record header, and reading it would allocate up to 4 GiB
+MAX_CAPLEN = 262_144
 
 _SKIP = 0
 _DROP = 1
@@ -169,13 +174,27 @@ def _decode_question(payload: bytes) -> "tuple[int, object]":
     return 2, (DomainName(tuple(labels)), qtype, qclass)
 
 
-def read_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[QueryRecord]:
-    """Stream query records out of a classic pcap capture.
+class PcapQuery(NamedTuple):
+    """One decoded pcap query: the QueryRecord fields, with the query name
+    as the DomainName decoded from the wire instead of presentation text."""
+
+    timestamp: int
+    source: str
+    qclass: int
+    qtype: int
+    name: DomainName
+
+
+def decode_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[PcapQuery]:
+    """Stream the queries out of a classic pcap capture, names as decoded.
 
     Handles Ethernet and raw-IP link types, IPv4/IPv6, UDP to port 53.
     Queries (QR=0) that fail to decode count as unparseable; everything
-    else (responses, TCP, other ports/protocols, malformed IP headers)
-    counts as skipped.
+    else (responses, TCP, other ports/protocols, malformed IP headers, a
+    truncated final record) counts as skipped. A bad global header or a
+    record claiming more than MAX_CAPLEN bytes is a corrupt container and
+    raises PcapError. The CLI classifies these names directly; read_pcap
+    is the presentation-form view of the same stream.
     """
     if stats is None:
         stats = IngestStats()
@@ -192,14 +211,21 @@ def read_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterato
         raise PcapError(f"unsupported link type {linktype}")
     unpack_rec = struct.Struct(endian + "IIII").unpack
     v6_cache: dict[bytes, str] = {}
+    offset = 24  # of the next record header in the file
 
     while True:
         rec_header = stream.read(16)
         if len(rec_header) < 16:
+            if rec_header:
+                stats.bytes_read += len(rec_header)
+                stats.packets_skipped += 1
             return
         ts_sec, ts_sub, caplen, _ = unpack_rec(rec_header)
+        if caplen > MAX_CAPLEN:
+            raise PcapError(f"corrupt pcap record at byte {offset}: caplen {caplen} over {MAX_CAPLEN}")
         data = stream.read(caplen)
         stats.bytes_read += 16 + len(data)
+        offset += 16 + len(data)
         if len(data) < caplen:
             stats.packets_skipped += 1
             return
@@ -268,7 +294,17 @@ def read_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterato
             stats.records_dropped_unparseable += 1
             continue
         stats.records_emitted += 1
-        yield QueryRecord(timestamp, source, qclass, qtype, to_presentation(name))
+        yield PcapQuery(timestamp, source, qclass, qtype, name)
+
+
+def read_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[QueryRecord]:
+    """decode_pcap's queries as QueryRecords, names in presentation form.
+
+    The view for library callers that want records like read_tsv's; the
+    CLI classifies decode_pcap's names without rendering them.
+    """
+    for q in decode_pcap(stream, stats):
+        yield QueryRecord(q.timestamp, q.source, q.qclass, q.qtype, to_presentation(q.name))
 
 
 def sample(

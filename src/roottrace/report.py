@@ -57,6 +57,9 @@ def fold(
 ) -> Report:
     """Count every classified record exactly once into a fresh Report.
 
+    Of each record fold reads only .source and .qtype, so an
+    ingest.PcapQuery folds the same as a QueryRecord.
+
     The sender tables are returned as counted: a LEAVES-ordered row of
     counts per sender prefix, and the root-name queries per prefix by
     qtype code.

@@ -239,6 +239,18 @@ def test_pcap_classify_end_to_end(tmp_path):
     assert doc["leaves"]["one_word"]["minimized"]["total"] == 3
 
 
+def test_pcap_corrupt_caplen_is_runtime_error(tmp_path, capsys):
+    from test_ingest import dns_payload, pcap_file, udp4, with_caplen
+
+    frame = udp4("44.242.1.2", dns_payload([b"com"], 2))
+    pcap = tmp_path / "t.pcap"
+    pcap.write_bytes(with_caplen(pcap_file([frame]), 24, 0xFFFFFFF0))
+    out = tmp_path / "r.json"
+    assert run("classify", "--in", str(pcap), "--format", "pcap", "--out", str(out)) == 2
+    assert "corrupt pcap record at byte 24" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_module_entry_point(tmp_path):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(

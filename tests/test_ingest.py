@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import random
 import socket
@@ -6,17 +7,25 @@ import struct
 
 import pytest
 
+from fuzznames import random_name
+from roottrace import cli
+from roottrace.classify import classify_stream
 from roottrace.ingest import (
+    MAX_CAPLEN,
     IngestError,
     IngestStats,
     PcapError,
+    decode_pcap,
     read_pcap,
     read_tsv,
     sample,
     window,
 )
-from roottrace.model import QueryRecord
+from roottrace.model import DomainName, QueryRecord
+from roottrace.names import parse_presentation, to_presentation
+from roottrace.report import fold, write_report
 from roottrace.synth import tsv_bytes
+from roottrace.tlds import default_registry
 
 # --- TSV ---------------------------------------------------------------------
 
@@ -378,3 +387,92 @@ def test_pcap_accounting_invariant():
     assert stats.records_emitted + stats.records_dropped_unparseable == candidates
     assert stats.records_emitted + stats.records_dropped_unparseable + stats.packets_skipped == 200
     assert len(records) == stats.records_emitted
+
+
+def with_caplen(data: bytes, record_offset: int, caplen: int) -> bytes:
+    """data with the caplen of the record header at record_offset replaced."""
+    at = record_offset + 8
+    return data[:at] + struct.pack("<I", caplen) + data[at + 4 :]
+
+
+def test_pcap_caplen_over_maximum_is_corrupt():
+    frame = udp4("10.0.0.1", dns_payload([b"com"], 2))
+    second = 24 + 16 + len(frame)
+    data = with_caplen(pcap_file([frame, frame]), second, 0xFFFFFFF0)
+    with pytest.raises(PcapError, match=f"record at byte {second}: caplen 4294967280"):
+        list(read_pcap(io.BytesIO(data)))
+
+
+def test_pcap_caplen_at_maximum_is_a_truncated_record():
+    frame = udp4("10.0.0.1", dns_payload([b"com"], 2))
+    data = with_caplen(pcap_file([frame, frame]), 24 + 16 + len(frame), MAX_CAPLEN)
+    records, stats = run_pcap(data)
+    assert len(records) == 1
+    assert (stats.records_emitted, stats.packets_skipped, stats.bytes_read) == (1, 1, len(data))
+
+
+@pytest.mark.parametrize("extra", [1, 7, 15])
+def test_pcap_partial_final_record_header_counted(extra):
+    frame = udp4("10.0.0.1", dns_payload([b"com"], 2))
+    data = pcap_file([frame]) + b"\x00" * extra
+    records, stats = run_pcap(data)
+    assert len(records) == 1
+    assert (stats.records_emitted, stats.packets_skipped, stats.bytes_read) == (1, 1, len(data))
+
+
+# --- decode_pcap against read_pcap -------------------------------------------
+
+
+def differential_pcap() -> bytes:
+    """A capture of fuzzed query names, escape-worthy labels included, from
+    IPv4 and IPv6 senders, with one dropped query and one response."""
+    rng = random.Random(0xD1FF)
+    tld_sample = sorted(default_registry().entries)[:40]
+    names = [random_name(rng, tld_sample) for _ in range(600)]
+    names += [
+        DomainName((b"dot.ted", b"com")),
+        DomainName((b"back\\slash", b"net")),
+        DomainName((b"sp ace",)),
+        DomainName((b"\x00\x1f\x7f\xff", b"\\.", b"org")),
+        DomainName((b"x", b"\\")),
+    ]
+    frames = []
+    for i, name in enumerate(names):
+        payload = dns_payload(name.labels, (1, 2, 28, 65)[i % 4])
+        if i % 7 == 3:
+            frames.append(udp6(f"2001:db8:{i % 5:x}::{i:x}", payload))
+        else:
+            frames.append(udp4(f"198.{51 + i % 3}.{i % 11}.{i % 250}", payload))
+    frames.append(udp4("192.0.2.1", dns_payload([], 1, name_override=b"\xc0\x0c\x00")))
+    frames.append(udp4("192.0.2.1", dns_payload([b"com"], 2, qr=1)))
+    return pcap_file(frames)
+
+
+def test_decode_pcap_is_read_pcap_before_rendering():
+    data = differential_pcap()
+    decoded_stats, read_stats = IngestStats(), IngestStats()
+    queries = list(decode_pcap(io.BytesIO(data), decoded_stats))
+    rendered = [QueryRecord(*q[:4], to_presentation(q.name)) for q in queries]
+    assert rendered == list(read_pcap(io.BytesIO(data), read_stats))
+    assert decoded_stats == read_stats
+    assert len(queries) == 605
+    for q in queries:
+        assert parse_presentation(to_presentation(q.name)) == q.name
+
+
+@pytest.mark.parametrize("no_senders", [False, True])
+def test_cli_pcap_report_matches_the_presentation_path(tmp_path, no_senders):
+    path = tmp_path / "t.pcap"
+    path.write_bytes(differential_pcap())
+    out = tmp_path / "r.json"
+    argv = ["classify", "--format", "pcap", "--in", str(path), "--label", "diff", "--out", str(out)]
+    assert cli.main(argv + ["--no-senders"] * no_senders) == 0
+    got = out.read_bytes()
+
+    stats = IngestStats()
+    with open(path, "rb") as fh:
+        pairs = classify_stream(read_pcap(fh, stats), default_registry(), stats=stats)
+        report = fold(pairs, label="diff", track_senders=not no_senders)
+    report.dropped = stats.records_dropped_unparseable + stats.names_unparseable
+    assert report.dropped == 1
+    assert got == write_report(report, "json", meta=json.loads(got)["meta"])
