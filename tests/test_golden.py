@@ -1,11 +1,12 @@
-"""Golden report bytes: classify and top-senders outputs for one fixed-seed
-trace, read as TSV and as pcap, pinned by sha256.
+"""Golden report bytes: classify, report, trend and top-senders outputs for
+one fixed-seed trace, read as TSV and as pcap, pinned by sha256.
 
 A refactor that keeps these digests keeps every report byte. A change that
 means to alter report output must update the digests and say why.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -57,6 +58,7 @@ GOLDEN = {
     "pcap/classify.plotdata": "463f72dd417861f0b774f6dc493df361c3ff273a1f0167a40eec1e6714b59e14",
     "pcap/top-senders-empty.csv": "109b9f428bdec4fcd22704f44a2002fe1301b2f48dc0689ef47e82927547c404",
     "pcap/top-senders.csv": "d4306e7dcaee42f62a2ccc2c6947bb2565f4b0b2138bb70e175f8a81141035d8",
+    "pcap/trend.csv": "7cefc47dbf050dfff293c9d61879424807652d4a5ea3435999a982b88b83471d",
     "tsv/classify-nosenders.json": "81708dfb32924ba4a8ca0c2c55e719622f394077caba7c95bfbe8a353f42a3bc",
     "tsv/classify-top50.json": "e8768994a93ff40b4cc08c6e4e26ff8da0038a17d768ad062a08e39da8fecb17",
     "tsv/classify.csv": "2fe6f91ef0d30ba75f0e506729159d4d8e9744437686a5380828d13ad379630a",
@@ -64,6 +66,7 @@ GOLDEN = {
     "tsv/classify.plotdata": "463f72dd417861f0b774f6dc493df361c3ff273a1f0167a40eec1e6714b59e14",
     "tsv/top-senders-empty.csv": "109b9f428bdec4fcd22704f44a2002fe1301b2f48dc0689ef47e82927547c404",
     "tsv/top-senders.csv": "d4306e7dcaee42f62a2ccc2c6947bb2565f4b0b2138bb70e175f8a81141035d8",
+    "tsv/trend.csv": "7cefc47dbf050dfff293c9d61879424807652d4a5ea3435999a982b88b83471d",
 }
 
 COMMANDS = {
@@ -91,6 +94,13 @@ def outputs(fmt: str) -> dict:
         assert main(["report", "--in", "classify.json", "--format", report_fmt, "--out", "out"]) == 0
         with open("out", "rb") as fh:
             out[f"classify.{report_fmt}"] = fh.read()
+    doc = json.loads(out["classify.json"])
+    doc["meta"]["label"] = "relabelled"
+    with open("relabelled.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert main(["trend", "--in", "classify.json", "relabelled.json", "--out", "out"]) == 0
+    with open("out", "rb") as fh:
+        out["trend.csv"] = fh.read()
     return out
 
 

@@ -19,6 +19,7 @@ from roottrace.report import (
     Report,
     build_report_doc,
     chromium_series,
+    doc_to_csv,
     doc_to_plotdata,
     empty_query_stats,
     fold,
@@ -383,6 +384,17 @@ def test_trend_from_docs_round_trip(registry):
     docs = [read_report_doc(write_report(r, "json")) for r in reports]
     csv = trend_csv_from_docs(docs)
     assert csv == trend_to_csv(trend_table(reports))
+
+
+def test_empty_report_csv_row_is_zeros():
+    doc = build_report_doc(Report(label="x"))
+    assert doc_to_csv(doc) == b"label,empty,one_word,invalid_tld,valid_tld\nx,0,0,0,0\n"
+
+
+def test_empty_report_has_no_trend_row():
+    doc = build_report_doc(Report(label="x"))
+    with pytest.raises(ValueError, match="'x' is empty"):
+        trend_csv_from_docs([doc])
 
 
 def test_plotdata_sections(registry):
