@@ -15,7 +15,6 @@ from .model import (  # noqa: F401
     DomainName,
     Leaf,
     QueryRecord,
-    SenderKey,
     TopCategory,
     qclass_code,
     qclass_mnemonic,
@@ -37,7 +36,6 @@ from .report import (  # noqa: F401
     qmin_series,
     top_level_fractions,
     top_senders,
-    trend_table,
     unexpected_fraction,
     write_report,
 )

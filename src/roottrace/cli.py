@@ -20,12 +20,12 @@ from .names import NameParseError
 from .report import (
     POLICIES,
     Report,
-    TopCategory,
-    empty_query_stats,
+    build_report_doc,
+    doc_to_empty_senders_csv,
+    doc_to_top_senders_csv,
     fold,
     read_report_doc,
     render_doc,
-    top_senders,
     trend_csv_from_docs,
     write_report,
 )
@@ -33,6 +33,7 @@ from .synth import (
     MixSpecError,
     generate,
     load_mixspec,
+    parse_day,
     preset_years,
     write_tsv,
     year_mix,
@@ -56,15 +57,6 @@ def _parse_window(text: str) -> tuple[int, int]:
     except ValueError:
         raise ValueError(f"bad window {text!r}, expected HH:MM-HH:MM") from None
     return sh * 3600 + sm * 60, eh * 3600 + em * 60
-
-
-def _parse_day_origin(text: str) -> int:
-    from datetime import datetime, timezone
-
-    if text.isdigit():
-        return int(text) * 1_000_000
-    dt = datetime.strptime(text, "%Y-%m-%d").replace(tzinfo=timezone.utc)
-    return int(dt.timestamp()) * 1_000_000
 
 
 def _add_ingest_options(sub: argparse.ArgumentParser) -> None:
@@ -154,7 +146,7 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
         parser.error("--sample-rate must be in (0, 1]")
     try:
         win = _parse_window(args.window) if args.window else None
-        origin = _parse_day_origin(args.day_origin) if args.day_origin else None
+        origin = parse_day(args.day_origin) if args.day_origin else None
     except ValueError as exc:
         parser.error(str(exc))
     registry = _registry_for(args)
@@ -199,9 +191,9 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
 
 
 def _cmd_classify(args, parser) -> int:
-    report, meta = _ingest_report(args, parser, track_senders=not args.no_senders)
     if args.top_k < 1:
         parser.error("--top-k must be positive")
+    report, meta = _ingest_report(args, parser, track_senders=not args.no_senders)
     data = write_report(report, "json", meta=meta, policy=POLICIES[args.policy], top_k=args.top_k)
     Path(args.out).write_bytes(data)
     return 0
@@ -217,22 +209,8 @@ def _cmd_top_senders(args, parser) -> int:
     if args.k < 1:
         parser.error("-k must be positive")
     report, _ = _ingest_report(args, parser)
-    lines = []
-    if args.empty:
-        lines.append("prefix,total,qtypes")
-        for row in empty_query_stats(report, k=args.k).top:
-            qtypes = ";".join(f"{m}={n}" for m, n in sorted(row.qtypes.items()))
-            lines.append(f"{row.prefix.prefix},{row.total},{qtypes}")
-    else:
-        lines.append("prefix,total,empty,one_word,invalid_tld,valid_tld")
-        for row in top_senders(report, args.k):
-            cats = row.categories
-            lines.append(
-                f"{row.prefix.prefix},{row.total},{cats[TopCategory.EMPTY]},"
-                f"{cats[TopCategory.ONE_WORD]},{cats[TopCategory.INVALID_TLD]},"
-                f"{cats[TopCategory.VALID_TLD]}"
-            )
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    render = doc_to_empty_senders_csv if args.empty else doc_to_top_senders_csv
+    Path(args.out).write_bytes(render(build_report_doc(report, top_k=args.k)))
     return 0
 
 

@@ -231,13 +231,3 @@ def sender_prefix(source: str) -> str:
             raise ValueError(f"not an IP address: {source!r}")
         return source[:second] + ".0.0/16"
     return _v6_prefix48(source)
-
-
-class SenderKey(NamedTuple):
-    """A sender aggregate: IPv4 /16 or IPv6 /48 prefix, host bits zero."""
-
-    prefix: str
-
-    @classmethod
-    def from_source(cls, source: str) -> "SenderKey":
-        return cls(sender_prefix(source))

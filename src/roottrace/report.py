@@ -20,7 +20,6 @@ from .model import (
     Classification,
     Leaf,
     QueryRecord,
-    SenderKey,
     TopCategory,
     qtype_mnemonic,
     sender_prefix,
@@ -33,6 +32,9 @@ QMIN_NAMED_TLDS = ("com", "net", "org")
 LEAVES = tuple(Leaf)
 LEAF_INDEX = {leaf: i for i, leaf in enumerate(LEAVES)}
 _ROW_TOPS = tuple(LEAF_TOP[leaf] for leaf in LEAVES)
+
+# every category table has one column per category, in declaration order
+_CATEGORIES = tuple(cat.value for cat in TopCategory)
 
 
 @dataclass
@@ -169,7 +171,7 @@ def top_level_fractions(report: Report) -> dict[TopCategory, float]:
 
 @dataclass
 class TopSender:
-    prefix: SenderKey
+    prefix: str  # as model.sender_prefix gives it
     total: int
     categories: dict  # TopCategory -> int
 
@@ -187,13 +189,13 @@ def top_senders(report: Report, k: int) -> list[TopSender]:
         categories = {cat: 0 for cat in TopCategory}
         for top, n in zip(_ROW_TOPS, table[prefix]):
             categories[top] += n
-        rows.append(TopSender(SenderKey(prefix), -neg_total, categories))
+        rows.append(TopSender(prefix, -neg_total, categories))
     return rows
 
 
 @dataclass
 class EmptySender:
-    prefix: SenderKey
+    prefix: str  # as model.sender_prefix gives it
     total: int
     qtypes: dict  # mnemonic -> int
 
@@ -224,7 +226,7 @@ def empty_query_stats(report: Report, k: int = 10) -> EmptyQueryStats:
             qtype_totals[code] = qtype_totals.get(code, 0) + n
         totals.append((-sum(by_qtype.values()), prefix))
     rows = [
-        EmptySender(SenderKey(prefix), -neg_total, _by_mnemonic(senders[prefix]))
+        EmptySender(prefix, -neg_total, _by_mnemonic(senders[prefix]))
         for neg_total, prefix in heapq.nsmallest(k, totals)
     ]
     mean = total / len(senders) if senders else None
@@ -307,32 +309,6 @@ def unexpected_fraction(report: Report, policy: UnexpectedPolicy = DEFAULT_POLIC
     return hits / report.total
 
 
-@dataclass
-class TrendTable:
-    """Ordered per-label rollup rows, one per Report."""
-
-    rows: list  # list[tuple[str, dict[TopCategory, float]]]
-
-
-def trend_table(reports: Iterable[Report]) -> TrendTable:
-    return TrendTable([(r.label, top_level_fractions(r)) for r in reports])
-
-
-TREND_HEADER = "label,empty,one_word,invalid_tld,valid_tld"
-
-
-def trend_to_csv(table: TrendTable) -> str:
-    lines = [TREND_HEADER]
-    for label, fractions in table.rows:
-        lines.append(
-            ",".join(
-                [label]
-                + [str(fractions[cat]) for cat in (TopCategory.EMPTY, TopCategory.ONE_WORD, TopCategory.INVALID_TLD, TopCategory.VALID_TLD)]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 # --- report documents -------------------------------------------------------
 #
 # JSON schema (stable key order, deterministic bytes):
@@ -409,7 +385,7 @@ def build_report_doc(
         senders["count"] = len(report.sender_counts)
         senders["top"] = [
             {
-                "prefix": row.prefix.prefix,
+                "prefix": row.prefix,
                 "total": row.total,
                 "categories": {cat.value: n for cat, n in row.categories.items()},
             }
@@ -423,7 +399,7 @@ def build_report_doc(
             "mean_per_sender": stats.mean_per_sender,
             "qtype_fractions": stats.qtype_fractions,
             "top": [
-                {"prefix": row.prefix.prefix, "total": row.total, "qtypes": dict(sorted(row.qtypes.items()))}
+                {"prefix": row.prefix, "total": row.total, "qtypes": dict(sorted(row.qtypes.items()))}
                 for row in stats.top
             ],
         }
@@ -449,21 +425,34 @@ def doc_to_json_bytes(doc: dict) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
+TREND_HEADER = ",".join(("label",) + _CATEGORIES)
+
+
+def _trend_row(label: str, fractions: dict) -> str:
+    if any(c in label for c in ',"\r\n'):  # RFC 4180 quoting; other labels stay as given
+        label = '"' + label.replace('"', '""') + '"'
+    return ",".join([label] + [str(fractions[cat]) for cat in _CATEGORIES])
+
+
 def doc_to_csv(doc: dict) -> bytes:
-    fractions = doc["totals"].get("fractions")
-    label = doc["meta"].get("label", "")
-    if fractions is None:
-        row = f"{label},0,0,0,0"
-    else:
-        row = ",".join(
-            [label] + [str(fractions[c]) for c in ("empty", "one_word", "invalid_tld", "valid_tld")]
-        )
+    # an empty report has no fractions; its row reads 0 in every column
+    fractions = doc["totals"].get("fractions") or dict.fromkeys(_CATEGORIES, 0)
+    row = _trend_row(doc["meta"].get("label", ""), fractions)
     return (TREND_HEADER + "\n" + row + "\n").encode("utf-8")
 
 
 def _flatten(prefix: str, table: dict, lines: list) -> None:
     for key, value in table.items():
         lines.append(f"{prefix}\t{key}\t{value}")
+
+
+_SENDER_COLUMNS = ("prefix", "total") + _CATEGORIES
+
+
+def _sender_cells(row: dict) -> list[str]:
+    """A senders.top row of a report document, in _SENDER_COLUMNS order."""
+    cats = row["categories"]
+    return [row["prefix"], str(row["total"])] + [str(cats[cat]) for cat in _CATEGORIES]
 
 
 def doc_to_plotdata(doc: dict) -> bytes:
@@ -483,24 +472,29 @@ def doc_to_plotdata(doc: dict) -> bytes:
     lines.append(f"chromium\tno_tld\t{no_tld / total if total else 0.0}")
     lines.append(f"chromium\twith_tld\t{with_tld / total if total else 0.0}")
     if doc["senders"].get("tracked"):
-        lines.append("# series: top_senders (prefix, total, empty, one_word, invalid_tld, valid_tld)")
+        lines.append(f"# series: top_senders ({', '.join(_SENDER_COLUMNS)})")
         for row in doc["senders"].get("top", []):
-            cats = row["categories"]
-            lines.append(
-                "\t".join(
-                    [
-                        row["prefix"],
-                        str(row["total"]),
-                        str(cats["empty"]),
-                        str(cats["one_word"]),
-                        str(cats["invalid_tld"]),
-                        str(cats["valid_tld"]),
-                    ]
-                )
-            )
+            lines.append("\t".join(_sender_cells(row)))
         lines.append("# series: empty_senders (prefix, total)")
         for row in doc["empty_stats"].get("top", []):
             lines.append(f"{row['prefix']}\t{row['total']}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def doc_to_top_senders_csv(doc: dict) -> bytes:
+    """The senders.top table of a report document with senders tracked."""
+    lines = [",".join(_SENDER_COLUMNS)]
+    lines += [",".join(_sender_cells(row)) for row in doc["senders"]["top"]]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def doc_to_empty_senders_csv(doc: dict) -> bytes:
+    """The empty_stats.top table of a report document with senders tracked:
+    each prefix's root-name queries, with qtypes as 'NS=3;SOA=1'."""
+    lines = ["prefix,total,qtypes"]
+    for row in doc["empty_stats"]["top"]:
+        qtypes = ";".join(f"{m}={n}" for m, n in row["qtypes"].items())
+        lines.append(f"{row['prefix']},{row['total']},{qtypes}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -532,11 +526,37 @@ def write_report(
     return render_doc(build_report_doc(report, meta=meta, policy=policy, top_k=top_k), fmt)
 
 
+# every key the renderers read; a dict holds the keys required inside an
+# object, None marks a value
+_DOC_KEYS = {
+    "meta": {},
+    "totals": {"records": None},
+    "leaves": {
+        "one_word": {"minimized": {"by_tld": {}}, "chromium": None},
+        "has_tld": {"valid": {"chromium_like": None}, "invalid": {"chromium": None}},
+    },
+    "qtypes": {},
+    "senders": {},
+    "empty_stats": {},
+}
+
+
+def _require_keys(node, keys: dict, path: str = "") -> None:
+    if not isinstance(node, dict):
+        raise ValueError(f"not a report document: {repr(path) if path else 'the top level'} is not a JSON object")
+    for key, inner in keys.items():
+        name = f"{path}.{key}" if path else key
+        if key not in node:
+            raise ValueError(f"not a report document: missing {name!r}")
+        if inner is not None:
+            _require_keys(node[key], inner, name)
+
+
 def read_report_doc(data: bytes | str) -> dict:
+    """Parse a stored report document; ValueError if it lacks a key the
+    renderers read."""
     doc = json.loads(data)
-    for key in ("meta", "totals", "leaves", "qtypes"):
-        if key not in doc:
-            raise ValueError(f"not a report document: missing {key!r}")
+    _require_keys(doc, _DOC_KEYS)
     return doc
 
 
@@ -548,9 +568,5 @@ def trend_csv_from_docs(docs: Iterable[dict]) -> str:
         fractions = doc["totals"].get("fractions")
         if fractions is None:
             raise ValueError(f"report {label!r} is empty; no trend row")
-        lines.append(
-            ",".join(
-                [label] + [str(fractions[c]) for c in ("empty", "one_word", "invalid_tld", "valid_tld")]
-            )
-        )
+        lines.append(_trend_row(label, fractions))
     return "\n".join(lines) + "\n"

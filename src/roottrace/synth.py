@@ -492,7 +492,7 @@ def parse_mixspec(text: str, source: str = "<mixspec>") -> MixSpec:
             elif key == "empty_per_sender":
                 spec.empty_per_sender = float(value)
             elif key == "day":
-                spec.day_origin_micros = _parse_day(value)
+                spec.day_origin_micros = parse_day(value)
             elif key.startswith("weight."):
                 spec.weights[key[len("weight."):]] = float(value)
             elif key.startswith("tld."):
@@ -514,7 +514,8 @@ def parse_mixspec(text: str, source: str = "<mixspec>") -> MixSpec:
     return spec
 
 
-def _parse_day(value: str) -> int:
+def parse_day(value: str) -> int:
+    """Microseconds at the start of a UTC day: an ISO date or epoch seconds."""
     from datetime import datetime, timezone
 
     if value.isdigit():

@@ -58,6 +58,13 @@ def test_usage_error_exits_one(capsys):
     assert err.value.code == 1
 
 
+def test_classify_bad_top_k_is_usage_error_before_ingest(tmp_path):
+    with pytest.raises(SystemExit) as err:
+        run("classify", "--top-k", "0", "--in", str(tmp_path / "missing.tsv"),
+            "--out", str(tmp_path / "r.json"))
+    assert err.value.code == 1
+
+
 def test_unknown_command_exits_one():
     with pytest.raises(SystemExit) as err:
         run("frobnicate")
@@ -137,6 +144,40 @@ def test_report_reformat_csv_and_plotdata(tmp_path, trace):
     plot_out = tmp_path / "r.tsv"
     assert run("report", "--in", str(report), "--format", "plotdata", "--out", str(plot_out)) == 0
     assert "# series: top_level_fractions" in plot_out.read_text()
+
+
+def test_malformed_report_doc_is_runtime_error(tmp_path, trace, capsys):
+    report = tmp_path / "r.json"
+    run("classify", "--in", str(trace), "--out", str(report))
+    doc = json.loads(report.read_text())
+    del doc["senders"]
+    no_senders = tmp_path / "no-senders.json"
+    no_senders.write_text(json.dumps(doc))
+    not_object = tmp_path / "string.json"
+    not_object.write_text('"meta totals leaves qtypes"')
+    out = tmp_path / "out"
+    assert run("report", "--in", str(no_senders), "--format", "plotdata", "--out", str(out)) == 2
+    assert "missing 'senders'" in capsys.readouterr().err
+    for argv in (["report", "--in", str(not_object), "--format", "csv"],
+                 ["trend", "--in", str(report), str(not_object)]):
+        assert run(*argv, "--out", str(out)) == 2
+        assert "not a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_comma_label_keeps_five_csv_fields(tmp_path, trace):
+    import csv
+
+    report = tmp_path / "r.json"
+    run("classify", "--in", str(trace), "--label", "2013,b", "--out", str(report))
+    csv_out = tmp_path / "r.csv"
+    trend_out = tmp_path / "trend.csv"
+    assert run("report", "--in", str(report), "--format", "csv", "--out", str(csv_out)) == 0
+    assert run("trend", "--in", str(report), "--out", str(trend_out)) == 0
+    for path in (csv_out, trend_out):
+        rows = list(csv.reader(path.read_text().splitlines()))
+        assert [len(row) for row in rows] == [5, 5]
+        assert rows[1][0] == "2013,b"
 
 
 def test_trend_over_years(tmp_path):

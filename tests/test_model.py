@@ -8,12 +8,12 @@ from roottrace.model import (
     DomainName,
     Leaf,
     QueryRecord,
-    SenderKey,
     TopCategory,
     qclass_code,
     qclass_mnemonic,
     qtype_code,
     qtype_mnemonic,
+    sender_prefix,
 )
 
 
@@ -72,22 +72,21 @@ def test_domain_name_root():
 
 
 def test_sender_key_v4():
-    assert SenderKey.from_source("44.242.1.2").prefix == "44.242.0.0/16"
-    assert SenderKey.from_source("44.242.0.0").prefix == "44.242.0.0/16"
+    assert sender_prefix("44.242.1.2") == "44.242.0.0/16"
+    assert sender_prefix("44.242.0.0") == "44.242.0.0/16"
 
 
 def test_sender_key_v6():
-    key = SenderKey.from_source("2600:1:2:3::5")
-    assert key.prefix == "2600:1:2::/48"
+    assert sender_prefix("2600:1:2:3::5") == "2600:1:2::/48"
 
 
 def test_sender_key_v6_zero_fill_positions():
     # "::" expansion before the third hextet must not shift later groups
-    assert SenderKey.from_source("1::2:3:4:5:6:7").prefix == "1:0:2::/48"
-    assert SenderKey.from_source("1:2::3:4:5:6:7").prefix == "1:2::/48"
-    assert SenderKey.from_source("::1").prefix == "::/48"
-    assert SenderKey.from_source("::ffff:1.2.3.4").prefix == "::/48"
-    assert SenderKey.from_source("fe80::1%eth0").prefix == "fe80::/48"
+    assert sender_prefix("1::2:3:4:5:6:7") == "1:0:2::/48"
+    assert sender_prefix("1:2::3:4:5:6:7") == "1:2::/48"
+    assert sender_prefix("::1") == "::/48"
+    assert sender_prefix("::ffff:1.2.3.4") == "::/48"
+    assert sender_prefix("fe80::1%eth0") == "fe80::/48"
 
 
 def test_sender_key_v6_agrees_with_ipaddress():
@@ -101,7 +100,7 @@ def test_sender_key_v6_agrees_with_ipaddress():
             for k in range(run, min(8, run + rng.randrange(1, 4))):
                 groups[k] = 0
         addr = str(ipaddress.IPv6Address(":".join(f"{g:x}" for g in groups)))
-        mine = SenderKey.from_source(addr).prefix
+        mine = sender_prefix(addr)
         ref = ipaddress.ip_network((addr, 48), strict=False).with_prefixlen
         assert mine == ref, addr
 
@@ -113,12 +112,12 @@ def test_sender_key_v6_agrees_with_ipaddress():
 )
 def test_v6_prefix_rejects_malformed(bad):
     with pytest.raises(ValueError):
-        SenderKey.from_source(bad if ":" in bad else bad + ":")
+        sender_prefix(bad if ":" in bad else bad + ":")
 
 
 def test_sender_key_host_bits_zero():
     for source in ("10.20.30.40", "192.0.2.255", "2001:db8:99:aa::1"):
-        net = ipaddress.ip_network(SenderKey.from_source(source).prefix)
+        net = ipaddress.ip_network(sender_prefix(source))
         assert int(net.network_address) & (2**128 - 1) == int(net.network_address)
         assert net.prefixlen == (16 if net.version == 4 else 48)
         assert ipaddress.ip_address(source) in net
@@ -126,7 +125,7 @@ def test_sender_key_host_bits_zero():
 
 def test_sender_key_rejects_junk():
     with pytest.raises(ValueError):
-        SenderKey.from_source("nonsense")
+        sender_prefix("nonsense")
 
 
 def test_query_record_names():

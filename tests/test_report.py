@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import random
 
@@ -30,8 +32,6 @@ from roottrace.report import (
     top_level_fractions,
     top_senders,
     trend_csv_from_docs,
-    trend_table,
-    trend_to_csv,
     unexpected_fraction,
     write_report,
 )
@@ -168,11 +168,11 @@ def test_top_senders_ranking(registry):
     light = fold_tsv_like(["www.example.com."] * 3, registry, source="9.9.9.9")
     report = merge(heavy, light)
     rows = top_senders(report, k=2)
-    assert rows[0].prefix.prefix == "44.242.0.0/16"
+    assert rows[0].prefix == "44.242.0.0/16"
     assert rows[0].total == 10
     assert rows[0].categories[TopCategory.INVALID_TLD] == 6
     assert rows[0].categories[TopCategory.INVALID_TLD] > rows[0].categories[TopCategory.VALID_TLD]
-    assert rows[1].prefix.prefix == "9.9.0.0/16"
+    assert rows[1].prefix == "9.9.0.0/16"
 
 
 def test_top_senders_k_larger_than_population(registry):
@@ -185,7 +185,7 @@ def test_top_senders_tie_breaks_lexicographically(registry):
     b = fold_tsv_like(["b.com."], registry, source="10.10.0.1")
     rows = top_senders(merge(a, b), k=2)
     # "10.10.0.0/16" < "10.2.0.0/16" as strings
-    assert [r.prefix.prefix for r in rows] == ["10.10.0.0/16", "10.2.0.0/16"]
+    assert [r.prefix for r in rows] == ["10.10.0.0/16", "10.2.0.0/16"]
 
 
 def test_top_senders_totals_non_increasing():
@@ -239,7 +239,7 @@ def test_empty_query_stats_top_list(registry):
     assert stats.total == 7
     assert stats.sender_count == 2
     assert len(stats.top) == 1
-    assert stats.top[0].prefix.prefix == "8.8.0.0/16"
+    assert stats.top[0].prefix == "8.8.0.0/16"
     assert stats.top[0].qtypes == {"A": 5}
 
 
@@ -365,10 +365,9 @@ def test_trend_csv(registry):
     r1.label = "2013"
     r2 = fold_tsv_like(["host.internal."], registry)
     r2.label = "2022"
-    table = trend_table([r1, r2])
-    for _, fractions in table.rows:
-        assert abs(sum(fractions.values()) - 1.0) < 1e-9
-    csv = trend_to_csv(table)
+    for report in (r1, r2):
+        assert abs(sum(top_level_fractions(report).values()) - 1.0) < 1e-9
+    csv = trend_csv_from_docs([build_report_doc(r1), build_report_doc(r2)])
     lines = csv.strip().split("\n")
     assert lines[0] == "label,empty,one_word,invalid_tld,valid_tld"
     assert len(lines) == 3
@@ -383,7 +382,8 @@ def test_trend_from_docs_round_trip(registry):
         reports.append(report)
     docs = [read_report_doc(write_report(r, "json")) for r in reports]
     csv = trend_csv_from_docs(docs)
-    assert csv == trend_to_csv(trend_table(reports))
+    rows = [",".join([r.label] + [str(f) for f in top_level_fractions(r).values()]) for r in reports]
+    assert csv == "\n".join(["label,empty,one_word,invalid_tld,valid_tld"] + rows) + "\n"
 
 
 def test_empty_report_csv_row_is_zeros():
@@ -408,6 +408,50 @@ def test_plotdata_sections(registry):
 def test_read_report_doc_rejects_junk():
     with pytest.raises(ValueError):
         read_report_doc(b"{}")
+
+
+@pytest.mark.parametrize(
+    "path",
+    ["senders", "empty_stats", "totals.records", "leaves.one_word.minimized", "leaves.has_tld.invalid.chromium"],
+)
+def test_read_report_doc_names_the_missing_key(path):
+    doc = json.loads(write_report(Report(label="x"), "json"))
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    del node[last]
+    with pytest.raises(ValueError, match=f"missing '{path}'"):
+        read_report_doc(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [('"meta totals leaves qtypes"', "the top level"), ("[1, 2]", "the top level"),
+     ('{"meta": {}, "totals": []}', "'totals'")],
+)
+def test_read_report_doc_rejects_non_objects(text, where):
+    with pytest.raises(ValueError, match=f"{where} is not a JSON object"):
+        read_report_doc(text)
+
+
+@pytest.mark.parametrize("label", ["2013,b", 'say "hi"', "cr\rlabel", "lf\nlabel", ",", '"'])
+def test_csv_label_is_quoted(registry, label):
+    report = fold_tsv_like([".", "a.com."], registry)
+    report.label = label
+    doc = build_report_doc(report)
+    header = ["label", "empty", "one_word", "invalid_tld", "valid_tld"]
+    row = [label] + [str(doc["totals"]["fractions"][c]) for c in header[1:]]
+    single = doc_to_csv(doc).decode()
+    assert single.split("\n", 1)[1].startswith('"' + label.replace('"', '""') + '",')
+    assert list(csv.reader(io.StringIO(single, newline=""))) == [header, row]
+    trend = trend_csv_from_docs([doc, doc])
+    assert list(csv.reader(io.StringIO(trend, newline=""))) == [header, row, row]
+
+
+def test_csv_plain_label_is_not_quoted():
+    doc = build_report_doc(Report(label="2013 b;c'd"))
+    assert doc_to_csv(doc) == b"label,empty,one_word,invalid_tld,valid_tld\n2013 b;c'd,0,0,0,0\n"
 
 
 def test_sender_rollup_consistency(registry):
@@ -462,16 +506,16 @@ def tied_report():
 def test_top_senders_tie_across_kth_place():
     report = tied_report()
     rows = top_senders(report, k=3)
-    assert [(r.prefix.prefix, r.total) for r in rows] == [
+    assert [(r.prefix, r.total) for r in rows] == [
         ("10.9.0.0/16", 5), ("10.200.0.0/16", 3), ("10.30.0.0/16", 3),
     ]
-    assert [(r.prefix.prefix, r.total, r.categories) for r in rows] == full_sort_senders(report)[:3]
+    assert [(r.prefix, r.total, r.categories) for r in rows] == full_sort_senders(report)[:3]
 
 
 def test_top_senders_k_beyond_population_equals_full_sort():
     report = tied_report()
     rows = top_senders(report, k=50)
-    assert [(r.prefix.prefix, r.total, r.categories) for r in rows] == full_sort_senders(report)
+    assert [(r.prefix, r.total, r.categories) for r in rows] == full_sort_senders(report)
 
 
 def test_empty_query_stats_tie_across_kth_place():
@@ -479,11 +523,11 @@ def test_empty_query_stats_tie_across_kth_place():
     full = empty_query_stats(report, k=len(report.empty_by_sender))
     for k in (1, 2, 3, 4, 5, 50):
         stats = empty_query_stats(report, k=k)
-        assert [(r.prefix.prefix, r.total, r.qtypes) for r in stats.top] == full_sort_empty_senders(report)[:k]
+        assert [(r.prefix, r.total, r.qtypes) for r in stats.top] == full_sort_empty_senders(report)[:k]
         assert (stats.total, stats.sender_count, stats.mean_per_sender, stats.qtype_fractions) == (
             full.total, full.sender_count, full.mean_per_sender, full.qtype_fractions,
         )
-    assert [r.prefix.prefix for r in empty_query_stats(report, k=3).top] == [
+    assert [r.prefix for r in empty_query_stats(report, k=3).top] == [
         "10.9.0.0/16", "10.200.0.0/16", "10.30.0.0/16",
     ]
 
@@ -502,9 +546,9 @@ def test_top_k_matches_full_sort_on_tie_heavy_reports():
                 qtype_totals[m] = qtype_totals.get(m, 0) + n
         for k in (1, 2, 5, 17, 41, 100):
             rows = top_senders(report, k)
-            assert [(r.prefix.prefix, r.total, r.categories) for r in rows] == senders[:k]
+            assert [(r.prefix, r.total, r.categories) for r in rows] == senders[:k]
             stats = empty_query_stats(report, k=k)
-            assert [(r.prefix.prefix, r.total, r.qtypes) for r in stats.top] == empties[:k]
+            assert [(r.prefix, r.total, r.qtypes) for r in stats.top] == empties[:k]
             assert stats.sender_count == len(empties)
             assert stats.mean_per_sender == (empty_total / len(empties) if empties else None)
             assert stats.qtype_fractions == (
