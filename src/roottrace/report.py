@@ -543,7 +543,8 @@ _DOC_KEYS = {
 
 def _require_keys(node, keys: dict, path: str = "") -> None:
     if not isinstance(node, dict):
-        raise ValueError(f"not a report document: {repr(path) if path else 'the top level'} is not a JSON object")
+        where = repr(path) if path else "the top level"
+        raise ValueError(f"not a report document: {where} is not a JSON object")
     for key, inner in keys.items():
         name = f"{path}.{key}" if path else key
         if key not in node:

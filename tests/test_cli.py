@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -166,8 +167,6 @@ def test_malformed_report_doc_is_runtime_error(tmp_path, trace, capsys):
 
 
 def test_comma_label_keeps_five_csv_fields(tmp_path, trace):
-    import csv
-
     report = tmp_path / "r.json"
     run("classify", "--in", str(trace), "--label", "2013,b", "--out", str(report))
     csv_out = tmp_path / "r.csv"

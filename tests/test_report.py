@@ -382,7 +382,8 @@ def test_trend_from_docs_round_trip(registry):
         reports.append(report)
     docs = [read_report_doc(write_report(r, "json")) for r in reports]
     csv = trend_csv_from_docs(docs)
-    rows = [",".join([r.label] + [str(f) for f in top_level_fractions(r).values()]) for r in reports]
+    rows = [",".join([r.label] + [str(f) for f in top_level_fractions(r).values()])
+            for r in reports]
     assert csv == "\n".join(["label,empty,one_word,invalid_tld,valid_tld"] + rows) + "\n"
 
 
@@ -412,7 +413,8 @@ def test_read_report_doc_rejects_junk():
 
 @pytest.mark.parametrize(
     "path",
-    ["senders", "empty_stats", "totals.records", "leaves.one_word.minimized", "leaves.has_tld.invalid.chromium"],
+    ["senders", "empty_stats", "totals.records", "leaves.one_word.minimized",
+     "leaves.has_tld.invalid.chromium"],
 )
 def test_read_report_doc_names_the_missing_key(path):
     doc = json.loads(write_report(Report(label="x"), "json"))
@@ -447,11 +449,6 @@ def test_csv_label_is_quoted(registry, label):
     assert list(csv.reader(io.StringIO(single, newline=""))) == [header, row]
     trend = trend_csv_from_docs([doc, doc])
     assert list(csv.reader(io.StringIO(trend, newline=""))) == [header, row, row]
-
-
-def test_csv_plain_label_is_not_quoted():
-    doc = build_report_doc(Report(label="2013 b;c'd"))
-    assert doc_to_csv(doc) == b"label,empty,one_word,invalid_tld,valid_tld\n2013 b;c'd,0,0,0,0\n"
 
 
 def test_sender_rollup_consistency(registry):
