@@ -29,11 +29,10 @@ from .names import (  # noqa: F401
 )
 from .report import (  # noqa: F401
     Report,
-    chromium_series,
+    chromium_fractions,
     empty_query_stats,
     fold,
     merge,
-    qmin_series,
     top_level_fractions,
     top_senders,
     unexpected_fraction,

@@ -50,13 +50,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_window(text: str) -> tuple[int, int]:
+    """Seconds into the day at which a HH:MM-HH:MM window starts and ends."""
     try:
         start_s, end_s = text.split("-")
         sh, sm = (int(x) for x in start_s.split(":"))
         eh, em = (int(x) for x in end_s.split(":"))
     except ValueError:
         raise ValueError(f"bad window {text!r}, expected HH:MM-HH:MM") from None
-    return sh * 3600 + sm * 60, eh * 3600 + em * 60
+    start, end = sh * 3600 + sm * 60, eh * 3600 + em * 60
+    if not (sm <= 59 and em <= 59):
+        raise ValueError(f"bad window {text!r}: minutes run 00-59")
+    if not start < end <= 86_400:
+        raise ValueError(f"inverted or out-of-day window {text!r}")
+    return start, end
 
 
 def _add_ingest_options(sub: argparse.ArgumentParser) -> None:
@@ -200,6 +206,8 @@ def _cmd_classify(args, parser) -> int:
 
 
 def _cmd_report(args, parser) -> int:
+    if len(args.inputs) > 1:
+        parser.error("report reformats one report; give --in once")
     doc = read_report_doc(Path(args.inputs[0]).read_bytes())
     Path(args.out).write_bytes(render_doc(doc, args.format))
     return 0

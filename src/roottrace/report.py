@@ -2,8 +2,8 @@
 
 A Report is a bag of exact integer counters; fractions are derived from
 the integers only at output time, so merging shards never drifts. fold()
-builds one, merge() combines any number of them, and the accessor
-functions compute every table and series the report formats expose.
+builds one, merge() combines any number of them, and build_report_doc()
+derives the report document, the one view every output format renders.
 """
 
 from __future__ import annotations
@@ -25,13 +25,10 @@ from .model import (
     sender_prefix,
 )
 
-QMIN_NAMED_TLDS = ("com", "net", "org")
-
-
 # sender table rows hold one count per leaf, in this order
 LEAVES = tuple(Leaf)
 LEAF_INDEX = {leaf: i for i, leaf in enumerate(LEAVES)}
-_ROW_TOPS = tuple(LEAF_TOP[leaf] for leaf in LEAVES)
+_ROW_TOPS = tuple(LEAF_TOP[leaf].value for leaf in LEAVES)
 
 # every category table has one column per category, in declaration order
 _CATEGORIES = tuple(cat.value for cat in TopCategory)
@@ -154,30 +151,20 @@ def merge(a: Report, b: Report) -> Report:
     )
 
 
-def top_category_counts(report: Report) -> dict[TopCategory, int]:
-    counts = {cat: 0 for cat in TopCategory}
-    for cls, n in report.leaf_counts.items():
-        counts[LEAF_TOP[cls.leaf]] += n
-    return counts
-
-
 def top_level_fractions(report: Report) -> dict[TopCategory, float]:
     """The four-category rollup as fractions of the report total."""
     if report.total == 0:
         raise ValueError("empty report has no fractions")
-    total = report.total
-    return {cat: n / total for cat, n in top_category_counts(report).items()}
+    counts = dict.fromkeys(TopCategory, 0)
+    for cls, n in report.leaf_counts.items():
+        counts[LEAF_TOP[cls.leaf]] += n
+    return {cat: n / report.total for cat, n in counts.items()}
 
 
-@dataclass
-class TopSender:
-    prefix: str  # as model.sender_prefix gives it
-    total: int
-    categories: dict  # TopCategory -> int
-
-
-def top_senders(report: Report, k: int) -> list[TopSender]:
-    """The k busiest sender prefixes, descending; ties break on prefix."""
+def top_senders(report: Report, k: int) -> list[dict]:
+    """The senders.top rows of a report document: the k busiest sender
+    prefixes, descending, with their counts per category; ties break on
+    prefix."""
     if k < 1:
         raise ValueError("k must be positive")
     if not report.senders_tracked:
@@ -186,35 +173,21 @@ def top_senders(report: Report, k: int) -> list[TopSender]:
     ranked = heapq.nsmallest(k, ((-sum(row), prefix) for prefix, row in table.items()))
     rows = []
     for neg_total, prefix in ranked:
-        categories = {cat: 0 for cat in TopCategory}
+        categories = dict.fromkeys(_CATEGORIES, 0)
         for top, n in zip(_ROW_TOPS, table[prefix]):
             categories[top] += n
-        rows.append(TopSender(prefix, -neg_total, categories))
+        rows.append({"prefix": prefix, "total": -neg_total, "categories": categories})
     return rows
 
 
-@dataclass
-class EmptySender:
-    prefix: str  # as model.sender_prefix gives it
-    total: int
-    qtypes: dict  # mnemonic -> int
-
-
-@dataclass
-class EmptyQueryStats:
-    total: int
-    sender_count: int
-    mean_per_sender: Optional[float]  # absent when no empty queries
-    qtype_fractions: dict  # mnemonic -> fraction of empty queries
-    top: list  # list[EmptySender]
-
-
 def _by_mnemonic(by_code: dict) -> dict:
-    return {qtype_mnemonic(code): n for code, n in by_code.items()}
+    return dict(sorted((qtype_mnemonic(code), n) for code, n in by_code.items()))
 
 
-def empty_query_stats(report: Report, k: int = 10) -> EmptyQueryStats:
-    """Priming-oriented view: who sends root-name queries, and of what type."""
+def empty_query_stats(report: Report, k: int = 10) -> dict:
+    """The empty_stats section of a report document, a priming-oriented
+    view: who sends root-name queries, and of what type. mean_per_sender
+    is None when there are no root-name queries."""
     if not report.senders_tracked:
         raise ValueError("sender tracking was disabled for this report")
     total = report.leaf_counts.get(CLS_EMPTY, 0)
@@ -225,55 +198,16 @@ def empty_query_stats(report: Report, k: int = 10) -> EmptyQueryStats:
         for code, n in by_qtype.items():
             qtype_totals[code] = qtype_totals.get(code, 0) + n
         totals.append((-sum(by_qtype.values()), prefix))
-    rows = [
-        EmptySender(prefix, -neg_total, _by_mnemonic(senders[prefix]))
-        for neg_total, prefix in heapq.nsmallest(k, totals)
-    ]
-    mean = total / len(senders) if senders else None
-    fractions = {m: n / total for m, n in sorted(_by_mnemonic(qtype_totals).items())} if total else {}
-    return EmptyQueryStats(
-        total=total,
-        sender_count=len(senders),
-        mean_per_sender=mean,
-        qtype_fractions=fractions,
-        top=rows,
-    )
-
-
-def chromium_series(reports: Iterable[Report]) -> list[tuple[str, float, float]]:
-    """Per-report probe fractions: (label, no-TLD fraction, with-TLD fraction).
-
-    with-TLD pools probe-shaped names that gained a valid TLD and the
-    probe-shaped invalid-TLD leaf.
-    """
-    out = []
-    for report in reports:
-        no_tld = 0
-        with_tld = 0
-        for cls, n in report.leaf_counts.items():
-            if cls.leaf is Leaf.ONE_WORD_CHROMIUM:
-                no_tld += n
-            elif cls.leaf is Leaf.INVALID_CHROMIUM or (cls.leaf is Leaf.VALID_TLD and cls.chromium_like):
-                with_tld += n
-        if report.total:
-            out.append((report.label, no_tld / report.total, with_tld / report.total))
-        else:
-            out.append((report.label, 0.0, 0.0))
-    return out
-
-
-def qmin_series(reports: Iterable[Report]) -> list[tuple[str, dict[str, float]]]:
-    """Per-report minimized-query fractions bucketed com/net/org/other."""
-    out = []
-    for report in reports:
-        buckets = {tld: 0 for tld in QMIN_NAMED_TLDS}
-        buckets["other"] = 0
-        for cls, n in report.leaf_counts.items():
-            if cls.leaf is Leaf.ONE_WORD_MINIMIZED:
-                buckets[cls.tld if cls.tld in buckets else "other"] += n
-        total = report.total
-        out.append((report.label, {k: (v / total if total else 0.0) for k, v in buckets.items()}))
-    return out
+    return {
+        "total": total,
+        "senders": len(senders),
+        "mean_per_sender": total / len(senders) if senders else None,
+        "qtype_fractions": {m: n / total for m, n in _by_mnemonic(qtype_totals).items()} if total else {},
+        "top": [
+            {"prefix": prefix, "total": -neg_total, "qtypes": _by_mnemonic(senders[prefix])}
+            for neg_total, prefix in heapq.nsmallest(k, totals)
+        ],
+    }
 
 
 @dataclass(frozen=True)
@@ -310,9 +244,6 @@ def unexpected_fraction(report: Report, policy: UnexpectedPolicy = DEFAULT_POLIC
 
 
 # --- report documents -------------------------------------------------------
-#
-# JSON schema (stable key order, deterministic bytes):
-#   meta, totals, leaves, qtypes, senders, empty_stats, policy
 
 
 def build_report_doc(
@@ -321,6 +252,7 @@ def build_report_doc(
     policy: UnexpectedPolicy = DEFAULT_POLICY,
     top_k: int = 10,
 ) -> dict:
+    """The report document of a Report, in the shape _DOC_SCHEMA gives."""
     minimized_by_tld: Counter = Counter()
     valid_by_tld: Counter = Counter()
     invalid_other_by_tld: Counter = Counter()
@@ -383,26 +315,8 @@ def build_report_doc(
     senders: dict = {"tracked": report.senders_tracked}
     if report.senders_tracked:
         senders["count"] = len(report.sender_counts)
-        senders["top"] = [
-            {
-                "prefix": row.prefix,
-                "total": row.total,
-                "categories": {cat.value: n for cat, n in row.categories.items()},
-            }
-            for row in top_senders(report, top_k)
-        ]
-
-        stats = empty_query_stats(report, k=top_k)
-        empty_stats = {
-            "total": stats.total,
-            "senders": stats.sender_count,
-            "mean_per_sender": stats.mean_per_sender,
-            "qtype_fractions": stats.qtype_fractions,
-            "top": [
-                {"prefix": row.prefix, "total": row.total, "qtypes": dict(sorted(row.qtypes.items()))}
-                for row in stats.top
-            ],
-        }
+        senders["top"] = top_senders(report, top_k)
+        empty_stats = empty_query_stats(report, k=top_k)
     else:
         empty_stats = {"total": report.leaf_counts.get(CLS_EMPTY, 0)}
 
@@ -419,6 +333,19 @@ def build_report_doc(
             "unexpected_fraction": unexpected_fraction(report, policy),
         },
     }
+
+
+def chromium_fractions(doc: dict) -> tuple[float, float]:
+    """Probe-shaped shares of a report document's records: (no TLD, with
+    a TLD). with-TLD pools probe-shaped names that gained a valid TLD and
+    the probe-shaped invalid-TLD leaf. An empty report reads 0.0 for both."""
+    total = doc["totals"]["records"]
+    if not total:
+        return 0.0, 0.0
+    leaves = doc["leaves"]
+    no_tld = leaves["one_word"]["chromium"]
+    with_tld = leaves["has_tld"]["valid"]["chromium_like"] + leaves["has_tld"]["invalid"]["chromium"]
+    return no_tld / total, with_tld / total
 
 
 def doc_to_json_bytes(doc: dict) -> bytes:
@@ -466,17 +393,15 @@ def doc_to_plotdata(doc: dict) -> bytes:
     lines.append("# series: minimized_by_tld")
     _flatten("minimized", leaves["one_word"]["minimized"]["by_tld"], lines)
     lines.append("# series: chromium")
-    total = doc["totals"]["records"]
-    no_tld = leaves["one_word"]["chromium"]
-    with_tld = leaves["has_tld"]["valid"]["chromium_like"] + leaves["has_tld"]["invalid"]["chromium"]
-    lines.append(f"chromium\tno_tld\t{no_tld / total if total else 0.0}")
-    lines.append(f"chromium\twith_tld\t{with_tld / total if total else 0.0}")
-    if doc["senders"].get("tracked"):
+    no_tld, with_tld = chromium_fractions(doc)
+    lines.append(f"chromium\tno_tld\t{no_tld}")
+    lines.append(f"chromium\twith_tld\t{with_tld}")
+    if doc["senders"]["tracked"]:
         lines.append(f"# series: top_senders ({', '.join(_SENDER_COLUMNS)})")
-        for row in doc["senders"].get("top", []):
+        for row in doc["senders"]["top"]:
             lines.append("\t".join(_sender_cells(row)))
         lines.append("# series: empty_senders (prefix, total)")
-        for row in doc["empty_stats"].get("top", []):
+        for row in doc["empty_stats"]["top"]:
             lines.append(f"{row['prefix']}\t{row['total']}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -502,7 +427,6 @@ RENDERERS = {
     "json": doc_to_json_bytes,
     "csv": doc_to_csv,
     "plotdata": doc_to_plotdata,
-    "tsv-plotdata": doc_to_plotdata,
 }
 
 
@@ -526,38 +450,101 @@ def write_report(
     return render_doc(build_report_doc(report, meta=meta, policy=policy, top_k=top_k), fmt)
 
 
-# every key the renderers read; a dict holds the keys required inside an
-# object, None marks a value
-_DOC_KEYS = {
-    "meta": {},
-    "totals": {"records": None},
+# The report document that build_report_doc writes and read_report_doc
+# accepts. Each key of an object maps to the shape of its value; a key
+# ending in "?" may be absent, one ending in "+" only when senders.tracked
+# is false. A `str` key gives the shape of every unlisted key; without
+# one, unlisted keys are rejected. [shape] is an array, a tuple any one of
+# its shapes. int is a count (a non-negative integer, never a bool), float
+# any number, object any value, None null.
+
+_COUNTS = {str: int}
+_BY_TLD = {"total": int, "by_tld": _COUNTS}
+
+_DOC_SCHEMA = {
+    "meta": {"label?": str, str: object},
+    "totals": {"records": int, "dropped_unparseable": int, "fractions?": dict.fromkeys(_CATEGORIES, float)},
     "leaves": {
-        "one_word": {"minimized": {"by_tld": {}}, "chromium": None},
-        "has_tld": {"valid": {"chromium_like": None}, "invalid": {"chromium": None}},
+        "empty": int,
+        "one_word": {"minimized": _BY_TLD, "chromium": int, "other": int},
+        "has_tld": {
+            "valid": {**_BY_TLD, "chromium_like": int},
+            "invalid": {**dict.fromkeys(("appletalk", "bad_encoding", "all_numeric", "chromium"), int),
+                        "other": _BY_TLD},
+        },
     },
-    "qtypes": {},
-    "senders": {},
-    "empty_stats": {},
+    "qtypes": _COUNTS,
+    "senders": {
+        "tracked": bool,
+        "count+": int,
+        "top+": [{"prefix": str, "total": int, "categories": dict.fromkeys(_CATEGORIES, int)}],
+    },
+    "empty_stats": {
+        "total": int,
+        "senders+": int,
+        "mean_per_sender+": (float, None),
+        "qtype_fractions+": {str: float},
+        "top+": [{"prefix": str, "total": int, "qtypes": _COUNTS}],
+    },
+    "policy": {"name": str, "unexpected_leaves": [str], "unexpected_fraction": float},
 }
 
 
-def _require_keys(node, keys: dict, path: str = "") -> None:
-    if not isinstance(node, dict):
+_VALUE_KINDS = {
+    int: ("a count", lambda v: type(v) is int and v >= 0),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    str: ("a string", lambda v: type(v) is str),
+    bool: ("true or false", lambda v: type(v) is bool),
+    object: ("any value", lambda v: True),
+    None: ("null", lambda v: v is None),
+}
+
+
+def _check(value, shape, path: str, tracked: bool) -> None:
+    """Raise ValueError at the first place where value departs from shape."""
+    if isinstance(shape, dict):
+        expected, ok = "a JSON object", type(value) is dict
+    elif isinstance(shape, list):
+        expected, ok = "a JSON array", type(value) is list
+    else:
+        kinds = [_VALUE_KINDS[s] for s in (shape if isinstance(shape, tuple) else (shape,))]
+        expected = " or ".join(name for name, _ in kinds)
+        ok = any(test(value) for _, test in kinds)
+    if not ok:
         where = repr(path) if path else "the top level"
-        raise ValueError(f"not a report document: {where} is not a JSON object")
-    for key, inner in keys.items():
-        name = f"{path}.{key}" if path else key
-        if key not in node:
-            raise ValueError(f"not a report document: missing {name!r}")
-        if inner is not None:
-            _require_keys(node[key], inner, name)
+        held = json.dumps(value)
+        if len(held) > 40:
+            held = held[:37] + "..."
+        raise ValueError(f"not a report document: {where} holds {held}, not {expected}")
+    if isinstance(shape, list):
+        for i, item in enumerate(value):
+            _check(item, shape[0], f"{path}[{i}]", tracked)
+    elif isinstance(shape, dict):
+        listed = set()
+        for key, inner in shape.items():
+            if key is str:
+                continue
+            name = key.rstrip("?+")
+            listed.add(name)
+            where = f"{path}.{name}" if path else name
+            if name in value:
+                _check(value[name], inner, where, tracked)
+            elif key == name or (tracked and key.endswith("+")):
+                raise ValueError(f"not a report document: missing {where!r}")
+        for name, item in value.items():
+            if name not in listed:
+                where = f"{path}.{name}" if path else name
+                if str not in shape:
+                    raise ValueError(f"not a report document: unexpected key {where!r}")
+                _check(item, shape[str], where, tracked)
 
 
 def read_report_doc(data: bytes | str) -> dict:
-    """Parse a stored report document; ValueError if it lacks a key the
-    renderers read."""
+    """Parse a stored report document; ValueError naming the first path
+    where it departs from _DOC_SCHEMA."""
     doc = json.loads(data)
-    _require_keys(doc, _DOC_KEYS)
+    senders = doc.get("senders") if type(doc) is dict else None
+    _check(doc, _DOC_SCHEMA, "", type(senders) is dict and senders.get("tracked") is True)
     return doc
 
 

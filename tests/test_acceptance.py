@@ -121,12 +121,12 @@ def test_priming_statistics():
     spec.empty_per_sender = 2.8
     report = fold(generate(spec, n, REGISTRY))
     stats = empty_query_stats(report)
-    ns_error = abs(stats.qtype_fractions["NS"] - 0.972)
-    mean_error = abs(stats.mean_per_sender - 2.8)
+    ns_error = abs(stats["qtype_fractions"]["NS"] - 0.972)
+    mean_error = abs(stats["mean_per_sender"] - 2.8)
     ok = ns_error <= 0.001 and mean_error <= 0.05
     report_line("priming-statistics", ok,
-                f"(NS {stats.qtype_fractions['NS'] * 100:.2f}%, "
-                f"mean {stats.mean_per_sender:.3f}/prefix over {stats.sender_count} prefixes)")
+                f"(NS {stats['qtype_fractions']['NS'] * 100:.2f}%, "
+                f"mean {stats['mean_per_sender']:.3f}/prefix over {stats['senders']} prefixes)")
     assert ns_error <= 0.001
     assert mean_error <= 0.05
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from roottrace.cli import main
+from test_report import parent_and_key
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -77,6 +78,21 @@ def test_window_requires_day_origin(tmp_path, trace):
         run("classify", "--in", str(trace), "--window", "06:00-07:00",
             "--out", str(tmp_path / "r.json"))
     assert err.value.code == 1
+
+
+@pytest.mark.parametrize("window", ["10:00-09:00", "10:00-10:00", "23:00-24:30", "10:99-12:00", "10:00-11:60"])
+def test_bad_window_is_usage_error_before_ingest(tmp_path, window):
+    with pytest.raises(SystemExit) as err:
+        run("classify", "--in", str(tmp_path / "missing.tsv"), "--window", window,
+            "--day-origin", "2022-04-12", "--out", str(tmp_path / "r.json"))
+    assert err.value.code == 1
+
+
+def test_window_may_end_at_midnight(tmp_path, trace):
+    out = tmp_path / "r.json"
+    assert run("classify", "--in", str(trace), "--window", "00:00-24:00",
+               "--day-origin", "2022-04-12", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["totals"]["records"] == 5000
 
 
 def test_classify_with_window(tmp_path, trace):
@@ -163,6 +179,41 @@ def test_malformed_report_doc_is_runtime_error(tmp_path, trace, capsys):
                  ["trend", "--in", str(report), str(not_object)]):
         assert run(*argv, "--out", str(out)) == 2
         assert "not a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+    # wrong contents under the right keys; missing deletes the key
+    missing = object()
+    for path, value, message in (
+        ("senders.top[0].categories", missing, "missing 'senders.top[0].categories'"),
+        ("totals.fractions.empty", missing, "missing 'totals.fractions.empty'"),
+        ("meta.label", 2013, "'meta.label' holds 2013"),
+        ("totals.records", "x", "'totals.records' holds \"x\""),
+        ("senders.top", 5, "'senders.top' holds 5"),
+        ("leaves.empty", True, "'leaves.empty' holds true"),
+    ):
+        doc = json.loads(report.read_text())
+        node, key = parent_and_key(doc, path)
+        if value is missing:
+            del node[key]
+        else:
+            node[key] = value
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        for argv in (["report", "--in", str(broken), "--format", "csv"],
+                     ["report", "--in", str(broken), "--format", "plotdata"],
+                     ["trend", "--in", str(report), str(broken)]):
+            assert run(*argv, "--out", str(out)) == 2, (path, argv[0])
+            assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_report_takes_one_input(tmp_path, trace):
+    report = tmp_path / "r.json"
+    run("classify", "--in", str(trace), "--out", str(report))
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as err:
+        run("report", "--in", str(report), "--in", str(report), "--out", str(out))
+    assert err.value.code == 1
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import re
 
 import pytest
 
@@ -20,13 +21,13 @@ from roottrace.report import (
     LEAVES,
     Report,
     build_report_doc,
-    chromium_series,
+    chromium_fractions,
     doc_to_csv,
+    doc_to_json_bytes,
     doc_to_plotdata,
     empty_query_stats,
     fold,
     merge,
-    qmin_series,
     read_report_doc,
     render_doc,
     top_level_fractions,
@@ -168,11 +169,12 @@ def test_top_senders_ranking(registry):
     light = fold_tsv_like(["www.example.com."] * 3, registry, source="9.9.9.9")
     report = merge(heavy, light)
     rows = top_senders(report, k=2)
-    assert rows[0].prefix == "44.242.0.0/16"
-    assert rows[0].total == 10
-    assert rows[0].categories[TopCategory.INVALID_TLD] == 6
-    assert rows[0].categories[TopCategory.INVALID_TLD] > rows[0].categories[TopCategory.VALID_TLD]
-    assert rows[1].prefix == "9.9.0.0/16"
+    assert rows[0]["prefix"] == "44.242.0.0/16"
+    assert rows[0]["total"] == 10
+    categories = rows[0]["categories"]
+    assert categories[TopCategory.INVALID_TLD.value] == 6
+    assert categories[TopCategory.INVALID_TLD.value] > categories[TopCategory.VALID_TLD.value]
+    assert rows[1]["prefix"] == "9.9.0.0/16"
 
 
 def test_top_senders_k_larger_than_population(registry):
@@ -185,14 +187,14 @@ def test_top_senders_tie_breaks_lexicographically(registry):
     b = fold_tsv_like(["b.com."], registry, source="10.10.0.1")
     rows = top_senders(merge(a, b), k=2)
     # "10.10.0.0/16" < "10.2.0.0/16" as strings
-    assert [r.prefix for r in rows] == ["10.10.0.0/16", "10.2.0.0/16"]
+    assert [r["prefix"] for r in rows] == ["10.10.0.0/16", "10.2.0.0/16"]
 
 
 def test_top_senders_totals_non_increasing():
     rng = random.Random(7)
     report = fold(random_pairs(rng, 3_000, sources=tuple(f"10.{i}.0.1" for i in range(30))))
     rows = top_senders(report, k=30)
-    totals = [r.total for r in rows]
+    totals = [r["total"] for r in rows]
     assert totals == sorted(totals, reverse=True)
 
 
@@ -219,36 +221,37 @@ def test_empty_query_stats_by_construction():
             pairs.append((QueryRecord(i, source, 1, 2, "."), Classification(Leaf.EMPTY)))
     report = fold(pairs)
     stats = empty_query_stats(report)
-    assert stats.total == 3000
-    assert stats.mean_per_sender == pytest.approx(3.0)
-    assert stats.qtype_fractions == {"NS": 1.0}
+    assert stats["total"] == 3000
+    assert stats["mean_per_sender"] == pytest.approx(3.0)
+    assert stats["qtype_fractions"] == {"NS": 1.0}
 
 
 def test_empty_query_stats_no_empty(registry):
     report = fold_tsv_like(["a.com."], registry)
     stats = empty_query_stats(report)
-    assert stats.total == 0
-    assert stats.mean_per_sender is None
-    assert stats.qtype_fractions == {}
+    assert stats["total"] == 0
+    assert stats["mean_per_sender"] is None
+    assert stats["qtype_fractions"] == {}
 
 
 def test_empty_query_stats_top_list(registry):
     heavy = fold_tsv_like(["."] * 5, registry, source="8.8.1.1")
     light = fold_tsv_like(["."] * 2 + ["a.com."], registry, source="9.9.1.1")
     stats = empty_query_stats(merge(heavy, light), k=1)
-    assert stats.total == 7
-    assert stats.sender_count == 2
-    assert len(stats.top) == 1
-    assert stats.top[0].prefix == "8.8.0.0/16"
-    assert stats.top[0].qtypes == {"A": 5}
+    assert stats["total"] == 7
+    assert stats["senders"] == 2
+    assert len(stats["top"]) == 1
+    assert stats["top"][0]["prefix"] == "8.8.0.0/16"
+    assert stats["top"][0]["qtypes"] == {"A": 5}
 
 
 def test_chromium_series_hand_trace(registry):
     names = ["daozjwend.", "qwertyzz."] + ["www.example.com."] * 8
     report = fold_tsv_like(names, registry)
     report.label = "x"
-    [(label, no_tld, with_tld)] = chromium_series([report])
-    assert label == "x"
+    doc = build_report_doc(report)
+    no_tld, with_tld = chromium_fractions(doc)
+    assert doc["meta"]["label"] == "x"
     assert no_tld == pytest.approx(0.2)
     assert with_tld == 0.0
 
@@ -256,35 +259,40 @@ def test_chromium_series_hand_trace(registry):
 def test_chromium_series_with_tld_pools_both_leaves(registry):
     names = ["qwertyuiop.com.", "qwertyuiop.notatld9."] + ["foo.com."] * 2
     report = fold_tsv_like(names, registry)
-    [(_, no_tld, with_tld)] = chromium_series([report])
+    no_tld, with_tld = chromium_fractions(build_report_doc(report))
     assert no_tld == 0.0
     assert with_tld == pytest.approx(0.5)
 
 
 def test_chromium_series_empty_cases(registry):
     report = fold_tsv_like(["www.example.com."], registry)
-    [(_, a, b)] = chromium_series([report])
+    a, b = chromium_fractions(build_report_doc(report))
     assert (a, b) == (0.0, 0.0)
-    assert chromium_series([Report(label="e")]) == [("e", 0.0, 0.0)]
+    assert chromium_fractions(build_report_doc(Report(label="e"))) == (0.0, 0.0)
+
+
+def minimized_by_tld(report):
+    minimized = build_report_doc(report)["leaves"]["one_word"]["minimized"]
+    return minimized["total"], minimized["by_tld"]
 
 
 def test_qmin_series_hand_trace(registry):
     report = fold_tsv_like(["com.", "com.", "net.", "org."], registry)
-    [(_, buckets)] = qmin_series([report])
-    assert buckets == {"com": 0.5, "net": 0.25, "org": 0.25, "other": 0.0}
+    assert minimized_by_tld(report) == (4, {"com": 2, "net": 1, "org": 1})
 
 
 def test_qmin_series_other_bucket(registry):
     report = fold_tsv_like(["io.", "arpa.", "com.", "x.com."], registry)
-    [(_, buckets)] = qmin_series([report])
-    assert buckets["other"] == pytest.approx(0.5)
-    assert buckets["com"] == pytest.approx(0.25)
+    total, by_tld = minimized_by_tld(report)
+    assert (total, by_tld) == (3, {"arpa": 1, "com": 1, "io": 1})
+    assert (by_tld["arpa"] + by_tld["io"]) / report.total == pytest.approx(0.5)
+    assert by_tld["com"] / report.total == pytest.approx(0.25)
 
 
 def test_qmin_series_no_minimized(registry):
     report = fold_tsv_like(["www.example.com."], registry)
-    [(_, buckets)] = qmin_series([report])
-    assert set(buckets.values()) == {0.0}
+    assert minimized_by_tld(report) == (0, {})
+    assert "minimized\t" not in doc_to_plotdata(build_report_doc(report)).decode()
 
 
 def test_unexpected_all_valid(registry):
@@ -321,7 +329,7 @@ def test_chromium_components_bounded():
     rng = random.Random(9)
     for _ in range(50):
         report = random_report(rng, label="r")
-        [(_, a, b)] = chromium_series([report])
+        a, b = chromium_fractions(build_report_doc(report))
         assert a + b <= 1.0 + 1e-12
 
 
@@ -411,30 +419,86 @@ def test_read_report_doc_rejects_junk():
         read_report_doc(b"{}")
 
 
+def one_record_doc():
+    """A stored report document with one sender row and fractions."""
+    pairs = [(QueryRecord(1, "44.242.1.2", 1, 2, "."), Classification(Leaf.EMPTY))]
+    return json.loads(write_report(fold(pairs, label="x"), "json"))
+
+
+def parent_and_key(doc, path):
+    """The object or array holding path ('senders.top[0].categories'), and
+    the last key or index of path."""
+    *parents, last = (int(key) if key.isdigit() else key for key in re.findall(r"[^.\[\]]+", path))
+    for key in parents:
+        doc = doc[key]
+    return doc, last
+
+
+def edited_doc_text(path, value):
+    doc = one_record_doc()
+    node, key = parent_and_key(doc, path)
+    node[key] = value
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "path",
     ["senders", "empty_stats", "totals.records", "leaves.one_word.minimized",
-     "leaves.has_tld.invalid.chromium"],
+     "leaves.has_tld.invalid.chromium", "senders.top[0].categories", "totals.fractions.empty",
+     "empty_stats.top"],
 )
 def test_read_report_doc_names_the_missing_key(path):
-    doc = json.loads(write_report(Report(label="x"), "json"))
-    *parents, last = path.split(".")
-    node = doc
-    for key in parents:
-        node = node[key]
-    del node[last]
-    with pytest.raises(ValueError, match=f"missing '{path}'"):
+    doc = one_record_doc()
+    node, key = parent_and_key(doc, path)
+    del node[key]
+    with pytest.raises(ValueError, match=f"missing {re.escape(repr(path))}"):
         read_report_doc(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
-    "text, where",
-    [('"meta totals leaves qtypes"', "the top level"), ("[1, 2]", "the top level"),
-     ('{"meta": {}, "totals": []}', "'totals'")],
+    "text, where, held",
+    [pytest.param('"meta totals leaves qtypes"', "the top level", '"meta totals leaves qtypes", not a JSON object',
+                  id='"meta totals leaves qtypes"-the top level'),
+     pytest.param("[1, 2]", "the top level", "[1, 2], not a JSON object", id="[1, 2]-the top level"),
+     pytest.param('{"meta": {}, "totals": []}', "'totals'", "[], not a JSON object",
+                  id='{"meta": {}, "totals": []}-\'totals\''),
+     pytest.param(edited_doc_text("meta.label", 2013), "'meta.label'", "2013, not a string", id="meta.label"),
+     pytest.param(edited_doc_text("totals.records", "x"), "'totals.records'", '"x", not a count',
+                  id="totals.records"),
+     pytest.param(edited_doc_text("senders.top", 5), "'senders.top'", "5, not a JSON array", id="senders.top"),
+     pytest.param(edited_doc_text("senders.top[0].total", True), "'senders.top[0].total'", "true, not a count",
+                  id="senders.top[0].total")],
 )
-def test_read_report_doc_rejects_non_objects(text, where):
-    with pytest.raises(ValueError, match=f"{where} is not a JSON object"):
+def test_read_report_doc_rejects_non_objects(text, where, held):
+    with pytest.raises(ValueError, match=re.escape(f"not a report document: {where} holds {held}")):
         read_report_doc(text)
+
+
+def test_read_report_doc_rejects_unlisted_keys_outside_meta():
+    doc = one_record_doc()
+    doc["meta"]["harness"] = {"any": ["shape"]}
+    assert read_report_doc(json.dumps(doc)) == doc
+    doc["totals"]["extra"] = 1
+    with pytest.raises(ValueError, match="unexpected key 'totals.extra'"):
+        read_report_doc(json.dumps(doc))
+
+
+PERFBENCH_META = {"inputs": ["trace000.tsv"], "format": "tsv", "sample_rate": 1.0, "seed": 0,
+                  "window": None, "day_origin": None, "appletalk": ["appletalk"]}
+
+
+@pytest.mark.parametrize(
+    "report, meta, top_k",
+    [pytest.param(Report(), None, 10, id="empty"),
+     pytest.param(fold(random_pairs(random.Random(11), 200), label="u", track_senders=False), None, 10,
+                  id="untracked"),
+     pytest.param(fold(random_pairs(random.Random(12), 200)), None, 50, id="top_k-beyond-population"),
+     pytest.param(fold(random_pairs(random.Random(13), 200)), PERFBENCH_META, 10, id="perfbench-meta")],
+)
+def test_built_documents_conform_to_the_schema(report, meta, top_k):
+    doc = build_report_doc(report, meta=meta, top_k=top_k)
+    data = doc_to_json_bytes(doc)
+    assert read_report_doc(data) == json.loads(data)
 
 
 @pytest.mark.parametrize("label", ["2013,b", 'say "hi"', "cr\rlabel", "lf\nlabel", ",", '"'])
@@ -456,7 +520,7 @@ def test_sender_rollup_consistency(registry):
     report = fold(random_pairs(rng, 2_000))
     rows = top_senders(report, k=100)
     for cat in TopCategory:
-        total_cat = sum(r.categories[cat] for r in rows)
+        total_cat = sum(r["categories"][cat.value] for r in rows)
         leaf_total = sum(
             n for cls, n in report.leaf_counts.items() if cls.top is cat
         )
@@ -469,9 +533,9 @@ def test_sender_rollup_consistency(registry):
 def full_sort_senders(report):
     rows = []
     for prefix, row in report.sender_counts.items():
-        categories = {cat: 0 for cat in TopCategory}
+        categories = {cat.value: 0 for cat in TopCategory}
         for leaf, n in zip(LEAVES, row):
-            categories[LEAF_TOP[leaf]] += n
+            categories[LEAF_TOP[leaf].value] += n
         rows.append((prefix, sum(row), categories))
     rows.sort(key=lambda r: (-r[1], r[0]))
     return rows
@@ -503,16 +567,16 @@ def tied_report():
 def test_top_senders_tie_across_kth_place():
     report = tied_report()
     rows = top_senders(report, k=3)
-    assert [(r.prefix, r.total) for r in rows] == [
+    assert [(r["prefix"], r["total"]) for r in rows] == [
         ("10.9.0.0/16", 5), ("10.200.0.0/16", 3), ("10.30.0.0/16", 3),
     ]
-    assert [(r.prefix, r.total, r.categories) for r in rows] == full_sort_senders(report)[:3]
+    assert [(r["prefix"], r["total"], r["categories"]) for r in rows] == full_sort_senders(report)[:3]
 
 
 def test_top_senders_k_beyond_population_equals_full_sort():
     report = tied_report()
     rows = top_senders(report, k=50)
-    assert [(r.prefix, r.total, r.categories) for r in rows] == full_sort_senders(report)
+    assert [(r["prefix"], r["total"], r["categories"]) for r in rows] == full_sort_senders(report)
 
 
 def test_empty_query_stats_tie_across_kth_place():
@@ -520,11 +584,12 @@ def test_empty_query_stats_tie_across_kth_place():
     full = empty_query_stats(report, k=len(report.empty_by_sender))
     for k in (1, 2, 3, 4, 5, 50):
         stats = empty_query_stats(report, k=k)
-        assert [(r.prefix, r.total, r.qtypes) for r in stats.top] == full_sort_empty_senders(report)[:k]
-        assert (stats.total, stats.sender_count, stats.mean_per_sender, stats.qtype_fractions) == (
-            full.total, full.sender_count, full.mean_per_sender, full.qtype_fractions,
-        )
-    assert [r.prefix for r in empty_query_stats(report, k=3).top] == [
+        assert [(r["prefix"], r["total"], r["qtypes"]) for r in stats["top"]] == (
+            full_sort_empty_senders(report)[:k])
+        assert {key: stats[key] for key in ("total", "senders", "mean_per_sender", "qtype_fractions")} == {
+            key: full[key] for key in ("total", "senders", "mean_per_sender", "qtype_fractions")
+        }
+    assert [r["prefix"] for r in empty_query_stats(report, k=3)["top"]] == [
         "10.9.0.0/16", "10.200.0.0/16", "10.30.0.0/16",
     ]
 
@@ -543,12 +608,12 @@ def test_top_k_matches_full_sort_on_tie_heavy_reports():
                 qtype_totals[m] = qtype_totals.get(m, 0) + n
         for k in (1, 2, 5, 17, 41, 100):
             rows = top_senders(report, k)
-            assert [(r.prefix, r.total, r.categories) for r in rows] == senders[:k]
+            assert [(r["prefix"], r["total"], r["categories"]) for r in rows] == senders[:k]
             stats = empty_query_stats(report, k=k)
-            assert [(r.prefix, r.total, r.qtypes) for r in stats.top] == empties[:k]
-            assert stats.sender_count == len(empties)
-            assert stats.mean_per_sender == (empty_total / len(empties) if empties else None)
-            assert stats.qtype_fractions == (
+            assert [(r["prefix"], r["total"], r["qtypes"]) for r in stats["top"]] == empties[:k]
+            assert stats["senders"] == len(empties)
+            assert stats["mean_per_sender"] == (empty_total / len(empties) if empties else None)
+            assert stats["qtype_fractions"] == (
                 {m: n / empty_total for m, n in sorted(qtype_totals.items())} if empty_total else {}
             )
 
@@ -559,9 +624,11 @@ def test_top_k_matches_full_sort_on_tie_heavy_reports():
 def test_render_doc_formats_and_alias(registry):
     report = fold_tsv_like([".", "com.", "x.com."], registry)
     doc = build_report_doc(report)
-    assert render_doc(doc, "tsv-plotdata") == render_doc(doc, "plotdata") == doc_to_plotdata(doc)
-    for fmt in ("json", "csv", "plotdata", "tsv-plotdata"):
+    assert render_doc(doc, "plotdata") == doc_to_plotdata(doc)
+    for fmt in ("json", "csv", "plotdata"):
         assert write_report(report, fmt) == render_doc(doc, fmt)
+    with pytest.raises(ValueError, match="unknown report format 'tsv-plotdata'"):
+        render_doc(doc, "tsv-plotdata")
 
 
 def test_render_doc_rejects_unknown_format(registry):

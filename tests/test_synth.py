@@ -280,25 +280,26 @@ def test_2013_mix_recovers_target_rollup(registry):
 
 
 def test_2020_mix_probe_series(registry):
-    from roottrace.report import chromium_series
+    from roottrace.report import build_report_doc, chromium_fractions
 
     n = 100_000
-    report = fold(generate(year_mix(2020), n, registry), label="2020")
-    [(label, no_tld, with_tld)] = chromium_series([report])
-    assert label == "2020"
+    doc = build_report_doc(fold(generate(year_mix(2020), n, registry), label="2020"))
+    no_tld, with_tld = chromium_fractions(doc)
+    assert doc["meta"]["label"] == "2020"
     assert abs(no_tld - 0.417465) <= three_sigma(0.417465, n)
     assert abs(with_tld - 0.018229) <= three_sigma(0.018229, n)
 
 
 def test_2022_mix_qmin_series(registry):
-    from roottrace.report import qmin_series
+    from roottrace.report import build_report_doc
 
     n = 100_000
-    report = fold(generate(year_mix(2022), n, registry), label="2022")
-    [(_, buckets)] = qmin_series([report])
-    assert abs(buckets["com"] - 0.059064) <= three_sigma(0.059064, n)
-    assert abs(buckets["other"] - 0.013829) <= three_sigma(0.013829, n)
-    assert abs(buckets["net"] - 0.005164) <= three_sigma(0.005164, n)
+    doc = build_report_doc(fold(generate(year_mix(2022), n, registry), label="2022"))
+    by_tld = doc["leaves"]["one_word"]["minimized"]["by_tld"]
+    other = sum(count for tld, count in by_tld.items() if tld not in ("com", "net", "org"))
+    assert abs(by_tld["com"] / n - 0.059064) <= three_sigma(0.059064, n)
+    assert abs(other / n - 0.013829) <= three_sigma(0.013829, n)
+    assert abs(by_tld["net"] / n - 0.005164) <= three_sigma(0.005164, n)
 
 
 def test_2022_mix_unexpected_fraction(registry):
