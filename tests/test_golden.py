@@ -110,3 +110,35 @@ def test_report_bytes_match_golden(fmt, tmp_path, monkeypatch):
     monkeypatch.delenv("ROOTTRACE_TLDS", raising=False)
     digests = {f"{fmt}/{name}": hashlib.sha256(data).hexdigest() for name, data in outputs(fmt).items()}
     assert digests == {k: v for k, v in GOLDEN.items() if k.startswith(f"{fmt}/")}
+
+
+def ditl_pool_2022():
+    spec = year_mix(2022, seed=7177)
+    spec.prefixes = 30_000
+    spec.skew = 0.3
+    spec.empty_per_sender = 4.0
+    return spec
+
+
+# sha256 of the generated TSV bytes followed by one ground-truth line per
+# record (leaf, tld, chromium_like), for 20,000 records of each spec;
+# synth makes the benchmark's inputs, so these bytes must not drift
+GENERATOR_SPECS = {
+    "2013": lambda: year_mix(2013),
+    "2022": lambda: year_mix(2022),
+    "2022-ditl-pool": ditl_pool_2022,
+}
+GENERATOR_GOLDEN = {
+    "2013": "d7a0b71f1251a5715c2bd4807c8f84d2f2ef44b90b885dab5e6b321190496656",
+    "2022": "89edab0fb9ea5c183dba01459e55be228c0a9199b9a80f47ff68ade45c2eeaea",
+    "2022-ditl-pool": "9941869374a355b8c4987e2a3bf2fc1229ae265e470118b7f638dcf27f6213f3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SPECS))
+def test_generated_bytes_match_golden(name, monkeypatch):
+    monkeypatch.delenv("ROOTTRACE_TLDS", raising=False)
+    pairs = list(generate(GENERATOR_SPECS[name](), 20_000))
+    truth = "".join(f"{cls.leaf.value}\t{cls.tld or ''}\t{int(cls.chromium_like)}\n" for _, cls in pairs)
+    data = tsv_bytes(rec for rec, _ in pairs) + truth.encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == GENERATOR_GOLDEN[name]
