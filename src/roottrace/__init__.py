@@ -6,7 +6,6 @@ from .classify import (  # noqa: F401
     DEFAULT_APPLETALK_TLDS,
     classify,
     classify_stream,
-    is_all_numeric,
     is_chromium_label,
 )
 from .ingest import IngestStats, PcapQuery, decode_pcap, read_pcap, read_tsv, sample, window  # noqa: F401

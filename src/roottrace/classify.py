@@ -30,25 +30,14 @@ from .tlds import TldRegistry
 DEFAULT_APPLETALK_TLDS = frozenset({"appletalk"})
 
 
-def _probe_shaped(label: bytes) -> bool:
-    # Chromium Omnibox captive-portal probes: 7-15 lowercase alphabetic chars.
-    # bytes.isalpha/islower are ASCII-only, so this is exactly [a-z]{7,15}.
+def is_chromium_label(label: bytes) -> bool:
+    """True iff the label looks like a Chromium probe name.
+
+    Chromium Omnibox captive-portal probes are 7-15 lowercase alphabetic
+    chars; bytes.isalpha/islower are ASCII-only, so this is exactly
+    [a-z]{7,15}.
+    """
     return 7 <= len(label) <= 15 and label.isalpha() and label.islower()
-
-
-def is_chromium_label(label: bytes | str) -> bool:
-    """True iff the label looks like a Chromium probe name."""
-    if isinstance(label, str):
-        try:
-            label = label.encode("ascii")
-        except UnicodeEncodeError:
-            return False
-    return _probe_shaped(label)
-
-
-def is_all_numeric(label: bytes) -> bool:
-    """True iff the label is non-empty and entirely ASCII digits."""
-    return label.isdigit()
 
 
 def classify(
@@ -67,20 +56,20 @@ def classify(
     if not labels:
         return CLS_EMPTY
 
-    entries = registry._entries_b
+    entries = registry.entries
     if len(labels) == 1:
         label = labels[0]
         folded = label.lower()
         if folded in entries:
             return Classification(Leaf.ONE_WORD_MINIMIZED, folded.decode("ascii"))
-        if _probe_shaped(label):
+        if is_chromium_label(label):
             return CLS_ONE_WORD_CHROMIUM
         return CLS_ONE_WORD_OTHER
 
     tld = labels[-1]
     folded = tld.lower()
     if folded in entries:
-        chromium_like = len(labels) == 2 and _probe_shaped(labels[0])
+        chromium_like = len(labels) == 2 and is_chromium_label(labels[0])
         return Classification(Leaf.VALID_TLD, folded.decode("ascii"), chromium_like)
 
     if folded.decode("latin-1") in appletalk_tlds:
@@ -89,7 +78,7 @@ def classify(
         return CLS_INVALID_BAD_ENCODING
     if tld.isdigit():
         return CLS_INVALID_ALL_NUMERIC
-    if len(labels) == 2 and _probe_shaped(labels[0]):
+    if len(labels) == 2 and is_chromium_label(labels[0]):
         return CLS_INVALID_CHROMIUM
     # bad-encoding screened everything outside [0-9a-z_-], so ascii is safe
     return Classification(Leaf.INVALID_OTHER, folded.decode("ascii"))

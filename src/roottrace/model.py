@@ -84,14 +84,6 @@ class QueryRecord(NamedTuple):
     qtype: int
     qname_raw: str
 
-    @property
-    def qtype_name(self) -> str:
-        return qtype_mnemonic(self.qtype)
-
-    @property
-    def qclass_name(self) -> str:
-        return qclass_mnemonic(self.qclass)
-
 
 class DomainName(NamedTuple):
     """A parsed query name: decoded label bytes, leftmost label first.
@@ -166,10 +158,6 @@ class Classification(NamedTuple):
     leaf: Leaf
     tld: Optional[str] = None
     chromium_like: bool = False
-
-    @property
-    def top(self) -> TopCategory:
-        return LEAF_TOP[self.leaf]
 
 
 CLS_EMPTY = Classification(Leaf.EMPTY)

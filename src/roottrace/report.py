@@ -41,7 +41,7 @@ class Report:
     label: str = ""
     total: int = 0
     leaf_counts: Counter = field(default_factory=Counter)  # Classification -> n
-    qtype_counts: Counter = field(default_factory=Counter)  # mnemonic -> n
+    qtype_counts: Counter = field(default_factory=Counter)  # qtype code -> n
     sender_counts: dict = field(default_factory=dict)  # prefix str -> list[int], one per LEAVES entry
     empty_by_sender: dict = field(default_factory=dict)  # prefix str -> {qtype code: n}
     dropped: int = 0
@@ -104,7 +104,7 @@ def fold(
         label=label,
         total=total,
         leaf_counts=Counter(leaf_counts),
-        qtype_counts=Counter({qtype_mnemonic(c): n for c, n in qtype_ints.items()}),
+        qtype_counts=Counter(qtype_ints),
         sender_counts=senders,
         empty_by_sender=empties,
         dropped=dropped,
@@ -324,7 +324,7 @@ def build_report_doc(
         "meta": doc_meta,
         "totals": totals,
         "leaves": leaves,
-        "qtypes": dict(sorted(report.qtype_counts.items())),
+        "qtypes": _by_mnemonic(report.qtype_counts),
         "senders": senders,
         "empty_stats": empty_stats,
         "policy": {
@@ -453,17 +453,18 @@ def write_report(
 # The report document that build_report_doc writes and read_report_doc
 # accepts. Each key of an object maps to the shape of its value; a key
 # ending in "?" may be absent, one ending in "+" only when senders.tracked
-# is false. A `str` key gives the shape of every unlisted key; without
-# one, unlisted keys are rejected. [shape] is an array, a tuple any one of
-# its shapes. int is a count (a non-negative integer, never a bool), float
-# any number, object any value, None null.
+# is false, and one ending in "*" only when totals.records is 0. A `str`
+# key gives the shape of every unlisted key; without one, unlisted keys
+# are rejected. [shape] is an array, a tuple any one of its shapes. int
+# is a count (a non-negative integer, never a bool), float any number,
+# object any value, None null.
 
 _COUNTS = {str: int}
 _BY_TLD = {"total": int, "by_tld": _COUNTS}
 
 _DOC_SCHEMA = {
     "meta": {"label?": str, str: object},
-    "totals": {"records": int, "dropped_unparseable": int, "fractions?": dict.fromkeys(_CATEGORIES, float)},
+    "totals": {"records": int, "dropped_unparseable": int, "fractions*": dict.fromkeys(_CATEGORIES, float)},
     "leaves": {
         "empty": int,
         "one_word": {"minimized": _BY_TLD, "chromium": int, "other": int},
@@ -500,8 +501,9 @@ _VALUE_KINDS = {
 }
 
 
-def _check(value, shape, path: str, tracked: bool) -> None:
-    """Raise ValueError at the first place where value departs from shape."""
+def _check(value, shape, path: str, required: set) -> None:
+    """Raise ValueError at the first place where value departs from shape;
+    required holds the key suffixes ("+", "*") whose keys must be present."""
     if isinstance(shape, dict):
         expected, ok = "a JSON object", type(value) is dict
     elif isinstance(shape, list):
@@ -518,33 +520,47 @@ def _check(value, shape, path: str, tracked: bool) -> None:
         raise ValueError(f"not a report document: {where} holds {held}, not {expected}")
     if isinstance(shape, list):
         for i, item in enumerate(value):
-            _check(item, shape[0], f"{path}[{i}]", tracked)
+            _check(item, shape[0], f"{path}[{i}]", required)
     elif isinstance(shape, dict):
         listed = set()
         for key, inner in shape.items():
             if key is str:
                 continue
-            name = key.rstrip("?+")
+            name = key.rstrip("?+*")
             listed.add(name)
             where = f"{path}.{name}" if path else name
             if name in value:
-                _check(value[name], inner, where, tracked)
-            elif key == name or (tracked and key.endswith("+")):
+                _check(value[name], inner, where, required)
+            elif key == name or key[-1] in required:
                 raise ValueError(f"not a report document: missing {where!r}")
         for name, item in value.items():
             if name not in listed:
                 where = f"{path}.{name}" if path else name
                 if str not in shape:
                     raise ValueError(f"not a report document: unexpected key {where!r}")
-                _check(item, shape[str], where, tracked)
+                _check(item, shape[str], where, required)
+
+
+def _member(doc, section: str, key: str):
+    """doc[section][key], or None where doc does not have that shape."""
+    part = doc.get(section) if type(doc) is dict else None
+    return part.get(key) if type(part) is dict else None
 
 
 def read_report_doc(data: bytes | str) -> dict:
     """Parse a stored report document; ValueError naming the first path
     where it departs from _DOC_SCHEMA."""
-    doc = json.loads(data)
-    senders = doc.get("senders") if type(doc) is dict else None
-    _check(doc, _DOC_SCHEMA, "", type(senders) is dict and senders.get("tracked") is True)
+    try:
+        doc = json.loads(data)
+    except RecursionError:
+        raise ValueError("not a report document: nested too deeply to read") from None
+    required = set()
+    if _member(doc, "senders", "tracked") is True:
+        required.add("+")
+    records = _member(doc, "totals", "records")
+    if type(records) is int and records > 0:
+        required.add("*")
+    _check(doc, _DOC_SCHEMA, "", required)
     return doc
 
 

@@ -115,11 +115,17 @@ class MixSpec:
                 raise MixSpecError(f"empty weight table for {group!r}")
             if any(w < 0 for w in table.values()) or sum(table.values()) <= 0:
                 raise MixSpecError(f"bad weights for {group!r}")
+        for group, table in self.tld_weights.items():
+            for tld in table:
+                # the classifier reports TLDs lowercase, so truth must too
+                if tld != tld.lower():
+                    raise MixSpecError(f"{group} TLD {tld!r} is not lowercase")
 
 
 class _DrawTable:
-    """Cumulative-weight sampler over named items, with an optional
-    uniform fallback pool behind the 'other' item."""
+    """Cumulative-weight sampler over the items of a weight table, with an
+    optional uniform fallback pool behind the 'other' item. Items of zero
+    weight are never drawn."""
 
     __slots__ = ("items", "cum", "total", "pool")
 
@@ -136,14 +142,12 @@ class _DrawTable:
             self.cum.append(acc)
         self.total = acc
 
-    def draw(self, rng: random.Random) -> str:
+    def draw(self, rng: random.Random):
         idx = bisect_right(self.cum, rng.random() * self.total)
-        if idx >= len(self.items):
-            idx = len(self.items) - 1
-        name = self.items[idx]
-        if name == _OTHER and self.pool is not None:
+        item = self.items[min(idx, len(self.items) - 1)]
+        if item == _OTHER and self.pool is not None:
             return self.pool[rng.randrange(len(self.pool))]
-        return name
+        return item
 
 
 class _SenderPool:
@@ -153,18 +157,10 @@ class _SenderPool:
         self.v4_base = []
         for i in range(prefixes):
             self.v4_base.append(None if i % 20 == 19 else f"{1 + i // 256}.{i % 256}")
-        cum = []
-        acc = 0.0
-        for i in range(prefixes):
-            acc += 1.0 / (i + 1) ** skew
-            cum.append(acc)
-        self.cum = cum
-        self.total = acc
+        self.index = _DrawTable({i: 1.0 / (i + 1) ** skew for i in range(prefixes)})
 
     def draw(self, rng: random.Random) -> str:
-        idx = bisect_right(self.cum, rng.random() * self.total)
-        if idx >= len(self.cum):
-            idx = len(self.cum) - 1
+        idx = self.index.draw(rng)
         base = self.v4_base[idx]
         if base is None:
             return f"2600:0:{idx:x}:{rng.randrange(0x10000):x}::{rng.randrange(1, 0x10000):x}"
@@ -181,7 +177,7 @@ def _build_tld_table(src: dict, pool: list, registry: TldRegistry, group: str) -
         if tld == _OTHER:
             if src[tld] > 0 and not pool:
                 raise MixSpecError(f"registry too small for '{_OTHER}' {group} TLDs")
-        elif not registry.is_valid_tld(tld):
+        elif not registry.is_valid_tld(tld.encode()):
             raise MixSpecError(f"{group} TLD {tld!r} not in registry")
     return _DrawTable(src, pool or None)
 
@@ -207,22 +203,24 @@ def generate(
 
     appletalk_list = sorted(appletalk_tlds)
     for tld in appletalk_list:
-        if registry.is_valid_tld(tld):
+        if registry.is_valid_tld(tld.encode()):
             raise MixSpecError(f"appletalk TLD {tld!r} is in the registry; leaf unreachable")
 
+    # sorted bytes of ASCII entries sort as their decoded strings do
+    tlds = [entry.decode("ascii") for entry in sorted(registry.entries)]
     named = {"com", "net", "org"}
     minimized_src = spec.tld_weights.get("minimized", DEFAULT_MINIMIZED_TLDS)
-    minimized_pool = sorted(registry.entries - named)
+    minimized_pool = [tld for tld in tlds if tld not in named]
     minimized_table = _build_tld_table(minimized_src, minimized_pool, registry, "minimized")
 
     valid_src = spec.tld_weights.get("valid", DEFAULT_VALID_TLDS)
-    valid_pool = sorted(registry.entries - set(valid_src))
+    valid_pool = [tld for tld in tlds if tld not in valid_src]
     valid_table = _build_tld_table(valid_src, valid_pool, registry, "valid")
 
     invalid_other_src = spec.tld_weights.get("invalid_other", DEFAULT_INVALID_OTHER_TLDS)
     for tld in invalid_other_src:
         if (
-            registry.is_valid_tld(tld)
+            registry.is_valid_tld(tld.encode())
             or tld in appletalk_tlds
             or tld.isdigit()
             or not tld.isascii()
@@ -239,13 +237,7 @@ def generate(
         for mnemonic in table:
             qtype_code(mnemonic)  # fail early on junk
 
-    strata = [s for s in STRATA if spec.weights.get(s, 0.0) > 0]
-    cum = []
-    acc = 0.0
-    for s in strata:
-        acc += spec.weights[s]
-        cum.append(acc)
-    total_w = acc
+    strata = _DrawTable({s: spec.weights.get(s, 0.0) for s in STRATA})
 
     rng = random.Random(spec.seed)
     pool = _SenderPool(spec.prefixes, spec.skew)
@@ -262,7 +254,7 @@ def generate(
 
     for _ in range(n):
         seq += 1
-        stratum = strata[min(bisect_right(cum, rng.random() * total_w), len(strata) - 1)]
+        stratum = strata.draw(rng)
 
         if stratum == "empty":
             qname = "."
@@ -273,13 +265,13 @@ def generate(
             truth = Classification(Leaf.ONE_WORD_MINIMIZED, tld)
         elif stratum == "one_word_chromium":
             word = _chromium_word(rng)
-            while registry.is_valid_tld(word):
+            while registry.is_valid_tld(word.encode()):
                 word = _chromium_word(rng)
             qname = word + "."
             truth = CLS_ONE_WORD_CHROMIUM
         elif stratum == "one_word_other":
             word = f"word{seq}"
-            while registry.is_valid_tld(word):
+            while registry.is_valid_tld(word.encode()):
                 word += "0"
             qname = word + "."
             truth = CLS_ONE_WORD_OTHER
@@ -304,13 +296,13 @@ def generate(
             truth = CLS_INVALID_BAD_ENCODING
         elif stratum == "invalid_tld_all_numeric":
             digits = str(rng.randrange(1, 1_000_000))
-            while registry.is_valid_tld(digits):
+            while registry.is_valid_tld(digits.encode()):
                 digits += "0"
             qname = f"host{seq}.{digits}."
             truth = CLS_INVALID_ALL_NUMERIC
         elif stratum == "invalid_tld_chromium":
             tld = f"x{seq}z"
-            while registry.is_valid_tld(tld) or tld in appletalk_tlds:
+            while registry.is_valid_tld(tld.encode()) or tld in appletalk_tlds:
                 tld += "z"
             qname = f"{_chromium_word(rng)}.{tld}."
             truth = CLS_INVALID_CHROMIUM

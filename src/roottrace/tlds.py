@@ -24,33 +24,24 @@ class RegistryError(ValueError):
 
 
 class TldRegistry:
-    """Immutable set of lowercase TLD strings with case-insensitive lookup."""
+    """Immutable set of lowercase ASCII TLD labels with case-insensitive lookup."""
 
-    __slots__ = ("entries", "source_description", "_entries_b")
+    __slots__ = ("entries", "source_description")
 
-    def __init__(self, entries: Iterable[str], source_description: str):
+    def __init__(self, entries: Iterable[bytes], source_description: str):
         self.entries = frozenset(entries)
         self.source_description = source_description
-        self._entries_b = frozenset(e.encode("ascii") for e in self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, tld: str) -> bool:
-        return tld.lower() in self.entries
-
-    def is_valid_tld(self, label: bytes | str) -> bool:
+    def is_valid_tld(self, label: bytes) -> bool:
         """True iff the lowercase ASCII folding of label is a registry entry.
 
         Labels holding bytes outside the entry alphabet are simply invalid,
         never an error.
         """
-        if isinstance(label, str):
-            try:
-                label = label.encode("ascii")
-            except UnicodeEncodeError:
-                return False
-        return label.lower() in self._entries_b
+        return label.lower() in self.entries
 
 
 def load_registry(lines: Iterable[str] | IO[str], source_description: str = "<stream>") -> TldRegistry:
@@ -59,7 +50,7 @@ def load_registry(lines: Iterable[str] | IO[str], source_description: str = "<st
     Rejects (with the line number) any entry that is empty, over 63 bytes,
     or holds characters outside a-z 0-9 '-'; rejects an empty registry.
     """
-    entries: set[str] = set()
+    entries: set[bytes] = set()
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -67,27 +58,27 @@ def load_registry(lines: Iterable[str] | IO[str], source_description: str = "<st
         entry = line.lower()
         if not _ENTRY_RE.fullmatch(entry):
             raise RegistryError(f"{source_description}:{lineno}: invalid TLD entry {line!r}")
-        entries.add(entry)
+        entries.add(entry.encode("ascii"))
     if not entries:
         raise RegistryError(f"{source_description}: empty registry")
     return TldRegistry(entries, source_description)
 
 
-def load_registry_path(path: str | os.PathLike) -> TldRegistry:
-    """Load a registry file, describing it by path and content fingerprint.
+def _load_fingerprinted(data: bytes, name: str) -> TldRegistry:
+    """A registry described by name, entry count and content fingerprint.
 
     The description is deterministic for identical file content so reports
     embedding it stay byte-identical across runs.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     digest = hashlib.sha256(data).hexdigest()[:12]
-    text = data.decode("utf-8")
-    registry = load_registry(text.splitlines(), source_description=str(path))
-    return TldRegistry(
-        registry.entries,
-        f"{path} ({len(registry)} entries, sha256:{digest})",
-    )
+    entries = load_registry(data.decode("utf-8").splitlines(), source_description=name).entries
+    return TldRegistry(entries, f"{name} ({len(entries)} entries, sha256:{digest})")
+
+
+def load_registry_path(path: str | os.PathLike) -> TldRegistry:
+    """Load a registry file, describing it by path and content fingerprint."""
+    with open(path, "rb") as fh:
+        return _load_fingerprinted(fh.read(), str(path))
 
 
 _default: TldRegistry | None = None
@@ -100,12 +91,6 @@ def default_registry() -> TldRegistry:
     if override:
         return load_registry_path(override)
     if _default is None:
-        ref = resources.files("roottrace").joinpath("data/tlds.txt")
-        data = ref.read_bytes()
-        digest = hashlib.sha256(data).hexdigest()[:12]
-        registry = load_registry(data.decode("utf-8").splitlines(), "builtin:data/tlds.txt")
-        _default = TldRegistry(
-            registry.entries,
-            f"builtin:data/tlds.txt ({len(registry)} entries, sha256:{digest})",
-        )
+        data = resources.files("roottrace").joinpath("data/tlds.txt").read_bytes()
+        _default = _load_fingerprinted(data, "builtin:data/tlds.txt")
     return _default

@@ -38,7 +38,7 @@ def random_name(rng: random.Random, tld_sample: list) -> DomainName:
     labels = [random_label(rng) for _ in range(depth - 1)]
     tld_roll = rng.random()
     if tld_roll < 0.35:
-        tld = rng.choice(tld_sample).encode()
+        tld = rng.choice(tld_sample)
         if rng.random() < 0.3:
             tld = tld.upper()
     elif tld_roll < 0.45:

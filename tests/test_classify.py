@@ -7,7 +7,6 @@ from fuzznames import random_name
 from roottrace.classify import (
     classify,
     classify_stream,
-    is_all_numeric,
     is_chromium_label,
 )
 from roottrace.ingest import IngestStats
@@ -111,7 +110,7 @@ def test_underscore_tld_is_other_not_bad_encoding(registry):
 
 def test_tld_case_invariance(registry):
     rng = random.Random(99)
-    tlds = sorted(registry.entries)
+    tlds = [entry.decode() for entry in sorted(registry.entries)]
     for _ in range(200):
         tld = rng.choice(tlds)
         mixed = "".join(c.upper() if rng.random() < 0.5 else c for c in tld)
@@ -130,8 +129,7 @@ def test_tld_case_invariance(registry):
     (b"daozjwen1", False),
     (b"daoz-jwend", False),
     (b"", False),
-    ("daozjwend", True),
-    ("däozjwend", False),
+    (b"d\xe4ozjwend", False),
 ])
 def test_is_chromium_label(label, expected):
     assert is_chromium_label(label) is expected
@@ -143,8 +141,9 @@ def test_is_chromium_label(label, expected):
     (b"0", True),
     (b"", False),
 ])
-def test_is_all_numeric(label, expected):
-    assert is_all_numeric(label) is expected
+def test_is_all_numeric(label, expected, registry):
+    got = classify(DomainName((b"host", label)), registry)
+    assert (got.leaf is Leaf.INVALID_ALL_NUMERIC) is expected
 
 
 def test_fuzz_totality_and_partition(registry):

@@ -172,13 +172,16 @@ def test_malformed_report_doc_is_runtime_error(tmp_path, trace, capsys):
     no_senders.write_text(json.dumps(doc))
     not_object = tmp_path / "string.json"
     not_object.write_text('"meta totals leaves qtypes"')
+    too_deep = tmp_path / "deep.json"
+    too_deep.write_text('{"meta": ' + "[" * 100_000 + "]" * 100_000 + "}")
     out = tmp_path / "out"
     assert run("report", "--in", str(no_senders), "--format", "plotdata", "--out", str(out)) == 2
     assert "missing 'senders'" in capsys.readouterr().err
-    for argv in (["report", "--in", str(not_object), "--format", "csv"],
-                 ["trend", "--in", str(report), str(not_object)]):
-        assert run(*argv, "--out", str(out)) == 2
-        assert "not a JSON object" in capsys.readouterr().err
+    for bad, message in ((not_object, "not a JSON object"), (too_deep, "nested too deeply")):
+        for argv in (["report", "--in", str(bad), "--format", "csv"],
+                     ["trend", "--in", str(report), str(bad)]):
+            assert run(*argv, "--out", str(out)) == 2
+            assert message in capsys.readouterr().err
     assert not out.exists()
 
     # wrong contents under the right keys; missing deletes the key
@@ -186,6 +189,7 @@ def test_malformed_report_doc_is_runtime_error(tmp_path, trace, capsys):
     for path, value, message in (
         ("senders.top[0].categories", missing, "missing 'senders.top[0].categories'"),
         ("totals.fractions.empty", missing, "missing 'totals.fractions.empty'"),
+        ("totals.fractions", missing, "missing 'totals.fractions'"),
         ("meta.label", 2013, "'meta.label' holds 2013"),
         ("totals.records", "x", "'totals.records' holds \"x\""),
         ("senders.top", 5, "'senders.top' holds 5"),
@@ -293,6 +297,19 @@ def test_gen_bad_spec_is_runtime_error(tmp_path, capsys):
     spec.write_text("weight.empty = 0.4\n")
     rc = run("gen", "--spec", str(spec), "--count", "10", "--out", str(tmp_path / "t.tsv"))
     assert rc == 2
+
+
+def test_gen_rejects_mixed_case_tld_keys(tmp_path, capsys):
+    # the classifier reports TLDs lowercase, so truth lines must not say COM
+    spec = tmp_path / "mixed.cfg"
+    spec.write_text("weight.valid_tld = 0.5\nweight.one_word_minimized = 0.5\n"
+                    "tld.valid.COM = 1\ntld.minimized.NET = 1\n")
+    out = tmp_path / "t.tsv"
+    rc = run("gen", "--spec", str(spec), "--count", "10", "--out", str(out),
+             "--truth-out", str(tmp_path / "t.truth"))
+    assert rc == 2
+    assert "valid TLD 'COM' is not lowercase" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_custom_tld_list(tmp_path):

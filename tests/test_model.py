@@ -60,10 +60,10 @@ def test_leaves_partition_the_tree():
 
 
 def test_classification_rollup():
-    assert Classification(Leaf.ONE_WORD_MINIMIZED, "com").top is TopCategory.ONE_WORD
-    assert Classification(Leaf.INVALID_OTHER, "internal").top is TopCategory.INVALID_TLD
-    assert Classification(Leaf.EMPTY).top is TopCategory.EMPTY
-    assert Classification(Leaf.VALID_TLD, "com", True).top is TopCategory.VALID_TLD
+    assert LEAF_TOP[Classification(Leaf.ONE_WORD_MINIMIZED, "com").leaf] is TopCategory.ONE_WORD
+    assert LEAF_TOP[Classification(Leaf.INVALID_OTHER, "internal").leaf] is TopCategory.INVALID_TLD
+    assert LEAF_TOP[Classification(Leaf.EMPTY).leaf] is TopCategory.EMPTY
+    assert LEAF_TOP[Classification(Leaf.VALID_TLD, "com", True).leaf] is TopCategory.VALID_TLD
 
 
 def test_domain_name_root():
@@ -130,5 +130,5 @@ def test_sender_key_rejects_junk():
 
 def test_query_record_names():
     rec = QueryRecord(1, "1.2.3.4", 1, 2, "com.")
-    assert rec.qtype_name == "NS"
-    assert rec.qclass_name == "IN"
+    assert qtype_mnemonic(rec.qtype) == "NS"
+    assert qclass_mnemonic(rec.qclass) == "IN"

@@ -445,7 +445,7 @@ def edited_doc_text(path, value):
     "path",
     ["senders", "empty_stats", "totals.records", "leaves.one_word.minimized",
      "leaves.has_tld.invalid.chromium", "senders.top[0].categories", "totals.fractions.empty",
-     "empty_stats.top"],
+     "empty_stats.top", "totals.fractions"],
 )
 def test_read_report_doc_names_the_missing_key(path):
     doc = one_record_doc()
@@ -522,7 +522,7 @@ def test_sender_rollup_consistency(registry):
     for cat in TopCategory:
         total_cat = sum(r["categories"][cat.value] for r in rows)
         leaf_total = sum(
-            n for cls, n in report.leaf_counts.items() if cls.top is cat
+            n for cls, n in report.leaf_counts.items() if LEAF_TOP[cls.leaf] is cat
         )
         assert total_cat == leaf_total
 

@@ -5,7 +5,7 @@ import pytest
 
 from roottrace.classify import classify
 from roottrace.ingest import read_tsv
-from roottrace.model import Leaf, TopCategory
+from roottrace.model import Leaf, TopCategory, qtype_mnemonic
 from roottrace.names import parse_presentation
 from roottrace.report import fold, top_level_fractions
 from roottrace.synth import (
@@ -43,7 +43,7 @@ def test_degenerate_empty_mix(registry):
     assert len(pairs) == 10
     for rec, truth in pairs:
         assert rec.qname_raw == "."
-        assert rec.qtype_name == "NS"  # default qtype profile for root queries
+        assert qtype_mnemonic(rec.qtype) == "NS"  # default qtype profile for root queries
         assert truth.leaf is Leaf.EMPTY
 
 
@@ -165,7 +165,7 @@ def test_qtype_profile_override(registry):
     )
     counts = {"NS": 0, "DNSKEY": 0}
     for rec, _ in generate(spec, 10_000, registry):
-        counts[rec.qtype_name] += 1
+        counts[qtype_mnemonic(rec.qtype)] += 1
     assert counts["NS"] / 10_000 == pytest.approx(0.75, abs=0.02)
 
 
@@ -188,6 +188,11 @@ def test_generate_rejects_bad_specs(registry):
         spec = MixSpec(weights={"invalid_tld_other": 1.0},
                        tld_weights={"invalid_other": {"com": 1.0}})
         list(generate(spec, 1, registry))
+    for group, stratum in (("minimized", "one_word_minimized"), ("valid", "valid_tld"),
+                           ("invalid_other", "invalid_tld_other")):
+        spec = MixSpec(weights={stratum: 1.0}, tld_weights={group: {"Corp": 1.0}})
+        with pytest.raises(MixSpecError, match=f"{group} TLD 'Corp' is not lowercase"):
+            list(generate(spec, 1, registry))
 
 
 def test_parse_mixspec_round_trip(registry):
