@@ -52,7 +52,9 @@ def pcap_trace() -> bytes:
 # sha256 of each output
 GOLDEN = {
     "pcap/classify-nosenders.json": "4d3c28fa6a8251e93b9c006d0efda45e9220b5baf48601feef762be7d9b72277",
+    "pcap/classify-sampled.json": "869aa91133468c68749c04e5c6330938366ae492ba8d3cb52eccc49365b8514e",
     "pcap/classify-top50.json": "886ae7d27d836932a5c7f87bed7df5f45e9bfc1be34fe2dde444f02faaff7cd3",
+    "pcap/classify-window.json": "07863c88b1f6ccab38e042125b1df403ec2f209eea6154f0a48359e4f1746f67",
     "pcap/classify.csv": "2fe6f91ef0d30ba75f0e506729159d4d8e9744437686a5380828d13ad379630a",
     "pcap/classify.json": "757eef0816ba943ccb6587fa31e37b4b40c9f29f8fc14ff53db8d566d14b5c55",
     "pcap/classify.plotdata": "463f72dd417861f0b774f6dc493df361c3ff273a1f0167a40eec1e6714b59e14",
@@ -60,7 +62,9 @@ GOLDEN = {
     "pcap/top-senders.csv": "d4306e7dcaee42f62a2ccc2c6947bb2565f4b0b2138bb70e175f8a81141035d8",
     "pcap/trend.csv": "7cefc47dbf050dfff293c9d61879424807652d4a5ea3435999a982b88b83471d",
     "tsv/classify-nosenders.json": "81708dfb32924ba4a8ca0c2c55e719622f394077caba7c95bfbe8a353f42a3bc",
+    "tsv/classify-sampled.json": "e1c349ca2d31306858454525ac09fe9359c8e866a223f017d0bd0d78d5b683ca",
     "tsv/classify-top50.json": "e8768994a93ff40b4cc08c6e4e26ff8da0038a17d768ad062a08e39da8fecb17",
+    "tsv/classify-window.json": "f15dc1e229333bbd1509e341f8bb8ae6499af9d8d4954004e43d2fcc5bc0f740",
     "tsv/classify.csv": "2fe6f91ef0d30ba75f0e506729159d4d8e9744437686a5380828d13ad379630a",
     "tsv/classify.json": "f00af76e220133b42c68e43837bee15d2cffd731c1037a6e1f08b943d6fb6c3b",
     "tsv/classify.plotdata": "463f72dd417861f0b774f6dc493df361c3ff273a1f0167a40eec1e6714b59e14",
@@ -75,6 +79,11 @@ COMMANDS = {
     "classify-nosenders.json": ["classify", "--label", "golden", "--no-senders", "--out", "out"],
     "top-senders.csv": ["top-senders", "-k", "25", "--out", "out"],
     "top-senders-empty.csv": ["top-senders", "-k", "25", "--empty", "--out", "out"],
+    # the sampled positions and the window bounds depend on record order
+    "classify-sampled.json": ["classify", "--label", "golden", "--sample-rate", "0.3", "--seed", "5",
+                              "--out", "out"],
+    "classify-window.json": ["classify", "--label", "golden", "--window", "06:00-12:00",
+                             "--day-origin", "2022-04-12", "--out", "out"],
 }
 
 
