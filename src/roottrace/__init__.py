@@ -5,10 +5,19 @@ __version__ = "0.1.0"
 from .classify import (  # noqa: F401
     DEFAULT_APPLETALK_TLDS,
     classify,
-    classify_stream,
+    classify_block,
     is_chromium_label,
 )
-from .ingest import IngestStats, PcapQuery, decode_pcap, read_pcap, read_tsv, sample, window  # noqa: F401
+from .ingest import (  # noqa: F401
+    Block,
+    IngestStats,
+    decode_pcap,
+    decode_tsv,
+    read_pcap,
+    read_tsv,
+    sample,
+    window,
+)
 from .model import (  # noqa: F401
     Classification,
     DomainName,
@@ -31,6 +40,7 @@ from .report import (  # noqa: F401
     chromium_fractions,
     empty_query_stats,
     fold,
+    fold_blocks,
     merge,
     top_level_fractions,
     top_senders,

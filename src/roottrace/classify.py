@@ -8,7 +8,8 @@ never as a browser probe.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from itertools import compress
+from typing import Optional, Sequence
 
 from .model import (
     CLS_EMPTY,
@@ -21,9 +22,8 @@ from .model import (
     Classification,
     DomainName,
     Leaf,
-    QueryRecord,
 )
-from .ingest import IngestStats
+from .ingest import Block, IngestStats
 from .names import NameParseError, label_has_bad_encoding, parse_presentation
 from .tlds import TldRegistry
 
@@ -84,25 +84,34 @@ def classify(
     return Classification(Leaf.INVALID_OTHER, folded.decode("ascii"))
 
 
-def classify_stream(
-    records: Iterable[QueryRecord],
+def classify_block(
+    block: Block,
     registry: TldRegistry,
     appletalk_tlds: frozenset[str] = DEFAULT_APPLETALK_TLDS,
     stats: Optional[IngestStats] = None,
-) -> Iterator[tuple[QueryRecord, Classification]]:
-    """Parse and classify a record stream, skipping unparseable names.
+) -> tuple[Sequence[str], Sequence[int], Sequence[Classification]]:
+    """The (sources, qtypes, classifications) columns of a block's records
+    whose names classify, in order: what report.fold_blocks counts.
 
-    Name parse failures never abort the stream; they bump
-    stats.names_unparseable and the record is dropped from classification.
+    Decoded names (a pcap block's DomainNames) are all valid and are
+    classified one by one. Presentation names (a TSV block's bytes) are
+    parsed and classified once per distinct text; a record whose name
+    fails to parse is left out and bumps stats.names_unparseable.
     """
-    if stats is None:
-        stats = IngestStats()
-    parse = parse_presentation
-    decide = classify
-    for record in records:
+    names = block.names
+    if not names or isinstance(names[0], DomainName):
+        return block.sources, block.qtypes, [classify(name, registry, appletalk_tlds) for name in names]
+    memo = dict.fromkeys(names)
+    failed = False
+    for raw in memo:
         try:
-            name = parse(record.qname_raw)
+            memo[raw] = classify(parse_presentation(raw), registry, appletalk_tlds)
         except NameParseError:
-            stats.names_unparseable += 1
-            continue
-        yield record, decide(name, registry, appletalk_tlds)
+            failed = True
+    classes = list(map(memo.__getitem__, names))
+    if not failed:
+        return block.sources, block.qtypes, classes
+    keep = [cls is not None for cls in classes]
+    if stats is not None:
+        stats.names_unparseable += keep.count(False)
+    return list(compress(block.sources, keep)), list(compress(block.qtypes, keep)), list(compress(classes, keep))

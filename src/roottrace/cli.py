@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .classify import DEFAULT_APPLETALK_TLDS, classify, classify_stream
-from .ingest import IngestError, IngestStats, decode_pcap, read_tsv, sample, window
+from .classify import DEFAULT_APPLETALK_TLDS, classify_block
+from .ingest import IngestError, IngestStats, decode_pcap, decode_tsv, sample, window
 from .names import NameParseError
 from .report import (
     POLICIES,
@@ -23,7 +22,7 @@ from .report import (
     build_report_doc,
     doc_to_empty_senders_csv,
     doc_to_top_senders_csv,
-    fold,
+    fold_blocks,
     read_report_doc,
     render_doc,
     trend_csv_from_docs,
@@ -159,28 +158,22 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
     appletalk = _appletalk_set(args)
 
     stats = IngestStats()
-    read = decode_pcap if args.format == "pcap" else read_tsv
+    read = decode_pcap if args.format == "pcap" else decode_tsv
 
-    def streams():
-        # each file stays open while chain drains its stream, and closes
-        # when chain asks for the next one
+    def classified():
+        # each file stays open while its blocks are folded
         for path in args.inputs:
             with open(path, "rb") as fh:
-                stream = read(fh, stats)
+                blocks = read(fh, stats)
                 if args.sample_rate < 1:
                     # reseeded per file: what a file keeps does not depend on the files before it
-                    stream = sample(stream, args.sample_rate, args.seed)
+                    blocks = sample(blocks, args.sample_rate, args.seed)
                 if win:
-                    stream = window(stream, win[0], win[1], origin)
-                yield stream
+                    blocks = window(blocks, win[0], win[1], origin)
+                for block in blocks:
+                    yield classify_block(block, registry, appletalk, stats)
 
-    records = chain.from_iterable(streams())
-    if args.format == "pcap":
-        # decoded names are already valid, so none can fail to parse
-        pairs = ((q, classify(q.name, registry, appletalk)) for q in records)
-    else:
-        pairs = classify_stream(records, registry, appletalk, stats)
-    report = fold(pairs, label=args.label, track_senders=track_senders)
+    report = fold_blocks(classified(), label=args.label, track_senders=track_senders)
     report.dropped = stats.records_dropped_unparseable + stats.names_unparseable
     meta = {
         "tool": f"roottrace {__version__}",

@@ -1,10 +1,13 @@
-"""Trace ingestion: TSV logs and classic pcap captures.
+"""Trace ingestion: TSV logs and classic pcap captures, read in blocks.
 
-Both readers stream QueryRecords and keep running counters; for pcap,
-decode_pcap also streams each query with its name still decoded. Malformed
-records never abort a stream; only a corrupt container (unreadable file,
-bad pcap global header, a pcap record header claiming an impossible
-length) does.
+decode_tsv and decode_pcap read a trace into Blocks of up to BLOCK records
+held as parallel columns, and keep running counters. A TSV block holds each
+query name as the bytes of its line; a pcap block holds the DomainName
+decoded off the wire. read_tsv and read_pcap are QueryRecord views of the
+same blocks, with the same counters. sample and window filter blocks.
+Malformed records never abort a stream; only a corrupt container
+(unreadable file, bad pcap global header, a pcap record header claiming an
+impossible length) does, before the block that holds it is yielded.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import random
 import re
 import struct
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, NamedTuple, Optional
+from itertools import compress, islice, repeat
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .model import (
     QCLASS_MNEMONICS,
@@ -28,6 +32,8 @@ from .model import (
 from .names import MAX_LABEL, MAX_NAME, to_presentation
 
 TSV_FIELDS = 5  # epoch_micros, source_ip, qclass, qtype, qname
+
+BLOCK = 512  # records per block
 
 _QTYPE_FROM_BYTES = {m.encode(): c for c, m in QTYPE_MNEMONICS.items()}
 _QCLASS_FROM_BYTES = {m.encode(): c for c, m in QCLASS_MNEMONICS.items()}
@@ -47,14 +53,32 @@ class PcapError(IngestError):
 @dataclass
 class IngestStats:
     """Ingest counters, monotonically non-decreasing; one instance may be
-    shared by the readers of several files and by classify_stream to count
-    them together."""
+    shared by the readers of several files and by classify.classify_block
+    to count them together. Each reader adds a block's counts before it
+    yields the block."""
 
     records_emitted: int = 0
     records_dropped_unparseable: int = 0
     packets_skipped: int = 0
     bytes_read: int = 0
     names_unparseable: int = 0  # emitted records whose name failed to parse
+
+
+class Block(NamedTuple):
+    """A run of records as parallel columns, in input order: entry i of
+    each column belongs to record i. names holds each query name as its
+    reader has it: the presentation bytes of a TSV line, or the DomainName
+    decoded from a pcap packet."""
+
+    timestamps: Sequence[int]
+    sources: Sequence[str]
+    qclasses: Sequence[int]
+    qtypes: Sequence[int]
+    names: Sequence
+
+    def select(self, mask: list) -> "Block":
+        """The records whose mask entry is true, in order."""
+        return Block._make([tuple(compress(column, mask)) for column in self])
 
 
 def _valid_v6(text: str) -> bool:
@@ -65,54 +89,79 @@ def _valid_v6(text: str) -> bool:
     return True
 
 
-def read_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[QueryRecord]:
-    """Read tab-separated query records: one per line, five fields.
+def decode_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[Block]:
+    """Read tab-separated query records, one per line and five fields, as
+    Blocks of the lines' records.
 
-    Malformed lines bump records_dropped_unparseable and are skipped; I/O
-    failures abort with the line position.
+    Malformed lines bump records_dropped_unparseable and are left out. The
+    lines of a block are read at once, so an I/O failure aborts with an
+    IngestError that names the first line of the block whose read failed.
     """
     if stats is None:
         stats = IngestStats()
     qtype_table = _QTYPE_FROM_BYTES
     qclass_table = _QCLASS_FROM_BYTES
     v4_match = _V4_RE.match
+    size = BLOCK
     lineno = 0
     lines = iter(stream)
     while True:
         try:
-            line = next(lines, None)
+            chunk = list(islice(lines, size))
         except OSError as exc:
             raise IngestError(f"I/O error at line {lineno + 1}: {exc}") from exc
-        if line is None:
+        if not chunk:
             return
-        lineno += 1
-        stats.bytes_read += len(line)
-        fields = line.rstrip(b"\r\n").split(b"\t")
-        if len(fields) != TSV_FIELDS:
-            if fields != [b""]:
-                stats.records_dropped_unparseable += 1
-            continue
-        ts_b, source_b, qclass_b, qtype_b, qname_b = fields
-        qclass = qclass_table.get(qclass_b)
-        qtype = qtype_table.get(qtype_b)
-        try:
-            timestamp = int(ts_b)
-            if qclass is None:
-                qclass = qclass_code(qclass_b.decode("ascii"))
-            if qtype is None:
-                qtype = qtype_code(qtype_b.decode("ascii"))
-            source = source_b.decode("ascii")
-        except (ValueError, UnicodeDecodeError):
-            stats.records_dropped_unparseable += 1
-            continue
-        if timestamp <= 0 or not qname_b:
-            stats.records_dropped_unparseable += 1
-            continue
-        if v4_match(source_b) is None and not (b":" in source_b and _valid_v6(source)):
-            stats.records_dropped_unparseable += 1
-            continue
-        stats.records_emitted += 1
-        yield QueryRecord(timestamp, source, qclass, qtype, qname_b.decode("latin-1"))
+        lineno += len(chunk)
+        block = Block([], [], [], [], [])
+        add_ts, add_source, add_qclass, add_qtype, add_name = (column.append for column in block)
+        dropped = 0
+        for line in chunk:
+            fields = line.rstrip(b"\r\n").split(b"\t")
+            if len(fields) != TSV_FIELDS:
+                if fields != [b""]:
+                    dropped += 1
+                continue
+            ts_b, source_b, qclass_b, qtype_b, qname_b = fields
+            qclass = qclass_table.get(qclass_b)
+            qtype = qtype_table.get(qtype_b)
+            try:
+                timestamp = int(ts_b)
+                if qclass is None:
+                    qclass = qclass_code(qclass_b.decode("ascii"))
+                if qtype is None:
+                    qtype = qtype_code(qtype_b.decode("ascii"))
+                source = source_b.decode("ascii")
+            except (ValueError, UnicodeDecodeError):
+                dropped += 1
+                continue
+            if timestamp <= 0 or not qname_b:
+                dropped += 1
+                continue
+            if v4_match(source_b) is None and not (b":" in source_b and _valid_v6(source)):
+                dropped += 1
+                continue
+            add_ts(timestamp)
+            add_source(source)
+            add_qclass(qclass)
+            add_qtype(qtype)
+            add_name(qname_b)
+        stats.bytes_read += sum(map(len, chunk))
+        stats.records_dropped_unparseable += dropped
+        if block.names:
+            stats.records_emitted += len(block.names)
+            yield block
+
+
+def read_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[QueryRecord]:
+    """decode_tsv's records as QueryRecords, names as latin-1 text.
+
+    Malformed lines bump records_dropped_unparseable and are skipped. An
+    I/O failure aborts with an IngestError naming the first line of the
+    block whose read failed; the records of that block are not yielded.
+    """
+    for block in decode_tsv(stream, stats):
+        yield from map(QueryRecord, *block[:4], map(bytes.decode, block.names, repeat("latin-1")))
 
 
 _PCAP_MAGICS = {
@@ -174,19 +223,9 @@ def _decode_question(payload: bytes) -> "tuple[int, object]":
     return 2, (DomainName(tuple(labels)), qtype, qclass)
 
 
-class PcapQuery(NamedTuple):
-    """One decoded pcap query: the QueryRecord fields, with the query name
-    as the DomainName decoded from the wire instead of presentation text."""
-
-    timestamp: int
-    source: str
-    qclass: int
-    qtype: int
-    name: DomainName
-
-
-def decode_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[PcapQuery]:
-    """Stream the queries out of a classic pcap capture, names as decoded.
+def decode_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[Block]:
+    """Read the queries of a classic pcap capture as Blocks, names as the
+    DomainNames decoded off the wire.
 
     Handles Ethernet and raw-IP link types, IPv4/IPv6, UDP to port 53.
     Queries (QR=0) that fail to decode count as unparseable; everything
@@ -212,6 +251,8 @@ def decode_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Itera
     unpack_rec = struct.Struct(endian + "IIII").unpack
     v6_cache: dict[bytes, str] = {}
     offset = 24  # of the next record header in the file
+    size = BLOCK
+    block = Block([], [], [], [], [])
 
     while True:
         rec_header = stream.read(16)
@@ -219,7 +260,7 @@ def decode_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Itera
             if rec_header:
                 stats.bytes_read += len(rec_header)
                 stats.packets_skipped += 1
-            return
+            break
         ts_sec, ts_sub, caplen, _ = unpack_rec(rec_header)
         if caplen > MAX_CAPLEN:
             raise PcapError(f"corrupt pcap record at byte {offset}: caplen {caplen} over {MAX_CAPLEN}")
@@ -228,7 +269,7 @@ def decode_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Itera
         offset += 16 + len(data)
         if len(data) < caplen:
             stats.packets_skipped += 1
-            return
+            break
 
         if linktype == LINKTYPE_ETHERNET:
             if len(data) < 15:
@@ -293,8 +334,19 @@ def decode_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Itera
         if timestamp <= 0:
             stats.records_dropped_unparseable += 1
             continue
-        stats.records_emitted += 1
-        yield PcapQuery(timestamp, source, qclass, qtype, name)
+        block.timestamps.append(timestamp)
+        block.sources.append(source)
+        block.qclasses.append(qclass)
+        block.qtypes.append(qtype)
+        block.names.append(name)
+        if len(block.names) == size:
+            stats.records_emitted += size
+            yield block
+            block = Block([], [], [], [], [])
+
+    if block.names:
+        stats.records_emitted += len(block.names)
+        yield block
 
 
 def read_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[QueryRecord]:
@@ -303,35 +355,32 @@ def read_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterato
     The view for library callers that want records like read_tsv's; the
     CLI classifies decode_pcap's names without rendering them.
     """
-    for q in decode_pcap(stream, stats):
-        yield QueryRecord(q.timestamp, q.source, q.qclass, q.qtype, to_presentation(q.name))
+    for block in decode_pcap(stream, stats):
+        yield from map(QueryRecord, *block[:4], map(to_presentation, block.names))
 
 
-def sample(
-    records: Iterable[QueryRecord],
-    rate: float,
-    seed: int,
-) -> Iterator[QueryRecord]:
+def sample(blocks: Iterable[Block], rate: float, seed: int) -> Iterator[Block]:
     """Keep each record independently with probability rate, seeded.
 
-    Identical (input, rate, seed) keeps an identical subset; relative
-    order is preserved. Rejects the rate eagerly, not on first iteration.
+    One draw per record, in order, so identical (input, rate, seed) keeps
+    an identical subset whatever the block size; relative order is
+    preserved. Rejects the rate eagerly, not on first iteration.
     """
     if not 0 < rate <= 1:
         raise ValueError(f"sample rate must be in (0, 1], got {rate}")
     rnd = random.Random(seed).random
-    return (record for record in records if rnd() < rate)
+    return (block.select([rnd() < rate for _ in block.timestamps]) for block in blocks)
 
 
 def window(
-    records: Iterable[QueryRecord],
+    blocks: Iterable[Block],
     start_seconds: int,
     end_seconds: int,
     day_origin_micros: int,
-) -> Iterator[QueryRecord]:
+) -> Iterator[Block]:
     """Keep records whose timestamp falls in the half-open time-of-day window."""
     if not 0 <= start_seconds < end_seconds <= 86_400:
         raise ValueError(f"inverted or out-of-day window {start_seconds}..{end_seconds}")
     lo = day_origin_micros + start_seconds * 1_000_000
     hi = day_origin_micros + end_seconds * 1_000_000
-    return (record for record in records if lo <= record.timestamp < hi)
+    return (block.select([lo <= t < hi for t in block.timestamps]) for block in blocks)

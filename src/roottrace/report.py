@@ -12,8 +12,11 @@ import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from itertools import compress, islice, repeat
+from operator import attrgetter, is_
+from typing import Iterable, Optional, Sequence
 
+from . import ingest
 from .model import (
     CLS_EMPTY,
     LEAF_TOP,
@@ -29,6 +32,7 @@ from .model import (
 LEAVES = tuple(Leaf)
 LEAF_INDEX = {leaf: i for i, leaf in enumerate(LEAVES)}
 _ROW_TOPS = tuple(LEAF_TOP[leaf].value for leaf in LEAVES)
+_leaf_of = attrgetter("leaf")
 
 # every category table has one column per category, in declaration order
 _CATEGORIES = tuple(cat.value for cat in TopCategory)
@@ -48,23 +52,22 @@ class Report:
     senders_tracked: bool = True
 
 
-def fold(
-    classified: Iterable[tuple[QueryRecord, Classification]],
+def fold_blocks(
+    blocks: Iterable[tuple[Sequence[str], Sequence[int], Sequence[Classification]]],
     label: str = "",
     dropped: int = 0,
     track_senders: bool = True,
 ) -> Report:
-    """Count every classified record exactly once into a fresh Report.
-
-    Of each record fold reads only .source and .qtype, so an
-    ingest.PcapQuery folds the same as a QueryRecord.
+    """Count blocks of classified records into a fresh Report, each record
+    exactly once. A block is three parallel columns: the records' sources,
+    qtypes and classifications (classify.classify_block gives them).
 
     The sender tables are returned as counted: a LEAVES-ordered row of
     counts per sender prefix, and the root-name queries per prefix by
     qtype code.
     """
-    leaf_counts: dict = {}
-    qtype_ints: dict = {}
+    leaf_counts: Counter = Counter()
+    qtype_counts: Counter = Counter()
     senders: dict = {}
     empties: dict = {}
     total = 0
@@ -72,44 +75,55 @@ def fold(
     leaf_index = LEAF_INDEX
     blank_row = [0] * len(LEAVES)
 
-    for record, cls in classified:
-        total += 1
-        try:
-            leaf_counts[cls] += 1
-        except KeyError:
-            leaf_counts[cls] = 1
-        qtype = record.qtype
-        try:
-            qtype_ints[qtype] += 1
-        except KeyError:
-            qtype_ints[qtype] = 1
-        if track_senders:
-            prefix = sender_prefix(record.source)
-            leaf = cls.leaf
+    for sources, qtypes, classes in blocks:
+        total += len(classes)
+        leaf_counts.update(classes)
+        qtype_counts.update(qtypes)
+        if not track_senders:
+            continue
+        prefixes = list(map(sender_prefix, sources))
+        leaves = list(map(_leaf_of, classes))
+        for (prefix, leaf), n in Counter(zip(prefixes, leaves)).items():
             row = senders.get(prefix)
             if row is None:
                 row = senders[prefix] = blank_row.copy()
-            row[leaf_index[leaf]] += 1
-            if leaf is empty_leaf:
-                by_qtype = empties.get(prefix)
-                if by_qtype is None:
-                    empties[prefix] = {qtype: 1}
-                else:
-                    try:
-                        by_qtype[qtype] += 1
-                    except KeyError:
-                        by_qtype[qtype] = 1
+            row[leaf_index[leaf]] += n
+        root_queries = compress(zip(prefixes, qtypes), map(is_, leaves, repeat(empty_leaf)))
+        for (prefix, qtype), n in Counter(root_queries).items():
+            by_qtype = empties.get(prefix)
+            if by_qtype is None:
+                empties[prefix] = {qtype: n}
+            else:
+                by_qtype[qtype] = by_qtype.get(qtype, 0) + n
 
     return Report(
         label=label,
         total=total,
-        leaf_counts=Counter(leaf_counts),
-        qtype_counts=Counter(qtype_ints),
+        leaf_counts=leaf_counts,
+        qtype_counts=qtype_counts,
         sender_counts=senders,
         empty_by_sender=empties,
         dropped=dropped,
         senders_tracked=track_senders,
     )
+
+
+def fold(
+    classified: Iterable[tuple[QueryRecord, Classification]],
+    label: str = "",
+    dropped: int = 0,
+    track_senders: bool = True,
+) -> Report:
+    """fold_blocks over (record, classification) pairs, taken ingest.BLOCK
+    at a time. Of each record fold reads only .source and .qtype."""
+    pairs = iter(classified)
+
+    def blocks():
+        while chunk := list(islice(pairs, ingest.BLOCK)):
+            records, classes = zip(*chunk)
+            yield [r.source for r in records], [r.qtype for r in records], classes
+
+    return fold_blocks(blocks(), label, dropped, track_senders)
 
 
 def _merge_labels(a: str, b: str) -> str:

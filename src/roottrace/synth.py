@@ -11,6 +11,7 @@ valid/invalid share of probe-with-TLD traffic) use documented defaults.
 from __future__ import annotations
 
 import io
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -106,8 +107,12 @@ class MixSpec:
             raise MixSpecError(f"stratum weights sum to {total!r}, not 1")
         if not 1 <= self.prefixes <= MAX_PREFIXES:
             raise MixSpecError(f"prefixes must be in [1, {MAX_PREFIXES}]")
-        if self.skew < 0:
-            raise MixSpecError("skew must be non-negative")
+        if not (math.isfinite(self.skew) and self.skew >= 0):
+            raise MixSpecError(f"skew must be finite and non-negative, got {self.skew!r}")
+        try:
+            MAX_PREFIXES**self.skew  # the largest denominator of a sender weight
+        except OverflowError:
+            raise MixSpecError(f"skew {self.skew!r} is too large: sender weights overflow") from None
         if self.empty_per_sender is not None and self.empty_per_sender <= 0:
             raise MixSpecError("empty_per_sender must be positive")
         for group, table in list(self.tld_weights.items()) + list(self.qtype_weights.items()):

@@ -9,12 +9,12 @@ import random
 import time
 
 from fuzznames import random_name
-from roottrace.classify import classify, classify_stream
+from roottrace.classify import classify, classify_block
 from roottrace.cli import main
-from roottrace.ingest import IngestStats, read_pcap, read_tsv
+from roottrace.ingest import IngestStats, decode_tsv, read_pcap
 from roottrace.model import Leaf, QueryRecord, TopCategory
 from roottrace.names import parse_presentation
-from roottrace.report import Report, empty_query_stats, fold, merge, top_level_fractions
+from roottrace.report import Report, empty_query_stats, fold, fold_blocks, merge, top_level_fractions
 from roottrace.synth import generate, tsv_bytes, year_mix
 from roottrace.tlds import default_registry
 
@@ -254,7 +254,9 @@ def test_throughput_ten_million_soft_gate():
     start = time.perf_counter()
     shards = []
     for _ in range(replays):
-        shard = fold(classify_stream(read_tsv(io.BytesIO(block)), REGISTRY))
+        stats = IngestStats()
+        blocks = decode_tsv(io.BytesIO(block), stats)
+        shard = fold_blocks(classify_block(b, REGISTRY, stats=stats) for b in blocks)
         shards.append(shard)
     report = functools.reduce(merge, shards)
     elapsed = time.perf_counter() - start

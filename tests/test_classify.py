@@ -6,10 +6,10 @@ import pytest
 from fuzznames import random_name
 from roottrace.classify import (
     classify,
-    classify_stream,
+    classify_block,
     is_chromium_label,
 )
-from roottrace.ingest import IngestStats
+from roottrace.ingest import Block, IngestStats
 from roottrace.model import Classification, DomainName, Leaf, QueryRecord
 from roottrace.names import parse_presentation
 
@@ -172,14 +172,26 @@ def test_determinism_across_threads(registry):
             assert result == expected
 
 
-def test_classify_stream_counts_unparseable(registry):
+def test_classify_block_counts_unparseable(registry):
     records = [
         QueryRecord(1, "1.2.3.4", 1, 1, "good.com."),
-        QueryRecord(2, "1.2.3.4", 1, 1, "bad..name."),
-        QueryRecord(3, "1.2.3.4", 1, 2, "."),
+        QueryRecord(2, "1.2.3.5", 1, 1, "bad..name."),
+        QueryRecord(3, "1.2.3.6", 1, 2, "."),
+        QueryRecord(4, "1.2.3.7", 1, 28, "bad..name."),
     ]
+    block = Block(*zip(*(rec._replace(qname_raw=rec.qname_raw.encode()) for rec in records)))
     stats = IngestStats()
-    out = list(classify_stream(records, registry, stats=stats))
-    assert len(out) == 2
-    assert stats.names_unparseable == 1
-    assert [cls.leaf for _, cls in out] == [Leaf.VALID_TLD, Leaf.EMPTY]
+    sources, qtypes, classes = classify_block(block, registry, stats=stats)
+    assert stats.names_unparseable == 2  # once per record, not per distinct name
+    assert [cls.leaf for cls in classes] == [Leaf.VALID_TLD, Leaf.EMPTY]
+    assert (list(sources), list(qtypes)) == (["1.2.3.4", "1.2.3.6"], [1, 2])
+
+
+def test_classify_block_classifies_decoded_names(registry):
+    names = [parse_presentation(raw) for raw in ("good.com.", ".", "daozjwend.")]
+    block = Block((1, 2, 3), ("1.2.3.4",) * 3, (1, 1, 1), (1, 2, 1), tuple(names))
+    stats = IngestStats()
+    sources, qtypes, classes = classify_block(block, registry, stats=stats)
+    assert list(classes) == [classify(name, registry) for name in names]
+    assert (sources, qtypes) == (block.sources, block.qtypes)
+    assert stats == IngestStats()

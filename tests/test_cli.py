@@ -312,6 +312,16 @@ def test_gen_rejects_mixed_case_tld_keys(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("skew", ["2000", "nan"])
+def test_gen_rejects_unusable_skew(tmp_path, capsys, skew):
+    spec = tmp_path / "skew.cfg"
+    spec.write_text(f"weight.empty = 1.0\nskew = {skew}\n")
+    out = tmp_path / "t.tsv"
+    assert run("gen", "--spec", str(spec), "--count", "10", "--out", str(out)) == 2
+    assert "skew" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_custom_tld_list(tmp_path):
     tlds = tmp_path / "tlds.txt"
     tlds.write_text("ZZ\n")

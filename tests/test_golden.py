@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from roottrace import ingest
 from roottrace.cli import main
 from roottrace.model import QueryRecord
 from roottrace.names import parse_presentation
@@ -119,6 +120,15 @@ def test_report_bytes_match_golden(fmt, tmp_path, monkeypatch):
     monkeypatch.delenv("ROOTTRACE_TLDS", raising=False)
     digests = {f"{fmt}/{name}": hashlib.sha256(data).hexdigest() for name, data in outputs(fmt).items()}
     assert digests == {k: v for k, v in GOLDEN.items() if k.startswith(f"{fmt}/")}
+
+
+# the golden trace fits in one default block; smaller blocks put block
+# boundaries between sampled, windowed and unparseable records
+@pytest.mark.parametrize("block", [1, 7, ingest.BLOCK])
+@pytest.mark.parametrize("fmt", ["tsv", "pcap"])
+def test_report_bytes_match_golden_in_any_block_size(fmt, block, tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "BLOCK", block)
+    test_report_bytes_match_golden(fmt, tmp_path, monkeypatch)
 
 
 def ditl_pool_2022():

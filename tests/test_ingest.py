@@ -8,10 +8,11 @@ import struct
 import pytest
 
 from fuzznames import random_name
-from roottrace import cli
-from roottrace.classify import classify_stream
+from roottrace import cli, ingest
+from roottrace.classify import classify
 from roottrace.ingest import (
     MAX_CAPLEN,
+    Block,
     IngestError,
     IngestStats,
     PcapError,
@@ -24,7 +25,7 @@ from roottrace.ingest import (
 from roottrace.model import DomainName, QueryRecord
 from roottrace.names import parse_presentation, to_presentation
 from roottrace.report import fold, write_report
-from roottrace.synth import tsv_bytes
+from roottrace.synth import generate, tsv_bytes, year_mix
 from roottrace.tlds import default_registry
 
 # --- TSV ---------------------------------------------------------------------
@@ -113,6 +114,23 @@ def test_tsv_io_error_aborts_with_position():
     assert "line 1" in str(err.value)
 
 
+def test_tsv_io_error_names_the_first_line_of_its_block(monkeypatch):
+    monkeypatch.setattr(ingest, "BLOCK", 3)
+    line = b"1\t1.2.3.4\tIN\tA\tfoo.\n"
+
+    def lines():
+        yield from [line] * 4
+        raise OSError("disk gone")
+
+    stats = IngestStats()
+    got = []
+    with pytest.raises(IngestError, match="I/O error at line 4: disk gone"):
+        for record in read_tsv(lines(), stats):
+            got.append(record)
+    # the first block was read whole; the block the failure cut short was not
+    assert len(got) == stats.records_emitted == 3
+
+
 # --- sampling and windows ----------------------------------------------------
 
 
@@ -120,29 +138,50 @@ def make_records(n):
     return [QueryRecord(i + 1, "1.2.3.4", 1, 1, "a.com.") for i in range(n)]
 
 
+def in_blocks(records, size=1000):
+    """records as Blocks of up to size records each."""
+    return [Block._make(zip(*records[i : i + size])) for i in range(0, len(records), size)]
+
+
+def flatten(blocks):
+    return [QueryRecord(*row) for block in blocks for row in zip(*block)]
+
+
+def count(blocks):
+    return sum(len(block.timestamps) for block in blocks)
+
+
 def test_sample_rate_one_is_identity():
     records = make_records(1000)
-    assert list(sample(records, 1.0, seed=7)) == records
+    assert flatten(sample(in_blocks(records), 1.0, seed=7)) == records
 
 
 def test_sample_determinism():
     records = make_records(10_000)
-    first = list(sample(records, 0.25, seed=42))
-    second = list(sample(records, 0.25, seed=42))
+    first = flatten(sample(in_blocks(records), 0.25, seed=42))
+    second = flatten(sample(in_blocks(records), 0.25, seed=42))
     assert first == second
-    assert first != list(sample(records, 0.25, seed=43))
+    assert first != flatten(sample(in_blocks(records), 0.25, seed=43))
+
+
+@pytest.mark.parametrize("size", [1, 7, 4096])
+def test_sample_keeps_the_same_records_in_any_block_size(size):
+    records = make_records(10_000)
+    assert flatten(sample(in_blocks(records, size), 0.25, seed=42)) == flatten(
+        sample(in_blocks(records, 10_000), 0.25, seed=42)
+    )
 
 
 def test_sample_binomial_bound():
     records = make_records(1_000_000)
-    kept = sum(1 for _ in sample(records, 0.1, seed=42))
+    kept = count(sample(in_blocks(records), 0.1, seed=42))
     assert 99_000 <= kept <= 101_000  # 3-sigma is ~900; spec bound is wider
 
 
 def test_sample_composition():
     n = 1_000_000
     records = make_records(n)
-    kept = sum(1 for _ in sample(sample(records, 0.5, seed=1), 0.4, seed=2))
+    kept = count(sample(sample(in_blocks(records), 0.5, seed=1), 0.4, seed=2))
     expected = n * 0.2
     bound = 3 * math.sqrt(n * 0.2 * 0.8)
     assert abs(kept - expected) <= bound
@@ -150,7 +189,7 @@ def test_sample_composition():
 
 def test_sample_preserves_order():
     records = make_records(10_000)
-    out = list(sample(records, 0.5, seed=3))
+    out = flatten(sample(in_blocks(records), 0.5, seed=3))
     assert out == sorted(out, key=lambda r: r.timestamp)
 
 
@@ -174,7 +213,7 @@ def test_window_keeps_half_open():
         QueryRecord(ts(6, 0), "1.2.3.4", 1, 1, "c."),  # start boundary: included
         QueryRecord(ts(5, 59, 59), "1.2.3.4", 1, 1, "d."),
     ]
-    kept = list(window(records, 6 * 3600, 7 * 3600, DAY))
+    kept = flatten(window(in_blocks(records, 3), 6 * 3600, 7 * 3600, DAY))
     assert [r.qname_raw for r in kept] == ["a.", "c."]
 
 
@@ -451,13 +490,13 @@ def differential_pcap() -> bytes:
 def test_decode_pcap_is_read_pcap_before_rendering():
     data = differential_pcap()
     decoded_stats, read_stats = IngestStats(), IngestStats()
-    queries = list(decode_pcap(io.BytesIO(data), decoded_stats))
-    rendered = [QueryRecord(*q[:4], to_presentation(q.name)) for q in queries]
+    queries = [row for block in decode_pcap(io.BytesIO(data), decoded_stats) for row in zip(*block)]
+    rendered = [QueryRecord(*q[:4], to_presentation(q[4])) for q in queries]
     assert rendered == list(read_pcap(io.BytesIO(data), read_stats))
     assert decoded_stats == read_stats
     assert len(queries) == 605
     for q in queries:
-        assert parse_presentation(to_presentation(q.name)) == q.name
+        assert parse_presentation(to_presentation(q[4])) == q[4]
 
 
 @pytest.mark.parametrize("no_senders", [False, True])
@@ -470,9 +509,42 @@ def test_cli_pcap_report_matches_the_presentation_path(tmp_path, no_senders):
     got = out.read_bytes()
 
     stats = IngestStats()
+    registry = default_registry()
     with open(path, "rb") as fh:
-        pairs = classify_stream(read_pcap(fh, stats), default_registry(), stats=stats)
-        report = fold(pairs, label="diff", track_senders=not no_senders)
-    report.dropped = stats.records_dropped_unparseable + stats.names_unparseable
+        pairs = [(rec, classify(parse_presentation(rec.qname_raw), registry)) for rec in read_pcap(fh, stats)]
+    report = fold(pairs, label="diff", track_senders=not no_senders)
+    report.dropped = stats.records_dropped_unparseable
     assert report.dropped == 1
     assert got == write_report(report, "json", meta=json.loads(got)["meta"])
+
+
+# --- TSV against pcap ----------------------------------------------------------
+
+
+def synth_trace_pair(count: int = 20_000) -> tuple[bytes, bytes]:
+    """One synthetic trace of count records, as TSV and as pcap."""
+    records = [record for record, _ in generate(year_mix(2013, seed=2013), count)]
+    frames = []
+    for record in records:
+        payload = dns_payload(parse_presentation(record.qname_raw).labels, record.qtype, record.qclass)
+        frames.append((udp6 if ":" in record.source else udp4)(record.source, payload))
+    times = [divmod(record.timestamp, 1_000_000) for record in records]
+    return tsv_bytes(records), pcap_file(frames, times=times)
+
+
+@pytest.mark.parametrize("no_senders", [False, True])
+def test_tsv_and_pcap_of_one_trace_give_one_report(tmp_path, monkeypatch, no_senders):
+    tsv_data, pcap_data = synth_trace_pair()
+    reports = {}
+    for fmt, data in (("tsv", tsv_data), ("pcap", pcap_data)):
+        # the same relative input path in both runs, so meta differs only in format
+        (tmp_path / fmt).mkdir()
+        (tmp_path / fmt / "trace").write_bytes(data)
+        monkeypatch.chdir(tmp_path / fmt)
+        argv = ["classify", "--format", fmt, "--in", "trace", "--label", "oracle", "--out", "report.json"]
+        assert cli.main(argv + ["--no-senders"] * no_senders) == 0
+        reports[fmt] = (tmp_path / fmt / "report.json").read_bytes()
+    doc = json.loads(reports["tsv"])
+    assert doc["totals"]["records"] == 20_000 > 8 * ingest.BLOCK
+    assert doc["meta"]["inputs"] == ["trace"]
+    assert reports["tsv"].replace(b'"format": "tsv"', b'"format": "pcap"') == reports["pcap"]

@@ -6,7 +6,8 @@ import re
 
 import pytest
 
-from roottrace.classify import classify_stream
+from roottrace.classify import classify_block
+from roottrace.ingest import IngestStats, decode_tsv
 from roottrace.model import (
     LEAF_TOP,
     Classification,
@@ -27,6 +28,7 @@ from roottrace.report import (
     doc_to_plotdata,
     empty_query_stats,
     fold,
+    fold_blocks,
     merge,
     read_report_doc,
     render_doc,
@@ -36,6 +38,7 @@ from roottrace.report import (
     unexpected_fraction,
     write_report,
 )
+from roottrace.synth import tsv_bytes
 
 LEAF_POOL = [
     Classification(Leaf.EMPTY),
@@ -74,8 +77,11 @@ def random_report(rng, label=""):
 
 
 def fold_tsv_like(raw_names, registry, source="1.2.3.4"):
+    """The names as the lines of a TSV trace, folded like the CLI folds them."""
     records = [QueryRecord(i + 1, source, 1, 1, name) for i, name in enumerate(raw_names)]
-    return fold(classify_stream(records, registry))
+    stats = IngestStats()
+    blocks = decode_tsv(io.BytesIO(tsv_bytes(records)), stats)
+    return fold_blocks(classify_block(block, registry, stats=stats) for block in blocks)
 
 
 def test_fold_hand_countable(registry):

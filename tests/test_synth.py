@@ -9,6 +9,7 @@ from roottrace.model import Leaf, TopCategory, qtype_mnemonic
 from roottrace.names import parse_presentation
 from roottrace.report import fold, top_level_fractions
 from roottrace.synth import (
+    MAX_PREFIXES,
     STRATA,
     MixSpec,
     MixSpecError,
@@ -193,6 +194,21 @@ def test_generate_rejects_bad_specs(registry):
         spec = MixSpec(weights={stratum: 1.0}, tld_weights={group: {"Corp": 1.0}})
         with pytest.raises(MixSpecError, match=f"{group} TLD 'Corp' is not lowercase"):
             list(generate(spec, 1, registry))
+
+
+@pytest.mark.parametrize("skew", [math.nan, math.inf, -math.inf, 66.0, 2000.0])
+def test_generate_rejects_unusable_skew(skew, registry):
+    # a NaN skew drew every sender from one prefix; 66 and more overflowed
+    # a sender weight at MAX_PREFIXES
+    spec = MixSpec(weights={"empty": 1.0}, skew=skew)
+    with pytest.raises(MixSpecError, match="skew"):
+        list(generate(spec, 1, registry))
+
+
+def test_largest_usable_skew_generates(registry):
+    spec = MixSpec(weights={"empty": 1.0}, prefixes=MAX_PREFIXES, skew=65.0)
+    records = [rec for rec, _ in generate(spec, 50, registry)]
+    assert len(records) == 50
 
 
 def test_parse_mixspec_round_trip(registry):
