@@ -33,7 +33,12 @@ from .names import MAX_LABEL, MAX_NAME, to_presentation
 
 TSV_FIELDS = 5  # epoch_micros, source_ip, qclass, qtype, qname
 
-BLOCK = 512  # records per block
+# Records per block. At 512, what a block keeps alive (a pcap block's
+# DomainNames, a TSV block's classifications) stays under the collector's
+# 700-allocation young-generation threshold, so a block is usually freed
+# before a collection scans it; blocks of 4,096 spent ~7% of a pcap run in
+# the collector.
+BLOCK = 512
 
 _QTYPE_FROM_BYTES = {m.encode(): c for c, m in QTYPE_MNEMONICS.items()}
 _QCLASS_FROM_BYTES = {m.encode(): c for c, m in QCLASS_MNEMONICS.items()}
