@@ -122,8 +122,8 @@ def test_report_bytes_match_golden(fmt, tmp_path, monkeypatch):
     assert digests == {k: v for k, v in GOLDEN.items() if k.startswith(f"{fmt}/")}
 
 
-# the golden trace fits in one default block; smaller blocks put block
-# boundaries between sampled, windowed and unparseable records
+# each block size puts block boundaries in other places among the
+# sampled, windowed and unparseable records of the golden trace
 @pytest.mark.parametrize("block", [1, 7, ingest.BLOCK])
 @pytest.mark.parametrize("fmt", ["tsv", "pcap"])
 def test_report_bytes_match_golden_in_any_block_size(fmt, block, tmp_path, monkeypatch):
