@@ -90,7 +90,7 @@ def classify_block(
     appletalk_tlds: frozenset[str] = DEFAULT_APPLETALK_TLDS,
     stats: Optional[IngestStats] = None,
 ) -> tuple[Sequence[str], Sequence[int], Sequence[Classification]]:
-    """The (sources, qtypes, classifications) columns of a block's records
+    """The (prefixes, qtypes, classifications) columns of a block's records
     whose names classify, in order: what report.fold_blocks counts.
 
     Decoded names (a pcap block's DomainNames) are all valid and are
@@ -100,7 +100,7 @@ def classify_block(
     """
     names = block.names
     if not names or isinstance(names[0], DomainName):
-        return block.sources, block.qtypes, [classify(name, registry, appletalk_tlds) for name in names]
+        return block.prefixes, block.qtypes, [classify(name, registry, appletalk_tlds) for name in names]
     memo = dict.fromkeys(names)
     failed = False
     for raw in memo:
@@ -110,8 +110,8 @@ def classify_block(
             failed = True
     classes = list(map(memo.__getitem__, names))
     if not failed:
-        return block.sources, block.qtypes, classes
+        return block.prefixes, block.qtypes, classes
     keep = [cls is not None for cls in classes]
     if stats is not None:
         stats.names_unparseable += keep.count(False)
-    return list(compress(block.sources, keep)), list(compress(block.qtypes, keep)), list(compress(classes, keep))
+    return list(compress(block.prefixes, keep)), list(compress(block.qtypes, keep)), list(compress(classes, keep))

@@ -1,10 +1,9 @@
 """Trace ingestion: TSV logs and classic pcap captures, read in blocks.
 
 decode_tsv and decode_pcap read a trace into Blocks of up to BLOCK records
-held as parallel columns, and keep running counters. A TSV block holds each
-query name as the bytes of its line; a pcap block holds the DomainName
-decoded off the wire. read_tsv and read_pcap are QueryRecord views of the
-same blocks, with the same counters. sample and window filter blocks.
+held as parallel columns, each record's sender prefix among them, and keep
+running counters. read_tsv and read_pcap are QueryRecord views of the same
+blocks, with the same counters. sample and window filter blocks.
 Malformed records never abort a stream; only a corrupt container
 (unreadable file, bad pcap global header, a pcap record header claiming an
 impossible length) does, before the block that holds it is yielded.
@@ -14,7 +13,6 @@ from __future__ import annotations
 
 import ipaddress
 import random
-import re
 import struct
 from dataclasses import dataclass
 from itertools import compress, islice, repeat
@@ -25,9 +23,10 @@ from .model import (
     QTYPE_MNEMONICS,
     DomainName,
     QueryRecord,
-    _v6_prefix48,
+    _prefix48,
     qclass_code,
     qtype_code,
+    sender_prefix,
 )
 from .names import MAX_LABEL, MAX_NAME, to_presentation
 
@@ -42,9 +41,6 @@ BLOCK = 512
 
 _QTYPE_FROM_BYTES = {m.encode(): c for c, m in QTYPE_MNEMONICS.items()}
 _QCLASS_FROM_BYTES = {m.encode(): c for c, m in QCLASS_MNEMONICS.items()}
-
-_OCTET = rb"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
-_V4_RE = re.compile(rb"(?:%s\.){3}%s\Z" % (_OCTET, _OCTET))
 
 
 class IngestError(Exception):
@@ -71,42 +67,36 @@ class IngestStats:
 
 class Block(NamedTuple):
     """A run of records as parallel columns, in input order: entry i of
-    each column belongs to record i. names holds each query name as its
-    reader has it: the presentation bytes of a TSV line, or the DomainName
-    decoded from a pcap packet."""
+    each column belongs to record i. A TSV block holds each source as text
+    and each name as presentation bytes; a pcap block holds the packed 4- or
+    16-byte address and the DomainName decoded off the wire. prefixes holds
+    each source's model.sender_prefix, derived as the record is read."""
 
     timestamps: Sequence[int]
-    sources: Sequence[str]
+    sources: Sequence
     qclasses: Sequence[int]
     qtypes: Sequence[int]
     names: Sequence
+    prefixes: Sequence[str]
 
     def select(self, mask: list) -> "Block":
         """The records whose mask entry is true, in order."""
         return Block._make([tuple(compress(column, mask)) for column in self])
 
 
-def _valid_v6(text: str) -> bool:
-    try:
-        _v6_prefix48(text)
-    except ValueError:
-        return False
-    return True
-
-
 def decode_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[Block]:
     """Read tab-separated query records, one per line and five fields, as
     Blocks of the lines' records.
 
-    Malformed lines bump records_dropped_unparseable and are left out. The
-    lines of a block are read at once, so an I/O failure aborts with an
-    IngestError that names the first line of the block whose read failed.
+    Malformed lines, a source that is not an IP address among them, bump
+    records_dropped_unparseable and are left out. The lines of a block are
+    read at once, so an I/O failure aborts with an IngestError that names
+    the first line of the block whose read failed.
     """
     if stats is None:
         stats = IngestStats()
     qtype_table = _QTYPE_FROM_BYTES
     qclass_table = _QCLASS_FROM_BYTES
-    v4_match = _V4_RE.match
     size = BLOCK
     lineno = 0
     lines = iter(stream)
@@ -118,8 +108,8 @@ def decode_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterat
         if not chunk:
             return
         lineno += len(chunk)
-        block = Block([], [], [], [], [])
-        add_ts, add_source, add_qclass, add_qtype, add_name = (column.append for column in block)
+        block = Block([], [], [], [], [], [])
+        add_ts, add_source, add_qclass, add_qtype, add_name, add_prefix = (column.append for column in block)
         dropped = 0
         for line in chunk:
             fields = line.rstrip(b"\r\n").split(b"\t")
@@ -137,13 +127,11 @@ def decode_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterat
                 if qtype is None:
                     qtype = qtype_code(qtype_b.decode("ascii"))
                 source = source_b.decode("ascii")
+                prefix = sender_prefix(source)
             except (ValueError, UnicodeDecodeError):
                 dropped += 1
                 continue
             if timestamp <= 0 or not qname_b:
-                dropped += 1
-                continue
-            if v4_match(source_b) is None and not (b":" in source_b and _valid_v6(source)):
                 dropped += 1
                 continue
             add_ts(timestamp)
@@ -151,6 +139,7 @@ def decode_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterat
             add_qclass(qclass)
             add_qtype(qtype)
             add_name(qname_b)
+            add_prefix(prefix)
         stats.bytes_read += sum(map(len, chunk))
         stats.records_dropped_unparseable += dropped
         if block.names:
@@ -229,8 +218,8 @@ def _decode_question(payload: bytes) -> "tuple[int, object]":
 
 
 def decode_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[Block]:
-    """Read the queries of a classic pcap capture as Blocks, names as the
-    DomainNames decoded off the wire.
+    """Read the queries of a classic pcap capture as Blocks, sources as
+    packed addresses and names as the DomainNames decoded off the wire.
 
     Handles Ethernet and raw-IP link types, IPv4/IPv6, UDP to port 53.
     Queries (QR=0) that fail to decode count as unparseable; everything
@@ -238,7 +227,7 @@ def decode_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Itera
     truncated final record) counts as skipped. A bad global header or a
     record claiming more than MAX_CAPLEN bytes is a corrupt container and
     raises PcapError. The CLI classifies these names directly; read_pcap
-    is the presentation-form view of the same stream.
+    is the text view of the same stream.
     """
     if stats is None:
         stats = IngestStats()
@@ -254,10 +243,10 @@ def decode_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Itera
     if linktype != LINKTYPE_ETHERNET and linktype not in LINKTYPE_RAW:
         raise PcapError(f"unsupported link type {linktype}")
     unpack_rec = struct.Struct(endian + "IIII").unpack
-    v6_cache: dict[bytes, str] = {}
+    unpack_48 = struct.Struct(">3H").unpack_from
     offset = 24  # of the next record header in the file
     size = BLOCK
-    block = Block([], [], [], [], [])
+    block = Block([], [], [], [], [], [])
 
     while True:
         rec_header = stream.read(16)
@@ -308,16 +297,15 @@ def decode_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Itera
             if header_len > len(ip):
                 stats.packets_skipped += 1
                 continue
-            source = f"{ip[12]}.{ip[13]}.{ip[14]}.{ip[15]}"
+            source = ip[12:16]
+            prefix = f"{ip[12]}.{ip[13]}.0.0/16"
             udp = ip[header_len:]
         elif version == 6:
             if len(ip) < 40 or ip[6] != 17:
                 stats.packets_skipped += 1
                 continue
-            raw_src = ip[8:24]
-            source = v6_cache.get(raw_src)
-            if source is None:
-                source = v6_cache[raw_src] = str(ipaddress.IPv6Address(raw_src))
+            source = ip[8:24]
+            prefix = _prefix48(unpack_48(ip, 8))
             udp = ip[40:]
         else:
             stats.packets_skipped += 1
@@ -344,10 +332,11 @@ def decode_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Itera
         block.qclasses.append(qclass)
         block.qtypes.append(qtype)
         block.names.append(name)
+        block.prefixes.append(prefix)
         if len(block.names) == size:
             stats.records_emitted += size
             yield block
-            block = Block([], [], [], [], [])
+            block = Block([], [], [], [], [], [])
 
     if block.names:
         stats.records_emitted += len(block.names)
@@ -355,13 +344,14 @@ def decode_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Itera
 
 
 def read_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[QueryRecord]:
-    """decode_pcap's queries as QueryRecords, names in presentation form.
+    """decode_pcap's queries as QueryRecords, sources and names as text.
 
     The view for library callers that want records like read_tsv's; the
     CLI classifies decode_pcap's names without rendering them.
     """
     for block in decode_pcap(stream, stats):
-        yield from map(QueryRecord, *block[:4], map(to_presentation, block.names))
+        sources = map(str, map(ipaddress.ip_address, block.sources))
+        yield from map(QueryRecord, block.timestamps, sources, *block[2:4], map(to_presentation, block.names))
 
 
 def sample(blocks: Iterable[Block], rate: float, seed: int) -> Iterator[Block]:

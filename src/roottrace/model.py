@@ -6,8 +6,9 @@ between worker threads.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 # Query types charted in root traffic breakdowns, plus DNSKEY (seen among
 # empty/priming queries). Anything else renders as TYPE<code>.
@@ -170,10 +171,22 @@ CLS_INVALID_CHROMIUM = Classification(Leaf.INVALID_CHROMIUM)
 
 
 _HEX = frozenset("0123456789abcdefABCDEF")
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+# a dotted quad; group 1 is its /16
+_V4_RE = re.compile(r"(%s\.%s)\.%s\.%s\Z" % ((_OCTET,) * 4))
+
+
+def _prefix48(hextets: Sequence[int]) -> str:
+    """'a:b:c::/48' for a /48's first three hextets. RFC 5952: the 5+ zero
+    host groups always form the longest zero run, and trailing zero
+    hextets of the prefix extend it."""
+    while hextets and hextets[-1] == 0:
+        hextets = hextets[:-1]
+    return ":".join(map("{:x}".format, hextets)) + "::/48"
 
 
 def _v6_prefix48(source: str) -> str:
-    """First three hextets of a textual IPv6 address, as 'a:b:c::/48'.
+    """_prefix48 of a textual IPv6 address.
 
     Validates enough structure to reject non-addresses; avoids the
     ipaddress module because this sits on the per-record path.
@@ -187,10 +200,7 @@ def _v6_prefix48(source: str) -> str:
     groups = lgroups + rgroups
     span = len(groups)
     if groups and "." in groups[-1] and (rgroups or not sep):
-        octets = groups[-1].split(".")
-        if len(octets) != 4 or not all(
-            o.isdigit() and int(o) <= 255 and (o == "0" or not o.startswith("0")) for o in octets
-        ):
+        if _V4_RE.match(groups[-1]) is None:
             raise ValueError(f"not an IPv6 address: {source!r}")
         groups = groups[:-1]
         span += 1  # the dotted tail covers two groups
@@ -202,20 +212,15 @@ def _v6_prefix48(source: str) -> str:
     # expand "::" to its zero groups; a dotted tail only ever occupies the
     # last two group positions, so the first three are always plain hex
     expanded = lgroups + ["0"] * (8 - span) + rgroups
-    first3 = [int(g, 16) for g in expanded[:3]]
-    # RFC 5952: the 5+ zero host groups always form the longest zero run,
-    # and trailing zero hextets of the prefix extend it
-    while first3 and first3[-1] == 0:
-        first3.pop()
-    return ":".join(f"{g:x}" for g in first3) + "::/48"
+    return _prefix48([int(g, 16) for g in expanded[:3]])
 
 
 def sender_prefix(source: str) -> str:
-    """Canonical /16 (IPv4) or /48 (IPv6) prefix string for a source."""
-    if ":" not in source:
-        first = source.find(".")
-        second = source.find(".", first + 1)
-        if first < 0 or second < 0:
-            raise ValueError(f"not an IP address: {source!r}")
-        return source[:second] + ".0.0/16"
-    return _v6_prefix48(source)
+    """Canonical /16 (IPv4) or /48 (IPv6) prefix string for the text of a
+    source address; the one test of a valid source (ValueError if not)."""
+    if ":" in source:
+        return _v6_prefix48(source)
+    match = _V4_RE.match(source)
+    if match is None:
+        raise ValueError(f"not an IP address: {source!r}")
+    return match[1] + ".0.0/16"

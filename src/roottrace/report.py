@@ -59,8 +59,9 @@ def fold_blocks(
     track_senders: bool = True,
 ) -> Report:
     """Count blocks of classified records into a fresh Report, each record
-    exactly once. A block is three parallel columns: the records' sources,
-    qtypes and classifications (classify.classify_block gives them).
+    exactly once. A block is three parallel columns: the records' prefixes,
+    qtypes and classifications (classify.classify_block gives them); the
+    prefixes are read only when senders are tracked.
 
     The sender tables are returned as counted: a LEAVES-ordered row of
     counts per sender prefix, and the root-name queries per prefix by
@@ -75,13 +76,12 @@ def fold_blocks(
     leaf_index = LEAF_INDEX
     blank_row = [0] * len(LEAVES)
 
-    for sources, qtypes, classes in blocks:
+    for prefixes, qtypes, classes in blocks:
         total += len(classes)
         leaf_counts.update(classes)
         qtype_counts.update(qtypes)
         if not track_senders:
             continue
-        prefixes = list(map(sender_prefix, sources))
         leaves = list(map(_leaf_of, classes))
         for (prefix, leaf), n in Counter(zip(prefixes, leaves)).items():
             row = senders.get(prefix)
@@ -115,13 +115,14 @@ def fold(
     track_senders: bool = True,
 ) -> Report:
     """fold_blocks over (record, classification) pairs, taken ingest.BLOCK
-    at a time. Of each record fold reads only .source and .qtype."""
+    at a time; fold reads each record's .qtype and, for senders, .source."""
     pairs = iter(classified)
 
     def blocks():
         while chunk := list(islice(pairs, ingest.BLOCK)):
             records, classes = zip(*chunk)
-            yield [r.source for r in records], [r.qtype for r in records], classes
+            prefixes = [sender_prefix(r.source) for r in records] if track_senders else ()
+            yield prefixes, [r.qtype for r in records], classes
 
     return fold_blocks(blocks(), label, dropped, track_senders)
 

@@ -10,7 +10,7 @@ from roottrace.classify import (
     is_chromium_label,
 )
 from roottrace.ingest import Block, IngestStats
-from roottrace.model import Classification, DomainName, Leaf, QueryRecord
+from roottrace.model import Classification, DomainName, Leaf, QueryRecord, sender_prefix
 from roottrace.names import parse_presentation
 
 
@@ -175,23 +175,24 @@ def test_determinism_across_threads(registry):
 def test_classify_block_counts_unparseable(registry):
     records = [
         QueryRecord(1, "1.2.3.4", 1, 1, "good.com."),
-        QueryRecord(2, "1.2.3.5", 1, 1, "bad..name."),
-        QueryRecord(3, "1.2.3.6", 1, 2, "."),
-        QueryRecord(4, "1.2.3.7", 1, 28, "bad..name."),
+        QueryRecord(2, "1.3.3.5", 1, 1, "bad..name."),
+        QueryRecord(3, "1.4.3.6", 1, 2, "."),
+        QueryRecord(4, "1.5.3.7", 1, 28, "bad..name."),
     ]
-    block = Block(*zip(*(rec._replace(qname_raw=rec.qname_raw.encode()) for rec in records)))
+    prefixes = [sender_prefix(rec.source) for rec in records]
+    block = Block(*zip(*(rec._replace(qname_raw=rec.qname_raw.encode()) for rec in records)), prefixes)
     stats = IngestStats()
-    sources, qtypes, classes = classify_block(block, registry, stats=stats)
+    prefixes, qtypes, classes = classify_block(block, registry, stats=stats)
     assert stats.names_unparseable == 2  # once per record, not per distinct name
     assert [cls.leaf for cls in classes] == [Leaf.VALID_TLD, Leaf.EMPTY]
-    assert (list(sources), list(qtypes)) == (["1.2.3.4", "1.2.3.6"], [1, 2])
+    assert (list(prefixes), list(qtypes)) == (["1.2.0.0/16", "1.4.0.0/16"], [1, 2])
 
 
 def test_classify_block_classifies_decoded_names(registry):
     names = [parse_presentation(raw) for raw in ("good.com.", ".", "daozjwend.")]
-    block = Block((1, 2, 3), ("1.2.3.4",) * 3, (1, 1, 1), (1, 2, 1), tuple(names))
+    block = Block((1, 2, 3), (b"\x01\x02\x03\x04",) * 3, (1, 1, 1), (1, 2, 1), tuple(names), ("1.2.0.0/16",) * 3)
     stats = IngestStats()
-    sources, qtypes, classes = classify_block(block, registry, stats=stats)
+    prefixes, qtypes, classes = classify_block(block, registry, stats=stats)
     assert list(classes) == [classify(name, registry) for name in names]
-    assert (sources, qtypes) == (block.sources, block.qtypes)
+    assert (prefixes, qtypes) == (block.prefixes, block.qtypes)
     assert stats == IngestStats()

@@ -1,9 +1,11 @@
 import io
+import ipaddress
 import json
 import math
 import random
 import socket
 import struct
+import tracemalloc
 
 import pytest
 
@@ -17,12 +19,13 @@ from roottrace.ingest import (
     IngestStats,
     PcapError,
     decode_pcap,
+    decode_tsv,
     read_pcap,
     read_tsv,
     sample,
     window,
 )
-from roottrace.model import DomainName, QueryRecord
+from roottrace.model import DomainName, QueryRecord, sender_prefix
 from roottrace.names import parse_presentation, to_presentation
 from roottrace.report import fold, write_report
 from roottrace.synth import generate, tsv_bytes, year_mix
@@ -139,12 +142,13 @@ def make_records(n):
 
 
 def in_blocks(records, size=1000):
-    """records as Blocks of up to size records each."""
-    return [Block._make(zip(*records[i : i + size])) for i in range(0, len(records), size)]
+    """records as Blocks of up to size records each, with their prefixes."""
+    chunks = (records[i : i + size] for i in range(0, len(records), size))
+    return [Block(*zip(*chunk), [sender_prefix(r.source) for r in chunk]) for chunk in chunks]
 
 
 def flatten(blocks):
-    return [QueryRecord(*row) for block in blocks for row in zip(*block)]
+    return [QueryRecord(*row[:5]) for block in blocks for row in zip(*block)]
 
 
 def count(blocks):
@@ -262,14 +266,14 @@ def udp6(src, payload, dport=53):
 
 def pcap_file(frames, endian="<", nano=False, linktype=1, times=None):
     magic = 0xA1B23C4D if nano else 0xA1B2C3D4
-    out = struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 0xFFFF, linktype)
+    out = [struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 0xFFFF, linktype)]
     for i, frame in enumerate(frames):
         sec = 1_649_721_600 + i
         sub = (i * 1000 + 7) if not nano else (i * 1_000_000 + 7_000)
         if times:
             sec, sub = times[i]
-        out += struct.pack(endian + "IIII", sec, sub, len(frame), len(frame)) + frame
-    return out
+        out += struct.pack(endian + "IIII", sec, sub, len(frame), len(frame)), frame
+    return b"".join(out)
 
 
 def run_pcap(data: bytes):
@@ -491,7 +495,7 @@ def test_decode_pcap_is_read_pcap_before_rendering():
     data = differential_pcap()
     decoded_stats, read_stats = IngestStats(), IngestStats()
     queries = [row for block in decode_pcap(io.BytesIO(data), decoded_stats) for row in zip(*block)]
-    rendered = [QueryRecord(*q[:4], to_presentation(q[4])) for q in queries]
+    rendered = [QueryRecord(q[0], str(ipaddress.ip_address(q[1])), *q[2:4], to_presentation(q[4])) for q in queries]
     assert rendered == list(read_pcap(io.BytesIO(data), read_stats))
     assert decoded_stats == read_stats
     assert len(queries) == 605
@@ -516,6 +520,67 @@ def test_cli_pcap_report_matches_the_presentation_path(tmp_path, no_senders):
     report.dropped = stats.records_dropped_unparseable
     assert report.dropped == 1
     assert got == write_report(report, "json", meta=json.loads(got)["meta"])
+
+
+# --- sender prefixes ---------------------------------------------------------
+
+# a zero hextet in each of the first three positions, and none
+ZERO_HEXTET_SOURCES = ["::1", "0:0:5::1", "2600::7", "2600:0:0:7::1", "2600:0:1f::"]
+
+
+def prefix_sources() -> list[str]:
+    """IPv6 sources with zero hextets where the /48 is cut, seeded random
+    IPv6 and IPv4 sources, and the IPv4 extremes."""
+    rng = random.Random(48)
+    sources = list(ZERO_HEXTET_SOURCES)
+    for _ in range(500):
+        groups = [0 if rng.random() < 0.4 else rng.randrange(0x10000) for _ in range(8)]
+        sources.append(str(ipaddress.IPv6Address(":".join(f"{g:x}" for g in groups))))
+    sources += [str(ipaddress.IPv4Address(rng.getrandbits(32))) for _ in range(500)]
+    return sources + ["0.0.0.0", "255.255.255.255"]
+
+
+def test_prefixes_from_bytes_match_prefixes_from_text():
+    sources = prefix_sources()
+    payload = dns_payload([b"com"], 2)
+    pcap_data = pcap_file([(udp6 if ":" in source else udp4)(source, payload) for source in sources])
+    tsv_data = tsv_bytes(QueryRecord(i + 1, source, 1, 2, "com.") for i, source in enumerate(sources))
+
+    from_pcap = []
+    for block in decode_pcap(io.BytesIO(pcap_data)):
+        for packed, prefix in zip(block.sources, block.prefixes):
+            assert prefix == sender_prefix(str(ipaddress.ip_address(packed))), packed
+        from_pcap += block.prefixes
+    from_tsv = []
+    for block in decode_tsv(io.BytesIO(tsv_data)):
+        for source, prefix in zip(block.sources, block.prefixes):
+            assert prefix == sender_prefix(source), source
+        from_tsv += block.prefixes
+    oracle = [ipaddress.ip_network((s, 48 if ":" in s else 16), strict=False).with_prefixlen for s in sources]
+    assert from_pcap == from_tsv == oracle
+    assert from_pcap[: len(ZERO_HEXTET_SOURCES)] == ["::/48", "0:0:5::/48", "2600::/48", "2600::/48", "2600:0:1f::/48"]
+
+
+def test_decode_pcap_memory_does_not_grow_with_distinct_sources():
+    n = 50_000
+    payload = dns_payload([b"com"], 2)
+
+    def peak(sources) -> int:
+        stream = io.BytesIO(pcap_file([udp6(source, payload) for source in sources]))
+        stats = IngestStats()
+        tracemalloc.start()
+        try:
+            for _ in decode_pcap(stream, stats):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            assert stats.records_emitted == n
+
+    one = peak(["2600:1:2::3"] * n)
+    distinct = peak([f"2600:{i >> 16:x}:{i & 0xFFFF:x}::{i:x}" for i in range(n)])
+    # a reader that kept anything per distinct source would grow with the capture
+    assert distinct <= 2 * one, (distinct, one)
 
 
 # --- TSV against pcap ----------------------------------------------------------

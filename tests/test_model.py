@@ -123,9 +123,10 @@ def test_sender_key_host_bits_zero():
         assert ipaddress.ip_address(source) in net
 
 
-def test_sender_key_rejects_junk():
+@pytest.mark.parametrize("junk", ["nonsense", "host.example.com", "1.2.3", "256.1.2.3", "01.2.3.4"])
+def test_sender_key_rejects_junk(junk):
     with pytest.raises(ValueError):
-        sender_prefix("nonsense")
+        sender_prefix(junk)
 
 
 def test_query_record_names():
