@@ -524,7 +524,7 @@ def test_cli_pcap_report_matches_the_presentation_path(tmp_path, no_senders):
 
 # --- sender prefixes ---------------------------------------------------------
 
-# a zero hextet in each of the first three positions, and none
+# zero hextets at each of the first three positions
 ZERO_HEXTET_SOURCES = ["::1", "0:0:5::1", "2600::7", "2600:0:0:7::1", "2600:0:1f::"]
 
 
@@ -572,10 +572,11 @@ def test_decode_pcap_memory_does_not_grow_with_distinct_sources():
         try:
             for _ in decode_pcap(stream, stats):
                 pass
-            return tracemalloc.get_traced_memory()[1]
+            used = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            assert stats.records_emitted == n
+        assert stats.records_emitted == n
+        return used
 
     one = peak(["2600:1:2::3"] * n)
     distinct = peak([f"2600:{i >> 16:x}:{i & 0xFFFF:x}::{i:x}" for i in range(n)])
