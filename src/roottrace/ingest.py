@@ -2,7 +2,8 @@
 
 decode_tsv and decode_pcap read a trace into Blocks of up to BLOCK records
 held as parallel columns, each record's sender prefix among them, and keep
-running counters. read_tsv and read_pcap are QueryRecord views of the same
+running counters. A TSV file can also be read in parts: line_starts finds
+where lines begin and read_range reads the bytes between two of them. read_tsv and read_pcap are QueryRecord views of the same
 blocks, with the same counters. sample and window filter blocks.
 Malformed records never abort a stream; only a corrupt container
 (unreadable file, bad pcap global header, a pcap record header claiming an
@@ -11,6 +12,7 @@ impossible length) does, before the block that holds it is yielded.
 
 from __future__ import annotations
 
+import io
 import ipaddress
 import random
 import struct
@@ -84,7 +86,9 @@ class Block(NamedTuple):
         return Block._make([tuple(compress(column, mask)) for column in self])
 
 
-def decode_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[Block]:
+def decode_tsv(
+    stream: IO[bytes], stats: Optional[IngestStats] = None, first_line: int = 1
+) -> Iterator[Block]:
     """Read tab-separated query records, one per line and five fields, as
     Blocks of the lines' records.
 
@@ -92,22 +96,30 @@ def decode_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterat
     records_dropped_unparseable and are left out. The lines of a block are
     read at once, so an I/O failure aborts with an IngestError that names
     the first line of the block whose read failed.
+
+    first_line is the file's line number of the stream's first line, for a
+    stream that starts partway into a file (read_range): blocks then break
+    where they would in the whole file, and an I/O failure names the first
+    line of the whole file's block, as a read of the whole file would.
     """
     if stats is None:
         stats = IngestStats()
     qtype_table = _QTYPE_FROM_BYTES
     qclass_table = _QCLASS_FROM_BYTES
-    size = BLOCK
-    lineno = 0
+    whole = BLOCK
+    lineno = first_line - 1
+    size = whole - lineno % whole
     lines = iter(stream)
     while True:
         try:
             chunk = list(islice(lines, size))
         except OSError as exc:
-            raise IngestError(f"I/O error at line {lineno + 1}: {exc}") from exc
+            first = lineno - lineno % whole + 1  # of the whole file's block
+            raise IngestError(f"I/O error at line {first}: {exc}") from exc
         if not chunk:
             return
         lineno += len(chunk)
+        size = whole
         block = Block([], [], [], [], [], [])
         add_ts, add_source, add_qclass, add_qtype, add_name, add_prefix = (column.append for column in block)
         dropped = 0
@@ -145,6 +157,61 @@ def decode_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterat
         if block.names:
             stats.records_emitted += len(block.names)
             yield block
+
+
+def line_starts(stream: IO[bytes], offsets: Iterable[int]) -> list[tuple[int, int]]:
+    """Where the first line at or after each of the ascending, positive byte
+    offsets begins in a seekable binary file, as (byte offset, line number)
+    pairs in order, without repeats. A line begins just after a newline: an
+    offset in an unterminated last line gives nothing, and one in a last
+    line that ends the file with a newline gives the file's size.
+    """
+    starts: list = []
+    pending = iter(offsets)
+    target = next(pending, None)
+    pos = lines = 0  # bytes and newlines before the chunk
+    stream.seek(0)
+    while target is not None and (chunk := stream.read(1 << 16)):
+        counted = 0  # the newlines of chunk[:counted] are in lines
+        while target is not None:
+            i = chunk.find(b"\n", max(target - 1 - pos, counted))
+            if i < 0:
+                break
+            lines += chunk.count(b"\n", counted, i + 1)
+            counted = i + 1
+            starts.append((pos + counted, lines + 1))
+            while target is not None and target <= pos + counted:
+                target = next(pending, None)
+        lines += chunk.count(b"\n", counted)
+        pos += len(chunk)
+    return starts
+
+
+class _Range(io.RawIOBase):
+    """The bytes of a raw file from its current position up to a limit."""
+
+    def __init__(self, raw, size: int):
+        self._raw = raw
+        self._left = size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        got = self._raw.readinto(memoryview(buffer)[: self._left])
+        self._left -= got
+        return got
+
+
+def read_range(stream: IO[bytes], start: int, end: Optional[int]) -> IO[bytes]:
+    """Bytes start to end of an open binary file as a stream of their own,
+    to the end of the file where end is None; the file is read from there
+    on, so give each range a file object of its own."""
+    if start:
+        stream.seek(start)
+    if end is None:
+        return stream
+    return io.BufferedReader(_Range(stream.raw, end - start))
 
 
 def read_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[QueryRecord]:
@@ -350,8 +417,16 @@ def read_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterato
     CLI classifies decode_pcap's names without rendering them.
     """
     for block in decode_pcap(stream, stats):
-        sources = map(str, map(ipaddress.ip_address, block.sources))
+        sources = map(_address_text, block.sources)
         yield from map(QueryRecord, block.timestamps, sources, *block[2:4], map(to_presentation, block.names))
+
+
+def _address_text(packed: bytes) -> str:
+    """A packed source address as text: IPv4 as a dotted quad, IPv6 in
+    RFC 5952 form."""
+    if len(packed) == 4:
+        return "%d.%d.%d.%d" % tuple(packed)
+    return str(ipaddress.IPv6Address(packed))
 
 
 def sample(blocks: Iterable[Block], rate: float, seed: int) -> Iterator[Block]:

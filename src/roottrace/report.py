@@ -2,19 +2,22 @@
 
 A Report is a bag of exact integer counters; fractions are derived from
 the integers only at output time, so merging shards never drifts. fold()
-builds one, merge() combines any number of them, and build_report_doc()
-derives the report document, the one view every output format renders.
+builds one, merge() combines any number of them (merge_into in place, from
+a Report or from its Shard, the packed form another process sends), and
+build_report_doc() derives the report document, the one view every output
+format renders.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, islice, repeat
-from operator import attrgetter, is_
-from typing import Iterable, Optional, Sequence
+from itertools import chain, compress, islice, repeat
+from operator import add, attrgetter, is_
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import ingest
 from .model import (
@@ -133,37 +136,116 @@ def _merge_labels(a: str, b: str) -> str:
     return "+".join(sorted(parts))
 
 
-def _merge_rows(a: dict, b: dict) -> dict:
-    out = {key: row.copy() for key, row in a.items()}
-    for key, row in b.items():
-        acc = out.get(key)
-        out[key] = row.copy() if acc is None else [x + y for x, y in zip(acc, row)]
-    return out
+def _counts(values: Iterable[int]) -> array:
+    """Counts as 4-byte values, or 8-byte ones where a count needs them."""
+    values = list(values)
+    try:
+        return array("I", values)
+    except OverflowError:
+        return array("Q", values)
 
 
-def _merge_qtypes(a: dict, b: dict) -> dict:
-    out = {key: counts.copy() for key, counts in a.items()}
-    for key, counts in b.items():
-        acc = out.setdefault(key, {})
-        for code, n in counts.items():
-            acc[code] = acc.get(code, 0) + n
-    return out
+def _split(text: str) -> Iterator[str]:
+    """The newline-separated keys of text, one at a time, so that only the
+    keys a merge keeps are ever held together."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = end
+        yield text[start:stop]
+        start = stop + 1
+
+
+class Shard(NamedTuple):
+    """A Report packed to cross a process boundary: each sender table's
+    prefixes joined into one string and its counts in one array, so that it
+    pickles and unpickles as a few objects instead of a few per prefix."""
+
+    label: str
+    total: int
+    dropped: int
+    senders_tracked: bool
+    leaf_counts: dict
+    qtype_counts: dict
+    sender_keys: str  # newline-joined prefixes
+    sender_rows: array  # each prefix's LEAVES-ordered row, in key order
+    empty_keys: str  # newline-joined prefixes of root-name queries
+    empty_sizes: array  # the qtypes each of those prefixes sent
+    empty_qtypes: array  # their codes, prefix after prefix
+    empty_counts: array  # and their counts, likewise
+
+    @classmethod
+    def of(cls, report: Report) -> "Shard":
+        senders = report.sender_counts
+        empties = report.empty_by_sender
+        return cls(
+            report.label, report.total, report.dropped, report.senders_tracked,
+            dict(report.leaf_counts), dict(report.qtype_counts),
+            "\n".join(senders), _counts(chain.from_iterable(senders.values())),
+            "\n".join(empties), array("I", map(len, empties.values())),
+            array("H", chain.from_iterable(empties.values())),
+            _counts(chain.from_iterable(map(dict.values, empties.values()))),
+        )
+
+    def sender_items(self) -> Iterable[tuple[str, tuple]]:
+        return zip(_split(self.sender_keys), zip(*[iter(self.sender_rows)] * len(LEAVES)))
+
+    def empty_items(self) -> Iterable[tuple[str, Iterable[tuple[int, int]]]]:
+        """Each prefix with its (qtype, count) pairs; the pairs of one prefix
+        must be read before the next prefix is taken."""
+        pairs = zip(self.empty_qtypes, self.empty_counts)
+        return ((key, islice(pairs, size)) for key, size in zip(_split(self.empty_keys), self.empty_sizes))
+
+
+def merge_into(acc: Report, other: Union[Report, Shard]) -> Report:
+    """Add other, a Report or a Shard of one, into acc in place and return
+    acc: merge(acc, other) without copying acc. other is left as it was."""
+    acc.label = _merge_labels(acc.label, other.label)
+    acc.total += other.total
+    acc.dropped += other.dropped
+    acc.leaf_counts.update(other.leaf_counts)
+    acc.qtype_counts.update(other.qtype_counts)
+    if not (acc.senders_tracked and other.senders_tracked):
+        acc.sender_counts, acc.empty_by_sender, acc.senders_tracked = {}, {}, False
+        return acc
+    if isinstance(other, Shard):
+        rows, root_queries = other.sender_items(), other.empty_items()
+    else:
+        rows = other.sender_counts.items()
+        root_queries = ((prefix, by_qtype.items()) for prefix, by_qtype in other.empty_by_sender.items())
+    senders = acc.sender_counts
+    for prefix, row in rows:
+        mine = senders.get(prefix)
+        if mine is None:
+            senders[prefix] = list(row)
+        else:
+            mine[:] = map(add, mine, row)
+    empties = acc.empty_by_sender
+    for prefix, pairs in root_queries:
+        mine = empties.get(prefix)
+        if mine is None:
+            empties[prefix] = dict(pairs)
+        else:
+            for code, n in pairs:
+                mine[code] = mine.get(code, 0) + n
+    return acc
 
 
 def merge(a: Report, b: Report) -> Report:
     """Pointwise sum of two Reports; commutative, associative, and the
     empty Report is the identity. Sender rows add element-wise."""
-    tracked = a.senders_tracked and b.senders_tracked
-    return Report(
-        label=_merge_labels(a.label, b.label),
-        total=a.total + b.total,
-        leaf_counts=a.leaf_counts + b.leaf_counts,
-        qtype_counts=a.qtype_counts + b.qtype_counts,
-        sender_counts=_merge_rows(a.sender_counts, b.sender_counts) if tracked else {},
-        empty_by_sender=_merge_qtypes(a.empty_by_sender, b.empty_by_sender) if tracked else {},
-        dropped=a.dropped + b.dropped,
-        senders_tracked=tracked,
+    copy = Report(
+        label=a.label,
+        total=a.total,
+        leaf_counts=Counter(a.leaf_counts),
+        qtype_counts=Counter(a.qtype_counts),
+        sender_counts={prefix: row.copy() for prefix, row in a.sender_counts.items()},
+        empty_by_sender={prefix: by_qtype.copy() for prefix, by_qtype in a.empty_by_sender.items()},
+        dropped=a.dropped,
+        senders_tracked=a.senders_tracked,
     )
+    return merge_into(copy, b)
 
 
 def top_level_fractions(report: Report) -> dict[TopCategory, float]:

@@ -3,7 +3,6 @@ PASS/FAIL line (run with -s to see them). Tolerances are pinned here and
 never loosened at runtime.
 """
 
-import functools
 import io
 import random
 import time
@@ -14,7 +13,8 @@ from roottrace.cli import main
 from roottrace.ingest import IngestStats, decode_tsv, read_pcap
 from roottrace.model import Leaf, QueryRecord, TopCategory
 from roottrace.names import parse_presentation
-from roottrace.report import Report, empty_query_stats, fold, fold_blocks, merge, top_level_fractions
+from roottrace.report import (Report, empty_query_stats, fold, fold_blocks, merge, merge_into,
+                              top_level_fractions)
 from roottrace.synth import generate, tsv_bytes, year_mix
 from roottrace.tlds import default_registry
 
@@ -252,13 +252,11 @@ def test_throughput_ten_million_soft_gate():
     block = tsv_bytes(record for record, _ in generate(spec, block_n, REGISTRY))
 
     start = time.perf_counter()
-    shards = []
+    report = Report()
     for _ in range(replays):
         stats = IngestStats()
         blocks = decode_tsv(io.BytesIO(block), stats)
-        shard = fold_blocks(classify_block(b, REGISTRY, stats=stats) for b in blocks)
-        shards.append(shard)
-    report = functools.reduce(merge, shards)
+        merge_into(report, fold_blocks(classify_block(b, REGISTRY, stats=stats) for b in blocks))
     elapsed = time.perf_counter() - start
 
     total = report.total

@@ -20,7 +20,9 @@ from roottrace.ingest import (
     PcapError,
     decode_pcap,
     decode_tsv,
+    line_starts,
     read_pcap,
+    read_range,
     read_tsv,
     sample,
     window,
@@ -132,6 +134,59 @@ def test_tsv_io_error_names_the_first_line_of_its_block(monkeypatch):
             got.append(record)
     # the first block was read whole; the block the failure cut short was not
     assert len(got) == stats.records_emitted == 3
+
+
+def test_tsv_range_breaks_blocks_where_the_whole_file_does(monkeypatch):
+    monkeypatch.setattr(ingest, "BLOCK", 4)
+    lines = [b"%d\t1.2.3.4\tIN\tA\tfoo.\n" % (i + 1) for i in range(11)]
+    whole = [list(block.timestamps) for block in decode_tsv(iter(lines))]
+    assert whole == [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11]]
+    # lines 7 on, read as a range of their own
+    assert [list(block.timestamps) for block in decode_tsv(iter(lines[6:]), first_line=7)] == [[7, 8], [9, 10, 11]]
+
+    def failing(first_line, bad_line):
+        for number, line in enumerate(lines[first_line - 1 :], first_line):
+            if number == bad_line:
+                raise OSError("disk gone")
+            yield line
+
+    # the whole file's block of line 10 starts at line 9, and so it does
+    # for a range that starts at line 7, and for one that starts at line 10
+    for first_line in (1, 7, 10):
+        with pytest.raises(IngestError, match="I/O error at line 9: disk gone"):
+            list(decode_tsv(failing(first_line, 10), first_line=first_line))
+
+
+def test_line_starts_finds_the_next_line_and_its_number():
+    data = b"ab\ncd\r\n\nefg\nh"
+    # offsets 0-2 "ab\n", 3-6 "cd\r\n", 7 "\n", 8-11 "efg\n", 12 "h"
+    got = line_starts(io.BytesIO(data), [1, 3, 4, 5, 8, 9, 12])
+    assert got == [(3, 2), (7, 3), (8, 4), (12, 5)]
+    assert line_starts(io.BytesIO(data), [13]) == []  # in the unterminated last line
+    assert line_starts(io.BytesIO(b"ab\ncd\n"), [4]) == [(6, 3)]  # the end of the file
+
+
+def test_line_starts_across_read_chunks():
+    lines = [b"x" * (i % 97) + b"\n" for i in range(5000)]  # ~240 KB, several reads
+    data = b"".join(lines)
+    offsets = list(range(1, len(data), 7919))
+    expected = []
+    for offset in offsets:
+        at = data.index(b"\n", offset - 1) + 1
+        if at < len(data) and (at, data.count(b"\n", 0, at) + 1) not in expected:
+            expected.append((at, data.count(b"\n", 0, at) + 1))
+    assert line_starts(io.BytesIO(data), offsets) == expected
+
+
+def test_read_range_reads_only_its_bytes(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_bytes(b"one\ntwo\nthree\nfour\n")
+    with open(path, "rb") as fh:
+        assert list(read_range(fh, 4, 14)) == [b"two\n", b"three\n"]
+    with open(path, "rb") as fh:
+        assert list(read_range(fh, 14, None)) == [b"four\n"]
+    with open(path, "rb") as fh:
+        assert read_range(fh, 0, None) is fh
 
 
 # --- sampling and windows ----------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import pickle
 import random
 import re
 
@@ -21,6 +22,7 @@ from roottrace.report import (
     INVALID_ONLY_POLICY,
     LEAVES,
     Report,
+    Shard,
     build_report_doc,
     chromium_fractions,
     doc_to_csv,
@@ -30,6 +32,7 @@ from roottrace.report import (
     fold,
     fold_blocks,
     merge,
+    merge_into,
     read_report_doc,
     render_doc,
     top_level_fractions,
@@ -144,6 +147,45 @@ def test_merge_untracked_propagates():
     merged = merge(tracked, untracked)
     assert not merged.senders_tracked
     assert merged.sender_counts == {}
+
+
+def test_merge_into_is_merge_in_place():
+    rng = random.Random(51)
+    for _ in range(200):
+        a, b = random_report(rng, label="a"), random_report(rng, label="b")
+        b_copy = merge(b, Report())
+        expected = merge(a, b)
+        assert merge_into(a, b) is a
+        assert a == expected
+        assert b == b_copy  # the added report is left as it was
+        # and the accumulator shares no row with it
+        for prefix, row in b.sender_counts.items():
+            assert a.sender_counts[prefix] is not row
+
+
+def test_shard_merges_like_its_report():
+    rng = random.Random(52)
+    for _ in range(200):
+        a, b = random_report(rng, label="a"), random_report(rng, label="b")
+        shard = pickle.loads(pickle.dumps(Shard.of(b)))
+        assert merge_into(merge(a, Report()), shard) == merge(a, b)
+    untracked = fold(random_pairs(rng, 10), track_senders=False)
+    merged = merge_into(random_report(rng), Shard.of(untracked))
+    assert not merged.senders_tracked
+    assert merged.sender_counts == merged.empty_by_sender == {}
+
+
+def test_shard_counts_are_four_bytes_unless_a_count_needs_eight():
+    rng = random.Random(53)
+    report = fold(random_pairs(rng, 500))
+    shard = Shard.of(report)
+    assert shard.sender_rows.itemsize == shard.empty_counts.itemsize == 4
+    prefix = next(iter(report.empty_by_sender))
+    report.sender_counts[prefix][0] += 2**32
+    report.empty_by_sender[prefix][2] = 2**40
+    big = Shard.of(report)
+    assert big.sender_rows.itemsize == big.empty_counts.itemsize == 8
+    assert merge_into(Report(), big) == merge(Report(), report)
 
 
 def test_top_level_fractions_sum_to_one():
