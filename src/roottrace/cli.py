@@ -15,16 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .classify import DEFAULT_APPLETALK_TLDS, classify_block
-from .ingest import (
-    IngestError,
-    IngestStats,
-    decode_pcap,
-    decode_tsv,
-    line_starts,
-    read_range,
-    sample,
-    window,
-)
+from .ingest import IngestError, IngestStats, decode_pcap, decode_tsv, read_range, sample, window
 from .names import NameParseError
 from .report import (
     POLICIES,
@@ -32,9 +23,7 @@ from .report import (
     build_report_doc,
     doc_to_empty_senders_csv,
     doc_to_top_senders_csv,
-    Shard,
     fold_blocks,
-    merge_into,
     read_report_doc,
     render_doc,
     trend_csv_from_docs,
@@ -156,11 +145,6 @@ def _appletalk_set(args) -> frozenset:
     return tlds or DEFAULT_APPLETALK_TLDS
 
 
-# A task is given at least this many bytes of input: less does not pay for
-# forking a worker and merging what it sends back.
-MIN_TASK_BYTES = 1 << 18
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on; 1 where it has other threads,
     whose locks a forked worker would inherit held, or where the platform
@@ -171,124 +155,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
         return 1
-
-
-def _size(path: str) -> int:
-    try:
-        return os.stat(path).st_size
-    except OSError:
-        return 0  # the task that reads it in its turn raises the error
-
-
-def _plan_tasks(paths: list, cuttable: bool, workers: int) -> list:
-    """The input files as up to `workers` contiguous tasks of about equal
-    bytes, each a list of (path, start, end, first line) ranges in input
-    order; end None reads to the end of the file. A file is cut only if
-    cuttable, and then only just after a newline; a file that is not cut
-    goes to the task its middle byte falls in. There are no more tasks than
-    MIN_TASK_BYTES go into the input's bytes."""
-    sizes = [_size(path) for path in paths]
-    total = sum(sizes)
-    workers = min(workers, total // MIN_TASK_BYTES)
-    targets = [total * k // workers for k in range(1, workers)]
-    starts = [(0, 0, 1)]  # (file index, byte offset, line number) where a task begins
-    offset = 0
-    for i, size in enumerate(sizes):
-        inside = [target - offset for target in targets if offset <= target < offset + size]
-        offset += size
-        if not cuttable:
-            starts += [(i, 0, 1) if at < size / 2 else (i + 1, 0, 1) for at in inside]
-        elif inside:
-            try:
-                with open(paths[i], "rb") as fh:
-                    found = line_starts(fh, [at for at in inside if at])
-            except OSError:  # one process reads the input and raises it in its turn
-                return [[(path, 0, None, 1) for path in paths]]
-            if inside[0] == 0:
-                starts.append((i, 0, 1))
-            starts += [(i, at, line) if at < size else (i + 1, 0, 1) for at, line in found]
-    bounds = sorted({start for start in starts if start[0] < len(paths)}) + [(len(paths), 0, 1)]
-    tasks = []
-    for (first, start, line), (last, end, _) in zip(bounds, bounds[1:]):
-        task = [(paths[first], start, None, line)] if first < last else []
-        task += [(path, 0, None, 1) for path in paths[first + 1 : last]]
-        if end:
-            task.append((paths[last], start, end, line) if first == last else (paths[last], 0, end, 1))
-        tasks.append(task)
-    return tasks
-
-
-def _work(fd: int, fold_task, task) -> None:
-    """A forked worker: fold the task, send its Shard (or the exception it
-    raised) down the pipe, and leave through os._exit, never returning into
-    the code that forked it."""
-    import pickle
-
-    status = 1
-    try:
-        with open(fd, "wb") as pipe:
-            try:
-                result = Shard.of(fold_task(task))
-            except Exception as exc:
-                result = exc
-            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _fold_in_workers(tasks: list, fold_task) -> Report:
-    """fold_task over every task, the first in this process and each other
-    one in a forked worker, merged in task order; the tasks no worker could
-    be forked for are folded here last. A task's exception is raised here in
-    its turn, and a worker that ends without a result raises
-    ChildProcessError; either way every worker is ended and reaped first."""
-    import pickle
-    import signal
-
-    running = []  # (pid, pipe) of each unreaped worker, in task order
-    try:
-        for task in tasks[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no room for another process
-                os.close(read_fd)
-                os.close(write_fd)
-                break
-            if pid == 0:
-                os.close(read_fd)
-                for _, pipe in running:
-                    pipe.close()
-                _work(write_fd, fold_task, task)
-            os.close(write_fd)
-            running.append((pid, open(read_fd, "rb")))
-        unforked = tasks[1 + len(running) :]
-        report = fold_task(tasks[0])
-        while running:
-            pid, pipe = running[0]
-            with pipe:
-                try:
-                    shard = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    shard = None
-            status = os.waitpid(pid, 0)[1]
-            running.pop(0)
-            if shard is None:
-                code = os.waitstatus_to_exitcode(status)
-                raise ChildProcessError(f"a worker process ended without a result (exit status {code})")
-            if isinstance(shard, Exception):
-                raise shard
-            merge_into(report, shard)
-            del shard  # freed before the next one is read
-        for task in unforked:
-            merge_into(report, fold_task(task))
-        return report
-    finally:
-        for pid, pipe in running:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, dict]:
@@ -331,8 +197,13 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
     # sample draws from a seed reset at the start of each file, so a sampled
     # file is never cut, and neither is a pcap file
     cuttable = not pcap and not args.sample_rate < 1
-    tasks = _plan_tasks(args.inputs, cuttable, _usable_cpus())
-    report = fold_task(tasks[0]) if len(tasks) == 1 else _fold_in_workers(tasks, fold_task)
+    cpus = _usable_cpus()
+    if cpus > 1 and (cuttable or len(args.inputs) > 1):
+        from . import workers  # loaded only where the input may be split
+
+        report = workers.fold_in_workers(workers.plan_tasks(args.inputs, cuttable, cpus), fold_task)
+    else:
+        report = fold_task([(path, 0, None, 1) for path in args.inputs])
     report.label = args.label
     meta = {
         "tool": f"roottrace {__version__}",

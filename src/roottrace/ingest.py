@@ -2,8 +2,8 @@
 
 decode_tsv and decode_pcap read a trace into Blocks of up to BLOCK records
 held as parallel columns, each record's sender prefix among them, and keep
-running counters. A TSV file can also be read in parts: line_starts finds
-where lines begin and read_range reads the bytes between two of them. read_tsv and read_pcap are QueryRecord views of the same
+running counters. read_range reads a byte range of a file, so that a TSV
+file can be read in parts. read_tsv and read_pcap are QueryRecord views of the same
 blocks, with the same counters. sample and window filter blocks.
 Malformed records never abort a stream; only a corrupt container
 (unreadable file, bad pcap global header, a pcap record header claiming an
@@ -157,34 +157,6 @@ def decode_tsv(
         if block.names:
             stats.records_emitted += len(block.names)
             yield block
-
-
-def line_starts(stream: IO[bytes], offsets: Iterable[int]) -> list[tuple[int, int]]:
-    """Where the first line at or after each of the ascending, positive byte
-    offsets begins in a seekable binary file, as (byte offset, line number)
-    pairs in order, without repeats. A line begins just after a newline: an
-    offset in an unterminated last line gives nothing, and one in a last
-    line that ends the file with a newline gives the file's size.
-    """
-    starts: list = []
-    pending = iter(offsets)
-    target = next(pending, None)
-    pos = lines = 0  # bytes and newlines before the chunk
-    stream.seek(0)
-    while target is not None and (chunk := stream.read(1 << 16)):
-        counted = 0  # the newlines of chunk[:counted] are in lines
-        while target is not None:
-            i = chunk.find(b"\n", max(target - 1 - pos, counted))
-            if i < 0:
-                break
-            lines += chunk.count(b"\n", counted, i + 1)
-            counted = i + 1
-            starts.append((pos + counted, lines + 1))
-            while target is not None and target <= pos + counted:
-                target = next(pending, None)
-        lines += chunk.count(b"\n", counted)
-        pos += len(chunk)
-    return starts
 
 
 class _Range(io.RawIOBase):

@@ -2,8 +2,7 @@
 
 A Report is a bag of exact integer counters; fractions are derived from
 the integers only at output time, so merging shards never drifts. fold()
-builds one, merge() combines any number of them (merge_into in place, from
-a Report or from its Shard, the packed form another process sends), and
+builds one, merge() combines any number of them (merge_into in place), and
 build_report_doc() derives the report document, the one view every output
 format renders.
 """
@@ -12,12 +11,11 @@ from __future__ import annotations
 
 import heapq
 import json
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice, repeat
 from operator import add, attrgetter, is_
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from . import ingest
 from .model import (
@@ -136,71 +134,11 @@ def _merge_labels(a: str, b: str) -> str:
     return "+".join(sorted(parts))
 
 
-def _counts(values: Iterable[int]) -> array:
-    """Counts as 4-byte values, or 8-byte ones where a count needs them."""
-    values = list(values)
-    try:
-        return array("I", values)
-    except OverflowError:
-        return array("Q", values)
-
-
-def _split(text: str) -> Iterator[str]:
-    """The newline-separated keys of text, one at a time, so that only the
-    keys a merge keeps are ever held together."""
-    start, end = 0, len(text)
-    while start < end:
-        stop = text.find("\n", start)
-        if stop < 0:
-            stop = end
-        yield text[start:stop]
-        start = stop + 1
-
-
-class Shard(NamedTuple):
-    """A Report packed to cross a process boundary: each sender table's
-    prefixes joined into one string and its counts in one array, so that it
-    pickles and unpickles as a few objects instead of a few per prefix."""
-
-    label: str
-    total: int
-    dropped: int
-    senders_tracked: bool
-    leaf_counts: dict
-    qtype_counts: dict
-    sender_keys: str  # newline-joined prefixes
-    sender_rows: array  # each prefix's LEAVES-ordered row, in key order
-    empty_keys: str  # newline-joined prefixes of root-name queries
-    empty_sizes: array  # the qtypes each of those prefixes sent
-    empty_qtypes: array  # their codes, prefix after prefix
-    empty_counts: array  # and their counts, likewise
-
-    @classmethod
-    def of(cls, report: Report) -> "Shard":
-        senders = report.sender_counts
-        empties = report.empty_by_sender
-        return cls(
-            report.label, report.total, report.dropped, report.senders_tracked,
-            dict(report.leaf_counts), dict(report.qtype_counts),
-            "\n".join(senders), _counts(chain.from_iterable(senders.values())),
-            "\n".join(empties), array("I", map(len, empties.values())),
-            array("H", chain.from_iterable(empties.values())),
-            _counts(chain.from_iterable(map(dict.values, empties.values()))),
-        )
-
-    def sender_items(self) -> Iterable[tuple[str, tuple]]:
-        return zip(_split(self.sender_keys), zip(*[iter(self.sender_rows)] * len(LEAVES)))
-
-    def empty_items(self) -> Iterable[tuple[str, Iterable[tuple[int, int]]]]:
-        """Each prefix with its (qtype, count) pairs; the pairs of one prefix
-        must be read before the next prefix is taken."""
-        pairs = zip(self.empty_qtypes, self.empty_counts)
-        return ((key, islice(pairs, size)) for key, size in zip(_split(self.empty_keys), self.empty_sizes))
-
-
-def merge_into(acc: Report, other: Union[Report, Shard]) -> Report:
-    """Add other, a Report or a Shard of one, into acc in place and return
-    acc: merge(acc, other) without copying acc. other is left as it was."""
+def merge_into(acc: Report, other: Report) -> Report:
+    """Add other into acc in place and return acc: merge(acc, other)
+    without copying acc, and other is left as it was. other may be anything
+    that reads like a Report: its two sender tables need only items(), as a
+    workers.Shard's packed tables have."""
     acc.label = _merge_labels(acc.label, other.label)
     acc.total += other.total
     acc.dropped += other.dropped
@@ -209,25 +147,20 @@ def merge_into(acc: Report, other: Union[Report, Shard]) -> Report:
     if not (acc.senders_tracked and other.senders_tracked):
         acc.sender_counts, acc.empty_by_sender, acc.senders_tracked = {}, {}, False
         return acc
-    if isinstance(other, Shard):
-        rows, root_queries = other.sender_items(), other.empty_items()
-    else:
-        rows = other.sender_counts.items()
-        root_queries = ((prefix, by_qtype.items()) for prefix, by_qtype in other.empty_by_sender.items())
     senders = acc.sender_counts
-    for prefix, row in rows:
+    for prefix, row in other.sender_counts.items():
         mine = senders.get(prefix)
         if mine is None:
             senders[prefix] = list(row)
         else:
             mine[:] = map(add, mine, row)
     empties = acc.empty_by_sender
-    for prefix, pairs in root_queries:
+    for prefix, by_qtype in other.empty_by_sender.items():
         mine = empties.get(prefix)
         if mine is None:
-            empties[prefix] = dict(pairs)
+            empties[prefix] = dict(by_qtype)
         else:
-            for code, n in pairs:
+            for code, n in by_qtype.items():
                 mine[code] = mine.get(code, 0) + n
     return acc
 

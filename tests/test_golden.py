@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from roottrace import cli, ingest
+from roottrace import cli, ingest, workers
 from roottrace.cli import main
 from roottrace.model import QueryRecord
 from roottrace.names import parse_presentation
@@ -134,14 +134,14 @@ def test_report_bytes_match_golden_in_any_block_size(fmt, block, tmp_path, monke
 # forced worker counts: the TSV trace is cut into that many ranges, each
 # folded in a worker of its own; a pcap file, and a sampled one, is never
 # cut, so those runs check that such an input stays whole
-@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+@pytest.mark.parametrize("count", [1, 2, 3, 8])
 @pytest.mark.parametrize("fmt", ["tsv", "pcap"])
-def test_report_bytes_match_golden_at_any_worker_count(fmt, workers, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
-    monkeypatch.setattr(cli, "MIN_TASK_BYTES", 1)
+def test_report_bytes_match_golden_at_any_worker_count(fmt, count, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(workers, "MIN_TASK_BYTES", 1)
     test_report_bytes_match_golden(fmt, tmp_path, monkeypatch)
-    tasks = cli._plan_tasks([f"trace.{fmt}"], fmt == "tsv", workers)
-    assert len(tasks) == (workers if fmt == "tsv" else 1)
+    tasks = workers.plan_tasks([f"trace.{fmt}"], fmt == "tsv", count)
+    assert len(tasks) == (count if fmt == "tsv" else 1)
 
 
 def ditl_pool_2022():

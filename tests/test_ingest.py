@@ -20,7 +20,6 @@ from roottrace.ingest import (
     PcapError,
     decode_pcap,
     decode_tsv,
-    line_starts,
     read_pcap,
     read_range,
     read_tsv,
@@ -155,27 +154,6 @@ def test_tsv_range_breaks_blocks_where_the_whole_file_does(monkeypatch):
     for first_line in (1, 7, 10):
         with pytest.raises(IngestError, match="I/O error at line 9: disk gone"):
             list(decode_tsv(failing(first_line, 10), first_line=first_line))
-
-
-def test_line_starts_finds_the_next_line_and_its_number():
-    data = b"ab\ncd\r\n\nefg\nh"
-    # offsets 0-2 "ab\n", 3-6 "cd\r\n", 7 "\n", 8-11 "efg\n", 12 "h"
-    got = line_starts(io.BytesIO(data), [1, 3, 4, 5, 8, 9, 12])
-    assert got == [(3, 2), (7, 3), (8, 4), (12, 5)]
-    assert line_starts(io.BytesIO(data), [13]) == []  # in the unterminated last line
-    assert line_starts(io.BytesIO(b"ab\ncd\n"), [4]) == [(6, 3)]  # the end of the file
-
-
-def test_line_starts_across_read_chunks():
-    lines = [b"x" * (i % 97) + b"\n" for i in range(5000)]  # ~240 KB, several reads
-    data = b"".join(lines)
-    offsets = list(range(1, len(data), 7919))
-    expected = []
-    for offset in offsets:
-        at = data.index(b"\n", offset - 1) + 1
-        if at < len(data) and (at, data.count(b"\n", 0, at) + 1) not in expected:
-            expected.append((at, data.count(b"\n", 0, at) + 1))
-    assert line_starts(io.BytesIO(data), offsets) == expected
 
 
 def test_read_range_reads_only_its_bytes(tmp_path):

@@ -22,7 +22,6 @@ from roottrace.report import (
     INVALID_ONLY_POLICY,
     LEAVES,
     Report,
-    Shard,
     build_report_doc,
     chromium_fractions,
     doc_to_csv,
@@ -42,6 +41,7 @@ from roottrace.report import (
     write_report,
 )
 from roottrace.synth import tsv_bytes
+from roottrace.workers import Shard
 
 LEAF_POOL = [
     Classification(Leaf.EMPTY),
@@ -179,12 +179,12 @@ def test_shard_counts_are_four_bytes_unless_a_count_needs_eight():
     rng = random.Random(53)
     report = fold(random_pairs(rng, 500))
     shard = Shard.of(report)
-    assert shard.sender_rows.itemsize == shard.empty_counts.itemsize == 4
+    assert shard.sender_counts.counts.itemsize == shard.empty_by_sender.counts.itemsize == 4
     prefix = next(iter(report.empty_by_sender))
     report.sender_counts[prefix][0] += 2**32
     report.empty_by_sender[prefix][2] = 2**40
     big = Shard.of(report)
-    assert big.sender_rows.itemsize == big.empty_counts.itemsize == 8
+    assert big.sender_counts.counts.itemsize == big.empty_by_sender.counts.itemsize == 8
     assert merge_into(Report(), big) == merge(Report(), report)
 
 

@@ -6,7 +6,9 @@ Every test forces the worker count and the smallest task, the way
 test_golden forces ingest.BLOCK, so that even small inputs are split.
 """
 
+import io
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -14,10 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from roottrace import cli
+from roottrace import cli, workers
 from roottrace.cli import main
 from roottrace.names import parse_presentation
 from roottrace.synth import generate, tsv_bytes, year_mix
+from roottrace.workers import line_starts
 
 from test_ingest import dns_payload, pcap_file, udp4, udp6, with_caplen
 
@@ -26,9 +29,24 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 RECORDS = [record for record, _ in generate(year_mix(2022, seed=1010), 3000)]
 
 
-def force_workers(monkeypatch, workers):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
-    monkeypatch.setattr(cli, "MIN_TASK_BYTES", 1)
+@pytest.fixture(autouse=True)
+def time_bound():
+    """Fail a test whose command hangs, say on a worker that never answers,
+    instead of hanging the suite; the command still reaps its workers."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the command did not finish within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def force_workers(monkeypatch, count):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(workers, "MIN_TASK_BYTES", 1)
 
 
 def assert_no_child():
@@ -36,10 +54,10 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-def run(argv, workers, monkeypatch, capsys, out):
+def run(argv, count, monkeypatch, capsys, out):
     """Exit code, stderr and output bytes (None if none was written) of one
     command at a forced worker count."""
-    force_workers(monkeypatch, workers)
+    force_workers(monkeypatch, count)
     if out.exists():
         out.unlink()
     code = main(argv + ["--out", str(out)])
@@ -47,9 +65,9 @@ def run(argv, workers, monkeypatch, capsys, out):
     return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
 
 
-def task_count(paths, cuttable, workers, monkeypatch):
-    force_workers(monkeypatch, workers)
-    return len(cli._plan_tasks([str(p) for p in paths], cuttable, workers))
+def task_count(paths, cuttable, count, monkeypatch):
+    force_workers(monkeypatch, count)
+    return len(workers.plan_tasks([str(p) for p in paths], cuttable, count))
 
 
 def pcap_of(records) -> bytes:
@@ -82,9 +100,9 @@ def test_several_files_give_one_process_bytes(fmt, command, tmp_path, monkeypatc
     out = tmp_path / "out"
     code, err, expected = run(argv, 1, monkeypatch, capsys, out)
     assert (code, err) == (0, "")
-    for workers in (2, 3, 8):
-        assert task_count(paths, fmt == "tsv", workers, monkeypatch) > 1
-        assert run(argv, workers, monkeypatch, capsys, out) == (0, "", expected)
+    for count in (2, 3, 8):
+        assert task_count(paths, fmt == "tsv", count, monkeypatch) > 1
+        assert run(argv, count, monkeypatch, capsys, out) == (0, "", expected)
 
 
 def good(i: int, end: bytes = b"\n") -> bytes:
@@ -107,11 +125,11 @@ def edge_files(tmp_path):
     return paths
 
 
-def range_starts(paths, workers, monkeypatch):
+def range_starts(paths, count, monkeypatch):
     """The first line of every task range that starts inside a file."""
-    force_workers(monkeypatch, workers)
+    force_workers(monkeypatch, count)
     starts = []
-    for task in cli._plan_tasks([str(p) for p in paths], True, workers):
+    for task in workers.plan_tasks([str(p) for p in paths], True, count):
         for path, start, _, _ in task:
             if start:
                 with open(path, "rb") as fh:
@@ -127,10 +145,10 @@ def test_edge_lines_give_one_process_bytes(tmp_path, monkeypatch, capsys):
         argv = argv + ["--in", *map(str, paths)]
         code, err, expected = run(argv, 1, monkeypatch, capsys, out)
         assert (code, err) == (0, "")
-        for workers in (2, 3, 8, 16):
-            assert run(argv, workers, monkeypatch, capsys, out) == (0, "", expected)
+        for count in (2, 3, 8, 16):
+            assert run(argv, count, monkeypatch, capsys, out) == (0, "", expected)
     # the cuts do fall where the lines are awkward
-    starts = [line for workers in (2, 3, 8, 16) for line in range_starts(paths, workers, monkeypatch)]
+    starts = [line for count in (2, 3, 8, 16) for line in range_starts(paths, count, monkeypatch)]
     assert b"junk line\n" in starts or b"1\t1.2.3.4\tIN\tA\n" in starts
     assert any(line.endswith(b"\r\n") for line in starts)
 
@@ -144,6 +162,27 @@ def test_more_workers_than_lines(tmp_path, monkeypatch, capsys):
     assert (code, err) == (0, "")
     assert task_count([path], True, 8, monkeypatch) == 3  # one task per line
     assert run(argv, 8, monkeypatch, capsys, out) == (0, "", expected)
+
+
+def test_line_starts_finds_the_next_line_and_its_number():
+    data = b"ab\ncd\r\n\nefg\nh"
+    # offsets 0-2 "ab\n", 3-6 "cd\r\n", 7 "\n", 8-11 "efg\n", 12 "h"
+    got = line_starts(io.BytesIO(data), [1, 3, 4, 5, 8, 9, 12])
+    assert got == [(3, 2), (7, 3), (8, 4), (12, 5)]
+    assert line_starts(io.BytesIO(data), [13]) == []  # in the unterminated last line
+    assert line_starts(io.BytesIO(b"ab\ncd\n"), [4]) == [(6, 3)]  # the end of the file
+
+
+def test_line_starts_across_read_chunks():
+    lines = [b"x" * (i % 97) + b"\n" for i in range(5000)]  # ~240 KB, several reads
+    data = b"".join(lines)
+    offsets = list(range(1, len(data), 7919))
+    expected = []
+    for offset in offsets:
+        at = data.index(b"\n", offset - 1) + 1
+        if at < len(data) and (at, data.count(b"\n", 0, at) + 1) not in expected:
+            expected.append((at, data.count(b"\n", 0, at) + 1))
+    assert line_starts(io.BytesIO(data), offsets) == expected
 
 
 # --- errors -------------------------------------------------------------------
@@ -168,11 +207,11 @@ def test_io_error_in_a_later_range_names_the_line_one_process_names(tmp_path, mo
     out = tmp_path / "out"
     # one process names the first line of the 512-line block that holds line 2500
     assert run(argv, 1, monkeypatch, capsys, out) == (2, "roottrace: I/O error at line 2049: disk gone\n", None)
-    for workers in (2, 3, 8):
-        force_workers(monkeypatch, workers)
-        first_task = cli._plan_tasks([str(path)], True, workers)[0]
+    for count in (2, 3, 8):
+        force_workers(monkeypatch, count)
+        first_task = workers.plan_tasks([str(path)], True, count)[0]
         assert first_task[0][2] <= len(tsv_bytes(RECORDS[:2499]))  # line 2500 is a worker's
-        assert run(argv, workers, monkeypatch, capsys, out) == (2, "roottrace: I/O error at line 2049: disk gone\n", None)
+        assert run(argv, count, monkeypatch, capsys, out) == (2, "roottrace: I/O error at line 2049: disk gone\n", None)
 
 
 def pcap_files(tmp_path, kinds):
@@ -207,9 +246,9 @@ def test_the_first_error_in_input_order_wins(kinds, tmp_path, monkeypatch, capsy
     first = kinds.index("corrupt") if "missing" not in kinds else min(kinds.index("corrupt"), kinds.index("missing"))
     assert code == 2 and written is None
     assert ("corrupt pcap record" if kinds[first] == "corrupt" else "No such file") in err
-    for workers in (2, 4):
-        assert task_count(paths, False, workers, monkeypatch) > 1
-        assert run(argv, workers, monkeypatch, capsys, out) == (2, err, None)
+    for count in (2, 4):
+        assert task_count(paths, False, count, monkeypatch) > 1
+        assert run(argv, count, monkeypatch, capsys, out) == (2, err, None)
 
 
 def test_a_worker_that_dies_fails_the_command(tmp_path, monkeypatch, capsys):
@@ -224,8 +263,8 @@ def test_a_worker_that_dies_fails_the_command(tmp_path, monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, "fold_blocks", fold_blocks)
-    for workers in (2, 3):
-        code, err, written = run(["classify", "--in", str(path)], workers, monkeypatch, capsys, tmp_path / "out")
+    for count in (2, 3):
+        code, err, written = run(["classify", "--in", str(path)], count, monkeypatch, capsys, tmp_path / "out")
         assert (code, written) == (2, None)
         assert err == "roottrace: a worker process ended without a result (exit status 3)\n"
 
@@ -257,12 +296,12 @@ def test_one_cpu_or_a_small_input_is_one_task(tmp_path, monkeypatch):
     path = tmp_path / "t.tsv"
     path.write_bytes(tsv_bytes(RECORDS))
     whole = [[(str(path), 0, None, 1)]]
-    assert cli._plan_tasks([str(path)], True, 1) == whole
-    monkeypatch.setattr(cli, "MIN_TASK_BYTES", path.stat().st_size)
-    assert cli._plan_tasks([str(path)], True, 4) == whole
-    monkeypatch.setattr(cli, "MIN_TASK_BYTES", path.stat().st_size // 2)
-    assert len(cli._plan_tasks([str(path)], True, 4)) == 2
-    assert cli._plan_tasks([str(path)], False, 4) == whole  # a file that may not be cut
+    assert workers.plan_tasks([str(path)], True, 1) == whole
+    monkeypatch.setattr(workers, "MIN_TASK_BYTES", path.stat().st_size)
+    assert workers.plan_tasks([str(path)], True, 4) == whole
+    monkeypatch.setattr(workers, "MIN_TASK_BYTES", path.stat().st_size // 2)
+    assert len(workers.plan_tasks([str(path)], True, 4)) == 2
+    assert workers.plan_tasks([str(path)], False, 4) == whole  # a file that may not be cut
 
 
 def test_a_process_with_other_threads_forks_no_workers():
@@ -280,8 +319,9 @@ def test_a_process_with_other_threads_forks_no_workers():
 
 
 def test_importing_the_cli_loads_no_process_machinery():
-    code = ("import sys, roottrace.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent', 'pickle')))")
+    # set-up time is import time, so what only a split input needs loads then
+    code = ("import sys, roottrace.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'pickle') or m == 'roottrace.workers'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
