@@ -204,7 +204,7 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
         report = workers.fold_in_workers(workers.plan_tasks(args.inputs, cuttable, cpus), fold_task)
     else:
         report = fold_task([(path, 0, None, 1) for path in args.inputs])
-    report.label = args.label
+    report.label = args.label  # as given, not merge's sorted union of its parts
     meta = {
         "tool": f"roottrace {__version__}",
         "inputs": list(args.inputs),

@@ -3,8 +3,8 @@
 decode_tsv and decode_pcap read a trace into Blocks of up to BLOCK records
 held as parallel columns, each record's sender prefix among them, and keep
 running counters. read_range reads a byte range of a file, so that a TSV
-file can be read in parts. read_tsv and read_pcap are QueryRecord views of the same
-blocks, with the same counters. sample and window filter blocks.
+file can be read in parts. read_tsv and read_pcap are QueryRecord views of
+the same blocks, with the same counters. sample and window filter blocks.
 Malformed records never abort a stream; only a corrupt container
 (unreadable file, bad pcap global header, a pcap record header claiming an
 impossible length) does, before the block that holds it is yielded.
@@ -106,20 +106,19 @@ def decode_tsv(
         stats = IngestStats()
     qtype_table = _QTYPE_FROM_BYTES
     qclass_table = _QCLASS_FROM_BYTES
-    whole = BLOCK
     lineno = first_line - 1
-    size = whole - lineno % whole
+    size = BLOCK - lineno % BLOCK  # the first block ends where the whole file's does
     lines = iter(stream)
     while True:
         try:
             chunk = list(islice(lines, size))
         except OSError as exc:
-            first = lineno - lineno % whole + 1  # of the whole file's block
+            first = lineno - lineno % BLOCK + 1  # of the whole file's block
             raise IngestError(f"I/O error at line {first}: {exc}") from exc
         if not chunk:
             return
         lineno += len(chunk)
-        size = whole
+        size = BLOCK
         block = Block([], [], [], [], [], [])
         add_ts, add_source, add_qclass, add_qtype, add_name, add_prefix = (column.append for column in block)
         dropped = 0
@@ -177,8 +176,8 @@ class _Range(io.RawIOBase):
 
 def read_range(stream: IO[bytes], start: int, end: Optional[int]) -> IO[bytes]:
     """Bytes start to end of an open binary file as a stream of their own,
-    to the end of the file where end is None; the file is read from there
-    on, so give each range a file object of its own."""
+    to the end of the file where end is None. The stream reads through the
+    file object, so give each range a file object of its own."""
     if start:
         stream.seek(start)
     if end is None:

@@ -79,7 +79,8 @@ def pcap_of(records) -> bytes:
 
 
 COMMANDS = {
-    "classify": ["classify", "--label", "w"],
+    # merging sorts the parts of a label; the report keeps it as given
+    "classify": ["classify", "--label", "b+a"],
     "nosenders": ["classify", "--label", "w", "--no-senders"],
     "sampled": ["classify", "--label", "w", "--sample-rate", "0.3", "--seed", "5"],
     "window": ["classify", "--label", "w", "--window", "06:00-12:00", "--day-origin", "2022-04-12"],
