@@ -145,16 +145,56 @@ def _appletalk_set(args) -> frozenset:
     return tlds or DEFAULT_APPLETALK_TLDS
 
 
+def _cpu_quota(root: str = "/sys/fs/cgroup", cgroup: str = "/proc/self/cgroup") -> int | None:
+    """The CPUs, rounded up, whose run time a cgroup CPU quota on this
+    process's cgroup or on one above it allows; the smallest such quota, or
+    None where none is set or none can be read. cgroup v2 keeps a quota in
+    cpu.max ("max" for none), v1 in the cpu controller's cpu.cfs_quota_us
+    (-1 for none) over cpu.cfs_period_us. A cgroup directory that is not
+    under the mount, as where a container's own cgroup is the mount's root,
+    is skipped for the next one up."""
+    try:
+        with open(cgroup) as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return None
+    quotas = []
+    for line in lines:
+        _, _, controllers_path = line.partition(":")
+        controllers, _, path = controllers_path.partition(":")
+        if not controllers:
+            mounts, names = [root, os.path.join(root, "unified")], ["cpu.max"]
+        elif "cpu" in controllers.split(","):
+            mounts = [os.path.join(root, controllers), os.path.join(root, "cpu")]
+            names = ["cpu.cfs_quota_us", "cpu.cfs_period_us"]
+        else:
+            continue
+        parts = [part for part in path.split("/") if part]
+        for mount in dict.fromkeys(mounts):
+            for depth in range(len(parts), -1, -1):
+                try:
+                    values = []
+                    for name in names:
+                        with open(os.path.join(mount, *parts[:depth], name)) as fh:
+                            values += fh.read().split()
+                    if values[0] not in ("max", "-1"):
+                        quotas.append(max(1, -(-int(values[0]) // int(values[1]))))
+                except (OSError, ValueError, IndexError, ZeroDivisionError):
+                    continue
+    return min(quotas, default=None)
+
+
 def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where it has other threads,
-    whose locks a forked worker would inherit held, or where the platform
-    cannot tell."""
+    """The CPUs this process may run on, no more than its cgroup CPU quota
+    allows; 1 where it has other threads, whose locks a forked worker would
+    inherit held, or where the platform cannot tell."""
     try:
         if len(os.listdir("/proc/self/task")) > 1:
             return 1
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
         return 1
+    return min(cpus, _cpu_quota() or cpus) if cpus > 1 else cpus
 
 
 def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, dict]:

@@ -19,9 +19,12 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 from .report import LEAVES, Report, merge_into
 
-# A task is given at least this many bytes of input: less does not pay for
-# forking a worker and merging what it sends back.
-MIN_TASK_BYTES = 1 << 18
+# A task is given at least this many bytes of input. On a 2-CPU Xeon,
+# classify over slices of the benchmark's TSV inputs ran at two tasks about
+# as fast as at one from ~90 KiB a task (~180 KiB in all), and 0.8x the time
+# from 128 KiB a task; below that, forking a worker and merging what it sends
+# back cost more than the task.
+MIN_TASK_BYTES = 1 << 17
 
 
 def line_starts(stream: IO[bytes], offsets: Iterable[int]) -> list[tuple[int, int]]:
@@ -176,6 +179,21 @@ class Shard(NamedTuple):
                    _Rows.of(report.sender_counts), _RootQueries.of(report.empty_by_sender))
 
 
+def _portable(exc: Exception) -> Exception:
+    """exc if it survives pickling, else its message in the nearest of its
+    base classes that does: one whose arguments differ from its
+    constructor's, such as NameParseError, or that holds what cannot be
+    pickled, is still reported as one process would report it."""
+    for cls in type(exc).__mro__:
+        try:
+            stand_in = exc if cls is type(exc) else cls(str(exc))
+            pickle.loads(pickle.dumps(stand_in, pickle.HIGHEST_PROTOCOL))
+            return stand_in
+        except Exception:
+            continue
+    return Exception(str(exc))
+
+
 def _work(fd: int, fold_task, task) -> None:
     """A forked worker: fold the task, send its Shard (or the exception it
     raised) down the pipe, and leave through os._exit, never returning into
@@ -186,7 +204,7 @@ def _work(fd: int, fold_task, task) -> None:
             try:
                 result = Shard.of(fold_task(task))
             except Exception as exc:
-                result = exc
+                result = _portable(exc)
             pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:

@@ -18,7 +18,7 @@ import pytest
 
 from roottrace import cli, workers
 from roottrace.cli import main
-from roottrace.names import parse_presentation
+from roottrace.names import NameParseError, parse_presentation
 from roottrace.synth import generate, tsv_bytes, year_mix
 from roottrace.workers import line_starts
 
@@ -215,6 +215,41 @@ def test_io_error_in_a_later_range_names_the_line_one_process_names(tmp_path, mo
         assert run(argv, count, monkeypatch, capsys, out) == (2, "roottrace: I/O error at line 2049: disk gone\n", None)
 
 
+class Unpicklable(ValueError):
+    """An error holding what pickle cannot carry."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+@pytest.mark.parametrize("error", [
+    lambda: NameParseError("bad-escape", "bad escape at line 2500"),  # its args are not its constructor's
+    lambda: Unpicklable("unpicklable at line 2500"),
+], ids=["name-parse-error", "unpicklable"])
+def test_an_error_pickle_cannot_rebuild_is_reported_as_one_process_reports_it(error, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "t.tsv"
+    path.write_bytes(tsv_bytes(RECORDS))
+    real = cli.decode_tsv
+
+    def decode_tsv(stream, stats, first_line=1):
+        def lines():
+            for number, line in enumerate(stream, first_line):
+                if number == 2500:
+                    raise error()
+                yield line
+
+        return real(lines(), stats, first_line)
+
+    monkeypatch.setattr(cli, "decode_tsv", decode_tsv)
+    argv = ["classify", "--in", str(path)]
+    out = tmp_path / "out"
+    expected = run(argv, 1, monkeypatch, capsys, out)
+    assert expected == (2, f"roottrace: {error()}\n", None)
+    for count in (2, 3, 8):
+        assert run(argv, count, monkeypatch, capsys, out) == expected
+
+
 def pcap_files(tmp_path, kinds):
     """One pcap file per kind: good, corrupt (a record claiming 4 GiB after
     100 good ones) or missing."""
@@ -308,7 +343,8 @@ def test_one_cpu_or_a_small_input_is_one_task(tmp_path, monkeypatch):
 def test_a_process_with_other_threads_forks_no_workers():
     if not hasattr(os, "sched_getaffinity"):
         pytest.skip("the platform cannot say which CPUs a process may use")
-    assert cli._usable_cpus() == len(os.sched_getaffinity(0))
+    cpus = len(os.sched_getaffinity(0))
+    assert cli._usable_cpus() == min(cpus, cli._cpu_quota() or cpus)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -317,6 +353,47 @@ def test_a_process_with_other_threads_forks_no_workers():
     finally:
         stop.set()
         thread.join()
+
+
+def cgroup_tree(tmp_path, lines, files):
+    """A /proc/self/cgroup of these lines and a cgroup mount holding these
+    files, as the arguments _cpu_quota reads them from."""
+    root = tmp_path / "cgroup"
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text + "\n")
+    (tmp_path / "self").write_text("".join(line + "\n" for line in lines))
+    return str(root), str(tmp_path / "self")
+
+
+@pytest.mark.parametrize("lines, files, quota", [
+    (["0::/"], {"cpu.max": "200000 100000"}, 2),
+    (["0::/"], {"cpu.max": "max 100000"}, None),
+    (["0::/a/b"], {"a/b/cpu.max": "max 100000", "a/cpu.max": "150000 100000"}, 2),  # rounded up
+    (["0::/a"], {"unified/a/cpu.max": "300000 100000"}, 3),  # v2 beside v1 controllers
+    (["4:cpu,cpuacct:/docker/x", "3:memory:/docker/x"],  # the container's cgroup is the mount's root
+     {"cpu,cpuacct/cpu.cfs_quota_us": "50000", "cpu,cpuacct/cpu.cfs_period_us": "100000"}, 1),
+    (["1:cpu:/", "2:cpuacct:/"], {"cpu/cpu.cfs_quota_us": "-1", "cpu/cpu.cfs_period_us": "100000"}, None),
+    (["0::/", "1:cpu:/"], {"cpu.max": "400000 100000", "cpu/cpu.cfs_quota_us": "200000",
+                           "cpu/cpu.cfs_period_us": "100000"}, 2),
+    (["0::/"], {"cpu.max": "garbled"}, None),
+    (["0::/"], {}, None),
+])
+def test_cpu_quota_reads_the_tightest_cgroup_limit(lines, files, quota, tmp_path):
+    assert cli._cpu_quota(*cgroup_tree(tmp_path, lines, files)) == quota
+
+
+def test_cpu_quota_without_a_cgroup_file_is_none(tmp_path):
+    assert cli._cpu_quota(str(tmp_path), str(tmp_path / "missing")) is None
+
+
+def test_a_cpu_quota_caps_the_worker_count(monkeypatch):
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs a process that may run on two CPUs")
+    monkeypatch.setattr(cli, "_cpu_quota", lambda: 1)
+    assert cli._usable_cpus() == 1
+    monkeypatch.setattr(cli, "_cpu_quota", lambda: 1024)
+    assert cli._usable_cpus() == len(os.sched_getaffinity(0))
 
 
 def test_importing_the_cli_loads_no_process_machinery():
