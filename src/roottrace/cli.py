@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .classify import DEFAULT_APPLETALK_TLDS, classify_block
-from .ingest import IngestError, IngestStats, decode_pcap, decode_tsv, read_range, sample, window
+from .ingest import IngestError, IngestStats, decode_pcap, decode_tsv, sample, window
 from .names import NameParseError
 from .report import (
     POLICIES,
@@ -39,6 +40,14 @@ from .synth import (
     year_mix,
 )
 from .tlds import RegistryError, default_registry, load_registry_path
+
+
+# A task is given at least this many bytes of input. On a 2-CPU Xeon,
+# classify over slices of the benchmark's TSV inputs ran at two tasks about
+# as fast as at one from ~90 KiB a task (~180 KiB in all), and 0.8x the time
+# from 128 KiB a task; below that, forking a worker and merging what it sends
+# back cost more than the task.
+MIN_TASK_BYTES = 1 << 17
 
 
 class _Parser(argparse.ArgumentParser):
@@ -197,6 +206,18 @@ def _usable_cpus() -> int:
     return min(cpus, _cpu_quota() or cpus) if cpus > 1 else cpus
 
 
+def _size(path: str) -> int:
+    try:
+        return os.stat(path).st_size
+    except OSError:
+        return 0  # the read of the file raises the error in its turn
+
+
+def _read_file(decode, path: str, stats: IngestStats):
+    with open(path, "rb") as fh:  # open while its blocks are folded
+        yield from decode(fh, stats)
+
+
 def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, dict]:
     if args.window and not args.day_origin:
         parser.error("--window requires --day-origin")
@@ -211,39 +232,39 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
     appletalk = _appletalk_set(args)
     pcap = args.format == "pcap"
 
-    def fold_task(task) -> Report:
+    def fold(reads) -> Report:
+        """Fold the Blocks of each read in turn; read(stats) yields those of
+        one input file, or of one byte range of it."""
         stats = IngestStats()
 
         def classified():
-            # each file stays open while its blocks are folded
-            for path, start, end, first_line in task:
-                with open(path, "rb") as fh:
-                    if pcap:
-                        blocks = decode_pcap(fh, stats)
-                    else:
-                        blocks = decode_tsv(read_range(fh, start, end), stats, first_line)
-                    if args.sample_rate < 1:
-                        # reseeded per file: what a file keeps does not depend on the files before it
-                        blocks = sample(blocks, args.sample_rate, args.seed)
-                    if win:
-                        blocks = window(blocks, win[0], win[1], origin)
-                    for block in blocks:
-                        yield classify_block(block, registry, appletalk, stats)
+            for read in reads:
+                blocks = read(stats)
+                if args.sample_rate < 1:
+                    # reseeded per file: what a file keeps does not depend on the files before it
+                    blocks = sample(blocks, args.sample_rate, args.seed)
+                if win:
+                    blocks = window(blocks, win[0], win[1], origin)
+                for block in blocks:
+                    yield classify_block(block, registry, appletalk, stats)
 
         report = fold_blocks(classified(), label=args.label, track_senders=track_senders)
         report.dropped = stats.records_dropped_unparseable + stats.names_unparseable
         return report
 
     # sample draws from a seed reset at the start of each file, so a sampled
-    # file is never cut, and neither is a pcap file
-    cuttable = not pcap and not args.sample_rate < 1
-    cpus = _usable_cpus()
-    if cpus > 1 and (cuttable or len(args.inputs) > 1):
-        from . import workers  # loaded only where the input may be split
+    # file is never cut
+    cuttable = not args.sample_rate < 1
+    sizes = [_size(path) for path in args.inputs]
+    count = min(sum(sizes) // MIN_TASK_BYTES, _usable_cpus())
+    report = None
+    if count > 1 and (cuttable or len(args.inputs) > 1):
+        from . import workers  # loaded only where the input is split
 
-        report = workers.fold_in_workers(workers.plan_tasks(args.inputs, cuttable, cpus), fold_task)
-    else:
-        report = fold_task([(path, 0, None, 1) for path in args.inputs])
+        report = workers.fold_in_workers(workers.plan_tasks(args.inputs, sizes, cuttable, count), pcap, fold)
+    if report is None:  # one process, or tasks that did not meet where the input was cut
+        decode = decode_pcap if pcap else decode_tsv
+        report = fold([partial(_read_file, decode, path) for path in args.inputs])
     report.label = args.label  # as given, not merge's sorted union of its parts
     meta = {
         "tool": f"roottrace {__version__}",

@@ -2,9 +2,11 @@
 
 decode_tsv and decode_pcap read a trace into Blocks of up to BLOCK records
 held as parallel columns, each record's sender prefix among them, and keep
-running counters. read_range reads a byte range of a file, so that a TSV
-file can be read in parts. read_tsv and read_pcap are QueryRecord views of
-the same blocks, with the same counters. sample and window filter blocks.
+running counters. A file can be read in parts: read_range gives a byte
+range of a TSV file as a stream of its own, and decode_pcap reads the
+records between two offsets of a capture. read_tsv and read_pcap are
+QueryRecord views of the same blocks, with the same counters. sample and
+window filter blocks.
 Malformed records never abort a stream; only a corrupt container
 (unreadable file, bad pcap global header, a pcap record header claiming an
 impossible length) does, before the block that holds it is yielded.
@@ -53,6 +55,15 @@ class PcapError(IngestError):
     pass
 
 
+class TsvReadError(IngestError):
+    """An I/O error reading a TSV line, numbered from the stream's first line."""
+
+    def __init__(self, line: int, error: OSError):
+        super().__init__(f"I/O error reading line {line}: {error}")
+        self.line = line
+        self.error = error
+
+
 @dataclass
 class IngestStats:
     """Ingest counters, monotonically non-decreasing; one instance may be
@@ -86,39 +97,30 @@ class Block(NamedTuple):
         return Block._make([tuple(compress(column, mask)) for column in self])
 
 
-def decode_tsv(
-    stream: IO[bytes], stats: Optional[IngestStats] = None, first_line: int = 1
-) -> Iterator[Block]:
+def decode_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[Block]:
     """Read tab-separated query records, one per line and five fields, as
     Blocks of the lines' records.
 
     Malformed lines, a source that is not an IP address among them, bump
     records_dropped_unparseable and are left out. The lines of a block are
-    read at once, so an I/O failure aborts with an IngestError that names
-    the first line of the block whose read failed.
-
-    first_line is the file's line number of the stream's first line, for a
-    stream that starts partway into a file (read_range): blocks then break
-    where they would in the whole file, and an I/O failure names the first
-    line of the whole file's block, as a read of the whole file would.
+    read at once, so an I/O failure aborts with a TsvReadError that names
+    the line whose read failed, before the block it cut short is yielded.
     """
     if stats is None:
         stats = IngestStats()
     qtype_table = _QTYPE_FROM_BYTES
     qclass_table = _QCLASS_FROM_BYTES
-    lineno = first_line - 1
-    size = BLOCK - lineno % BLOCK  # the first block ends where the whole file's does
+    lineno = 0
     lines = iter(stream)
     while True:
+        chunk = []
         try:
-            chunk = list(islice(lines, size))
+            chunk.extend(islice(lines, BLOCK))  # keeps the lines read before a failure
         except OSError as exc:
-            first = lineno - lineno % BLOCK + 1  # of the whole file's block
-            raise IngestError(f"I/O error at line {first}: {exc}") from exc
+            raise TsvReadError(lineno + len(chunk) + 1, exc) from exc
         if not chunk:
             return
         lineno += len(chunk)
-        size = BLOCK
         block = Block([], [], [], [], [], [])
         add_ts, add_source, add_qclass, add_qtype, add_name, add_prefix = (column.append for column in block)
         dropped = 0
@@ -189,8 +191,8 @@ def read_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator
     """decode_tsv's records as QueryRecords, names as latin-1 text.
 
     Malformed lines bump records_dropped_unparseable and are skipped. An
-    I/O failure aborts with an IngestError naming the first line of the
-    block whose read failed; the records of that block are not yielded.
+    I/O failure aborts with a TsvReadError naming the line whose read
+    failed; the records of the block it cut short are not yielded.
     """
     for block in decode_tsv(stream, stats):
         yield from map(QueryRecord, *block[:4], map(bytes.decode, block.names, repeat("latin-1")))
@@ -255,7 +257,9 @@ def _decode_question(payload: bytes) -> "tuple[int, object]":
     return 2, (DomainName(tuple(labels)), qtype, qclass)
 
 
-def decode_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[Block]:
+def decode_pcap(
+    stream: IO[bytes], stats: Optional[IngestStats] = None, start: int = 0, end: Optional[int] = None
+) -> Iterator[Block]:
     """Read the queries of a classic pcap capture as Blocks, sources as
     packed addresses and names as the DomainNames decoded off the wire.
 
@@ -266,6 +270,11 @@ def decode_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Itera
     record claiming more than MAX_CAPLEN bytes is a corrupt container and
     raises PcapError. The CLI classifies these names directly; read_pcap
     is the text view of the same stream.
+
+    start and end read part of a seekable capture: the records from the
+    one whose header is at byte start (past the global header) up to the
+    first that begins at or after byte end. The stream is then left at
+    that record, or at the end of the file.
     """
     if stats is None:
         stats = IngestStats()
@@ -283,6 +292,11 @@ def decode_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Itera
     unpack_rec = struct.Struct(endian + "IIII").unpack
     unpack_48 = struct.Struct(">3H").unpack_from
     offset = 24  # of the next record header in the file
+    if start > offset:
+        stream.seek(start)
+        offset = start
+    if end is None:
+        end = float("inf")
     size = BLOCK
     block = Block([], [], [], [], [], [])
 
@@ -292,6 +306,9 @@ def decode_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Itera
             if rec_header:
                 stats.bytes_read += len(rec_header)
                 stats.packets_skipped += 1
+            break
+        if offset >= end:
+            stream.seek(offset)
             break
         ts_sec, ts_sub, caplen, _ = unpack_rec(rec_header)
         if caplen > MAX_CAPLEN:

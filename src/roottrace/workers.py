@@ -1,11 +1,18 @@
 """Folding the input of one command across the CPUs it may use.
 
 plan_tasks splits the input files into contiguous tasks of about equal
-bytes, cutting a TSV file only just after a newline (line_starts).
+bytes, and opens none of them: it cuts a file at a byte target. Each task
+then finds its own first record, the first line that begins at or after
+its target in a TSV file (_line_start) and, in a pcap capture, the first
+offset where RESYNC_HEADERS record headers in a row are plausible
+(_pcap_begin); it reads the records that begin before its end target.
 fold_in_workers folds the first task in this process and each other one in
-a forked worker, which sends back its Report packed as a Shard, and merges
-the results in input order. The CLI imports this module only where it may
-fork, so a one-CPU run neither loads nor compiles it.
+a forked worker, which sends back its Report packed as a Shard with the
+offsets it began and stopped at, and merges the results in input order. A
+task must begin where the one before it stopped; where one does not, the
+input is folded again in one process, so the output never depends on a
+resync. The CLI imports this module only where it may fork, so a one-CPU
+run, or an input too small to split, neither loads nor compiles it.
 """
 
 from __future__ import annotations
@@ -13,91 +20,158 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import struct
 from array import array
+from functools import partial
 from itertools import chain, islice
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Optional
 
+from .ingest import _PCAP_MAGICS, MAX_CAPLEN, TsvReadError, decode_pcap, decode_tsv, read_range
 from .report import LEAVES, Report, merge_into
 
-# A task is given at least this many bytes of input. On a 2-CPU Xeon,
-# classify over slices of the benchmark's TSV inputs ran at two tasks about
-# as fast as at one from ~90 KiB a task (~180 KiB in all), and 0.8x the time
-# from 128 KiB a task; below that, forking a worker and merging what it sends
-# back cost more than the task.
-MIN_TASK_BYTES = 1 << 17
+# record headers in a row that must be plausible where a task begins in a
+# pcap capture; from 2,000 random targets in each of the benchmark's two
+# 11.7 MB synthetic captures, three found the true next record every time,
+# in ~0.1 ms a target
+RESYNC_HEADERS = 3
+# how far a plausible record's timestamp may be from the capture's first
+# one, in seconds
+RESYNC_SECONDS = 7 * 86_400
 
 
-def line_starts(stream: IO[bytes], offsets: Iterable[int]) -> list[tuple[int, int]]:
-    """Where the first line at or after each of the ascending, positive byte
-    offsets begins in a seekable binary file, as (byte offset, line number)
-    pairs in order, without repeats. A line begins just after a newline: an
-    offset in an unterminated last line gives nothing, and one in a last
-    line that ends the file with a newline gives the file's size.
-    """
-    starts: list = []
-    pending = iter(offsets)
-    target = next(pending, None)
-    pos = lines = 0  # bytes and newlines before the chunk
-    stream.seek(0)
-    while target is not None and (chunk := stream.read(1 << 16)):
-        counted = 0  # the newlines of chunk[:counted] are in lines
-        while target is not None:
-            i = chunk.find(b"\n", max(target - 1 - pos, counted))
-            if i < 0:
-                break
-            lines += chunk.count(b"\n", counted, i + 1)
-            counted = i + 1
-            starts.append((pos + counted, lines + 1))
-            while target is not None and target <= pos + counted:
-                target = next(pending, None)
-        lines += chunk.count(b"\n", counted)
-        pos += len(chunk)
-    return starts
-
-
-def _size(path: str) -> int:
-    try:
-        return os.stat(path).st_size
-    except OSError:
-        return 0  # the task that reads it in its turn raises the error
-
-
-def plan_tasks(paths: list, cuttable: bool, workers: int) -> list:
-    """The input files as up to `workers` contiguous tasks of about equal
-    bytes, each a list of (path, start, end, first line) ranges in input
-    order; end None reads to the end of the file. A file is cut only if
-    cuttable, and then only just after a newline; a file that is not cut
-    goes to the task its middle byte falls in. There are no more tasks than
-    MIN_TASK_BYTES go into the input's bytes."""
-    sizes = [_size(path) for path in paths]
+def plan_tasks(paths: list, sizes: list, cuttable: bool, count: int) -> list:
+    """The input files, of these sizes, as `count` contiguous tasks of about
+    equal bytes, each a list of (path, start, end) byte ranges in input
+    order; end None reads to the end of the file. A range that starts or
+    ends inside a file does so at a byte target, and the task reading it
+    finds the record there (read_task). A file is cut only if cuttable; one
+    that is not goes to the task its middle byte falls in."""
     total = sum(sizes)
-    workers = min(workers, total // MIN_TASK_BYTES)
-    targets = [total * k // workers for k in range(1, workers)]
-    starts = [(0, 0, 1)]  # (file index, byte offset, line number) where a task begins
+    targets = [total * k // count for k in range(1, count)]
+    cuts = {(0, 0)}  # (file index, byte offset) where a task begins
     offset = 0
     for i, size in enumerate(sizes):
-        inside = [target - offset for target in targets if offset <= target < offset + size]
+        for at in [target - offset for target in targets if offset <= target < offset + size]:
+            cuts.add((i, at) if cuttable else (i, 0) if at < size / 2 else (i + 1, 0))
         offset += size
-        if not cuttable:
-            starts += [(i, 0, 1) if at < size / 2 else (i + 1, 0, 1) for at in inside]
-        elif inside:
-            try:
-                with open(paths[i], "rb") as fh:
-                    found = line_starts(fh, [at for at in inside if at])
-            except OSError:  # one process reads the input and raises it in its turn
-                return [[(path, 0, None, 1) for path in paths]]
-            if inside[0] == 0:
-                starts.append((i, 0, 1))
-            starts += [(i, at, line) if at < size else (i + 1, 0, 1) for at, line in found]
-    bounds = sorted({start for start in starts if start[0] < len(paths)}) + [(len(paths), 0, 1)]
+    bounds = sorted(cut for cut in cuts if cut[0] < len(paths)) + [(len(paths), 0)]
     tasks = []
-    for (first, start, line), (last, end, _) in zip(bounds, bounds[1:]):
-        task = [(paths[first], start, None, line)] if first < last else []
-        task += [(path, 0, None, 1) for path in paths[first + 1 : last]]
+    for (first, start), (last, end) in zip(bounds, bounds[1:]):
+        task = [(paths[first], start, None)] if first < last else []
+        task += [(path, 0, None) for path in paths[first + 1 : last]]
         if end:
-            task.append((paths[last], start, end, line) if first == last else (paths[last], 0, end, 1))
+            task.append((paths[last], start if first == last else 0, end))
         tasks.append(task)
     return tasks
+
+
+def _line_start(fd: int, target: int) -> int:
+    """Where the first line that begins at or after byte target of a file
+    begins: just after the first newline at or after byte target - 1, or
+    at the end of the file."""
+    if not target:
+        return 0
+    at = target - 1
+    while chunk := os.pread(fd, 1 << 16, at):
+        found = chunk.find(b"\n")
+        if found >= 0:
+            return at + found + 1
+        at += len(chunk)
+    return at
+
+
+def _newlines(fd: int, end: int) -> int:
+    """How many newlines the first `end` bytes of a file hold."""
+    count = at = 0
+    while at < end and (chunk := os.pread(fd, min(1 << 20, end - at), at)):
+        count += chunk.count(b"\n")
+        at += len(chunk)
+    return count
+
+
+def _pcap_begin(fd: int, target: int) -> Optional[int]:
+    """Where a task whose range starts at byte target of a pcap capture
+    begins: the first offset at or after it where RESYNC_HEADERS record
+    headers in a row (fewer where the file ends first) are plausible
+    (draft-ietf-opsawg-pcap), or the end of the file if no record header
+    starts after target. A header is plausible if its sub-second field is
+    under 10^6 (10^9 in a nanosecond capture), its caplen is at most the
+    snaplen (MAX_CAPLEN where the snaplen is 0 or larger) and at most the
+    original length, and its timestamp is within RESYNC_SECONDS of the
+    first record's. None where the capture has no first record or no
+    header within a record's length of target is plausible."""
+    head = os.pread(fd, 40, 0)
+    if len(head) < 40 or head[:4] not in _PCAP_MAGICS:
+        return None  # decode_pcap reads the file from byte 0 in an earlier task
+    endian, nano = _PCAP_MAGICS[head[:4]]
+    unpack = struct.Struct(endian + "IIII").unpack_from
+    snaplen = struct.unpack_from(endian + "I", head, 16)[0]
+    if not 0 < snaplen <= MAX_CAPLEN:
+        snaplen = MAX_CAPLEN
+    subsecond = 1_000_000_000 if nano else 1_000_000
+    first = unpack(head, 24)[0]
+    at = max(target, 24)
+    # a true record starts within 16 + snaplen bytes of any offset, and each
+    # header checked from there lies within as many bytes of the one before
+    span = 16 + snaplen
+    window = os.pread(fd, (RESYNC_HEADERS + 1) * span, at)
+
+    def plausible(i: int) -> bool:
+        for checked in range(RESYNC_HEADERS):
+            if i + 16 > len(window):
+                return checked > 0  # the file ends after a plausible record
+            sec, sub, caplen, length = unpack(window, i)
+            if sub >= subsecond or caplen > snaplen or caplen > length or abs(sec - first) > RESYNC_SECONDS:
+                return False
+            i += 16 + caplen
+        return True
+
+    for i in range(min(span + 1, len(window))):
+        if plausible(i):
+            return at + i
+    return at + len(window) if len(window) <= span else None
+
+
+def _read(pcap: bool, path: str, start: int, end: Optional[int], bounds: list, stats) -> Iterator:
+    """The Blocks of a file's records that begin in bytes start to end (to
+    the end of the file where end is None), the file kept open while they
+    are read. Where the range starts inside the file, the offset it began
+    at goes in bounds[0] (None where a pcap resync found no record); where
+    it ends inside the file, the offset it stopped at goes in bounds[1]."""
+    with open(path, "rb") as fh:
+        fd = fh.fileno()
+        if pcap:
+            begin = _pcap_begin(fd, start) if start else 0
+        else:
+            begin = _line_start(fd, start)
+            stop = None if end is None else _line_start(fd, end)
+        if start:
+            bounds[0] = begin
+        if begin is None:
+            return  # the task fails the handshake; the input is folded in one process
+        if pcap:
+            yield from decode_pcap(fh, stats, begin, end)
+            stop = fh.tell()
+        else:
+            try:
+                yield from decode_tsv(read_range(fh, begin, stop), stats)
+            except TsvReadError as exc:  # numbered from the range's first line
+                raise TsvReadError(exc.line + _newlines(fd, begin), exc.error) from exc.error
+        if end is not None:
+            bounds[1] = stop
+
+
+def read_task(task: list, pcap: bool, fold) -> tuple:
+    """fold over the reads of a task's ranges, as (the offset its first
+    range began at, the offset its last range stopped at, and the Report or
+    the exception fold raised). An offset is None where the task does not
+    begin or end inside a file."""
+    bounds = [None, None]
+    try:
+        result = fold([partial(_read, pcap, path, start, end, bounds) for path, start, end in task])
+    except Exception as exc:
+        result = exc
+    return bounds[0], bounds[1], result
 
 
 def _counts(values: Iterable[int]) -> array:
@@ -194,29 +268,51 @@ def _portable(exc: Exception) -> Exception:
     return Exception(str(exc))
 
 
-def _work(fd: int, fold_task, task) -> None:
-    """A forked worker: fold the task, send its Shard (or the exception it
-    raised) down the pipe, and leave through os._exit, never returning into
-    the code that forked it."""
+def _work(fd: int, task: list, pcap: bool, fold) -> None:
+    """A forked worker: fold the task, send the offsets it began and
+    stopped at with its Shard (or the exception it raised) down the pipe,
+    and leave through os._exit, never returning into the code that forked
+    it."""
     status = 1
     try:
         with open(fd, "wb") as pipe:
-            try:
-                result = Shard.of(fold_task(task))
-            except Exception as exc:
-                result = _portable(exc)
-            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+            begin, stop, result = read_task(task, pcap, fold)
+            result = _portable(result) if isinstance(result, Exception) else Shard.of(result)
+            pickle.dump((begin, stop, result), pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
 
 
-def fold_in_workers(tasks: list, fold_task) -> Report:
-    """fold_task over every task, the first in this process and each other
-    one in a forked worker, merged in task order; the tasks no worker could
-    be forked for are folded here last. A task's exception is raised here in
-    its turn, and a worker that ends without a result raises
-    ChildProcessError; either way every worker is ended and reaped first."""
+def _receive(running: list) -> tuple:
+    """What the first running worker sent, once it is reaped; a worker that
+    ends without a result raises ChildProcessError."""
+    pid, pipe = running[0]
+    with pipe:
+        try:
+            sent = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            sent = None
+    status = os.waitpid(pid, 0)[1]
+    running.pop(0)
+    if sent is None:
+        code = os.waitstatus_to_exitcode(status)
+        raise ChildProcessError(f"a worker process ended without a result (exit status {code})")
+    return sent
+
+
+def fold_in_workers(tasks: list, pcap: bool, fold) -> Optional[Report]:
+    """fold over the reads of each task's ranges (read_task), the first task
+    in this process and each other one in a forked worker, merged in task
+    order; the tasks no worker could be forked for are folded here last.
+
+    A task that starts inside a file must begin where the one before it
+    stopped. Where one does not, a resync missed the record boundary, and
+    this returns None, whatever that task or a later one raised, for the
+    caller to fold the input in one process. Otherwise a task's exception is
+    raised here in its turn, and a worker that ends without a result raises
+    ChildProcessError. Every worker is ended and reaped before this returns.
+    """
     running = []  # (pid, pipe) of each unreaped worker, in task order
     try:
         for task in tasks[1:]:
@@ -231,29 +327,21 @@ def fold_in_workers(tasks: list, fold_task) -> Report:
                 os.close(read_fd)
                 for _, pipe in running:
                     pipe.close()
-                _work(write_fd, fold_task, task)
+                _work(write_fd, task, pcap, fold)
             os.close(write_fd)
             running.append((pid, open(read_fd, "rb")))
-        unforked = tasks[1 + len(running) :]
-        report = fold_task(tasks[0])
-        while running:
-            pid, pipe = running[0]
-            with pipe:
-                try:
-                    shard = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    shard = None
-            status = os.waitpid(pid, 0)[1]
-            running.pop(0)
-            if shard is None:
-                code = os.waitstatus_to_exitcode(status)
-                raise ChildProcessError(f"a worker process ended without a result (exit status {code})")
-            if isinstance(shard, Exception):
-                raise shard
-            merge_into(report, shard)
-            del shard  # freed before the next one is read
-        for task in unforked:
-            merge_into(report, fold_task(task))
+        _, stop, report = read_task(tasks[0], pcap, fold)
+        if isinstance(report, Exception):
+            raise report  # the first task begins at the input's first byte
+        for task in tasks[1:]:
+            begin, next_stop, result = _receive(running) if running else read_task(task, pcap, fold)
+            if task[0][1] and begin != stop:
+                return None
+            if isinstance(result, Exception):
+                raise result
+            merge_into(report, result)
+            del result  # freed before the next one is read
+            stop = next_stop
         return report
     finally:
         for pid, pipe in running:

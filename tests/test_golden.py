@@ -131,17 +131,30 @@ def test_report_bytes_match_golden_in_any_block_size(fmt, block, tmp_path, monke
     test_report_bytes_match_golden(fmt, tmp_path, monkeypatch)
 
 
-# forced worker counts: the TSV trace is cut into that many ranges, each
-# folded in a worker of its own; a pcap file, and a sampled one, is never
-# cut, so those runs check that such an input stays whole
+# forced worker counts: the trace, TSV or pcap, is cut into that many
+# ranges, each folded in a worker of its own that finds its first record;
+# a sampled file is never cut, so the sampled runs check that such an input
+# stays whole
 @pytest.mark.parametrize("count", [1, 2, 3, 8])
 @pytest.mark.parametrize("fmt", ["tsv", "pcap"])
 def test_report_bytes_match_golden_at_any_worker_count(fmt, count, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
-    monkeypatch.setattr(workers, "MIN_TASK_BYTES", 1)
+    monkeypatch.setattr(cli, "MIN_TASK_BYTES", 1)
+    real = workers.fold_in_workers
+    folded = []
+
+    def fold_in_workers(*args):
+        folded.append(real(*args))
+        return folded[-1]
+
+    monkeypatch.setattr(workers, "fold_in_workers", fold_in_workers)
     test_report_bytes_match_golden(fmt, tmp_path, monkeypatch)
-    tasks = workers.plan_tasks([f"trace.{fmt}"], fmt == "tsv", count)
-    assert len(tasks) == (count if fmt == "tsv" else 1)
+    size = (tmp_path / f"trace.{fmt}").stat().st_size
+    tasks = workers.plan_tasks([f"trace.{fmt}"], [size], True, count)
+    assert len(tasks) == count
+    # every command but the sampled one was split, and its tasks met
+    assert len(folded) == (0 if count == 1 else len(COMMANDS) - 1)
+    assert None not in folded
 
 
 def ditl_pool_2022():

@@ -18,6 +18,7 @@ from roottrace.ingest import (
     IngestError,
     IngestStats,
     PcapError,
+    TsvReadError,
     decode_pcap,
     decode_tsv,
     read_pcap,
@@ -118,7 +119,7 @@ def test_tsv_io_error_aborts_with_position():
     assert "line 1" in str(err.value)
 
 
-def test_tsv_io_error_names_the_first_line_of_its_block(monkeypatch):
+def test_tsv_io_error_names_the_line_whose_read_failed(monkeypatch):
     monkeypatch.setattr(ingest, "BLOCK", 3)
     line = b"1\t1.2.3.4\tIN\tA\tfoo.\n"
 
@@ -128,32 +129,31 @@ def test_tsv_io_error_names_the_first_line_of_its_block(monkeypatch):
 
     stats = IngestStats()
     got = []
-    with pytest.raises(IngestError, match="I/O error at line 4: disk gone"):
+    with pytest.raises(IngestError, match="I/O error reading line 5: disk gone"):
         for record in read_tsv(lines(), stats):
             got.append(record)
     # the first block was read whole; the block the failure cut short was not
     assert len(got) == stats.records_emitted == 3
 
 
-def test_tsv_range_breaks_blocks_where_the_whole_file_does(monkeypatch):
+def test_tsv_io_error_names_its_line_wherever_blocks_break(monkeypatch):
     monkeypatch.setattr(ingest, "BLOCK", 4)
     lines = [b"%d\t1.2.3.4\tIN\tA\tfoo.\n" % (i + 1) for i in range(11)]
     whole = [list(block.timestamps) for block in decode_tsv(iter(lines))]
     assert whole == [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11]]
-    # lines 7 on, read as a range of their own
-    assert [list(block.timestamps) for block in decode_tsv(iter(lines[6:]), first_line=7)] == [[7, 8], [9, 10, 11]]
 
-    def failing(first_line, bad_line):
-        for number, line in enumerate(lines[first_line - 1 :], first_line):
+    def failing(bad_line):
+        for number, line in enumerate(lines, 1):
             if number == bad_line:
                 raise OSError("disk gone")
             yield line
 
-    # the whole file's block of line 10 starts at line 9, and so it does
-    # for a range that starts at line 7, and for one that starts at line 10
-    for first_line in (1, 7, 10):
-        with pytest.raises(IngestError, match="I/O error at line 9: disk gone"):
-            list(decode_tsv(failing(first_line, 10), first_line=first_line))
+    # the file's first and last lines, and the first, a middle and the last
+    # line of a block
+    for bad_line in (1, 5, 6, 8, 9, 11):
+        with pytest.raises(TsvReadError, match=f"I/O error reading line {bad_line}: disk gone") as caught:
+            list(decode_tsv(failing(bad_line)))
+        assert caught.value.line == bad_line
 
 
 def test_read_range_reads_only_its_bytes(tmp_path):
@@ -485,6 +485,23 @@ def test_pcap_caplen_at_maximum_is_a_truncated_record():
     records, stats = run_pcap(data)
     assert len(records) == 1
     assert (stats.records_emitted, stats.packets_skipped, stats.bytes_read) == (1, 1, len(data))
+
+
+def test_decode_pcap_reads_the_records_between_two_offsets():
+    frames = [udp4("10.0.0.%d" % i, dns_payload([b"com"], 2)) for i in range(5)]
+    data = pcap_file(frames)
+    at = [24 + i * (16 + len(frames[0])) for i in range(6)]  # at[5] is the end of the file
+
+    def sources(start, end):
+        stream = io.BytesIO(data)
+        got = [source for block in decode_pcap(stream, None, start, end) for source in block.sources]
+        return [source[3] for source in got], stream.tell()
+
+    assert sources(at[1], at[3]) == ([1, 2], at[3])  # left at the record it stopped before
+    assert sources(at[1], at[3] + 1) == ([1, 2, 3], at[4])  # a record that begins before end is read whole
+    assert sources(at[4], None) == ([4], at[5])
+    assert sources(at[5], None) == ([], at[5])
+    assert sources(0, at[0]) == ([], at[0])
 
 
 @pytest.mark.parametrize("extra", [1, 7, 15])

@@ -3,24 +3,28 @@ must give the bytes, errors and exit codes of one process at any worker
 count, and leave no worker behind.
 
 Every test forces the worker count and the smallest task, the way
-test_golden forces ingest.BLOCK, so that even small inputs are split.
+test_golden forces ingest.BLOCK, so that even small inputs are split. The
+parity tests also check, through the splits fixture, that each split's
+tasks met where the input was cut, so that their bytes do not come from
+the one-process fold that follows a failed handshake.
 """
 
-import io
 import os
 import signal
+import struct
 import subprocess
 import sys
 import threading
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
 from roottrace import cli, workers
 from roottrace.cli import main
+from roottrace.ingest import IngestStats, PcapError
 from roottrace.names import NameParseError, parse_presentation
 from roottrace.synth import generate, tsv_bytes, year_mix
-from roottrace.workers import line_starts
 
 from test_ingest import dns_payload, pcap_file, udp4, udp6, with_caplen
 
@@ -44,9 +48,26 @@ def time_bound():
     signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.fixture
+def splits(monkeypatch):
+    """(task count, whether the tasks met) of each input split in workers,
+    in order; a split whose tasks did not meet is folded again in one
+    process."""
+    real = workers.fold_in_workers
+    seen = []
+
+    def fold_in_workers(tasks, pcap, fold):
+        report = real(tasks, pcap, fold)
+        seen.append((len(tasks), report is not None))
+        return report
+
+    monkeypatch.setattr(workers, "fold_in_workers", fold_in_workers)
+    return seen
+
+
 def force_workers(monkeypatch, count):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
-    monkeypatch.setattr(workers, "MIN_TASK_BYTES", 1)
+    monkeypatch.setattr(cli, "MIN_TASK_BYTES", 1)
 
 
 def assert_no_child():
@@ -65,17 +86,28 @@ def run(argv, count, monkeypatch, capsys, out):
     return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
 
 
+def plan(paths, cuttable, count) -> list:
+    """The tasks of a forced worker count, as the CLI plans them."""
+    paths = [str(p) for p in paths]
+    return workers.plan_tasks(paths, [cli._size(p) for p in paths], cuttable, count)
+
+
 def task_count(paths, cuttable, count, monkeypatch):
     force_workers(monkeypatch, count)
-    return len(workers.plan_tasks([str(p) for p in paths], cuttable, count))
+    return len(plan(paths, cuttable, count))
 
 
-def pcap_of(records) -> bytes:
-    frames = []
+def pcap_of(records, endian="<", nano=False, linktype=1) -> bytes:
+    """A capture of the records' queries, in Ethernet frames or, for link
+    type 101, as raw IP."""
+    frames, times = [], []
     for record in records:
         payload = dns_payload(parse_presentation(record.qname_raw).labels, record.qtype, record.qclass)
-        frames.append((udp6 if ":" in record.source else udp4)(record.source, payload))
-    return pcap_file(frames, times=[divmod(r.timestamp, 1_000_000) for r in records])
+        frame = (udp6 if ":" in record.source else udp4)(record.source, payload)
+        frames.append(frame if linktype == 1 else frame[14:])
+        sec, micros = divmod(record.timestamp, 1_000_000)
+        times.append((sec, micros * 1000 if nano else micros))
+    return pcap_file(frames, endian, nano, linktype, times)
 
 
 COMMANDS = {
@@ -90,7 +122,7 @@ COMMANDS = {
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @pytest.mark.parametrize("fmt", ["tsv", "pcap"])
-def test_several_files_give_one_process_bytes(fmt, command, tmp_path, monkeypatch, capsys):
+def test_several_files_give_one_process_bytes(fmt, command, tmp_path, monkeypatch, capsys, splits):
     paths = []
     for i, cut in enumerate(range(0, 3000, 750)):
         path = tmp_path / f"part{i}.{fmt}"
@@ -102,8 +134,12 @@ def test_several_files_give_one_process_bytes(fmt, command, tmp_path, monkeypatc
     code, err, expected = run(argv, 1, monkeypatch, capsys, out)
     assert (code, err) == (0, "")
     for count in (2, 3, 8):
-        assert task_count(paths, fmt == "tsv", count, monkeypatch) > 1
         assert run(argv, count, monkeypatch, capsys, out) == (0, "", expected)
+        # a sampled file stays whole; any other is cut inside, pcap too
+        cut = command != "sampled"
+        tasks = plan(paths, cut, count)
+        assert splits.pop() == (len(tasks), True) and len(tasks) > 1
+        assert any(start for task in tasks for _, start, _ in task) == cut
 
 
 def good(i: int, end: bytes = b"\n") -> bytes:
@@ -126,20 +162,19 @@ def edge_files(tmp_path):
     return paths
 
 
-def range_starts(paths, count, monkeypatch):
+def range_starts(paths, count):
     """The first line of every task range that starts inside a file."""
-    force_workers(monkeypatch, count)
     starts = []
-    for task in workers.plan_tasks([str(p) for p in paths], True, count):
-        for path, start, _, _ in task:
+    for task in plan(paths, True, count):
+        for path, start, _ in task:
             if start:
                 with open(path, "rb") as fh:
-                    fh.seek(start)
+                    fh.seek(workers._line_start(fh.fileno(), start))
                     starts.append(fh.readline())
     return starts
 
 
-def test_edge_lines_give_one_process_bytes(tmp_path, monkeypatch, capsys):
+def test_edge_lines_give_one_process_bytes(tmp_path, monkeypatch, capsys, splits):
     paths = edge_files(tmp_path)
     out = tmp_path / "out"
     for argv in (COMMANDS["classify"], COMMANDS["window"], ["top-senders", "-k", "5"]):
@@ -148,71 +183,104 @@ def test_edge_lines_give_one_process_bytes(tmp_path, monkeypatch, capsys):
         assert (code, err) == (0, "")
         for count in (2, 3, 8, 16):
             assert run(argv, count, monkeypatch, capsys, out) == (0, "", expected)
+            assert splits.pop() == (count, True)
     # the cuts do fall where the lines are awkward
-    starts = [line for count in (2, 3, 8, 16) for line in range_starts(paths, count, monkeypatch)]
+    starts = [line for count in (2, 3, 8, 16) for line in range_starts(paths, count)]
     assert b"junk line\n" in starts or b"1\t1.2.3.4\tIN\tA\n" in starts
     assert any(line.endswith(b"\r\n") for line in starts)
 
 
-def test_more_workers_than_lines(tmp_path, monkeypatch, capsys):
+def test_more_workers_than_lines(tmp_path, monkeypatch, capsys, splits):
     path = tmp_path / "t.tsv"
     path.write_bytes(good(1) + b"junk\n" + good(2, b""))
     argv = ["classify", "--label", "w", "--in", str(path)]
     out = tmp_path / "out"
     code, err, expected = run(argv, 1, monkeypatch, capsys, out)
     assert (code, err) == (0, "")
-    assert task_count([path], True, 8, monkeypatch) == 3  # one task per line
+    # eight byte targets in three lines: most tasks find no line of their own
+    assert task_count([path], True, 8, monkeypatch) == 8
     assert run(argv, 8, monkeypatch, capsys, out) == (0, "", expected)
+    assert splits == [(8, True)]
 
 
-def test_line_starts_finds_the_next_line_and_its_number():
+def line_starts(data: bytes, targets, tmp_path) -> list:
+    path = tmp_path / "lines"
+    path.write_bytes(data)
+    with open(path, "rb") as fh:
+        return [workers._line_start(fh.fileno(), target) for target in targets]
+
+
+def test_a_range_begins_at_the_first_line_at_or_after_its_target(tmp_path):
     data = b"ab\ncd\r\n\nefg\nh"
     # offsets 0-2 "ab\n", 3-6 "cd\r\n", 7 "\n", 8-11 "efg\n", 12 "h"
-    got = line_starts(io.BytesIO(data), [1, 3, 4, 5, 8, 9, 12])
-    assert got == [(3, 2), (7, 3), (8, 4), (12, 5)]
-    assert line_starts(io.BytesIO(data), [13]) == []  # in the unterminated last line
-    assert line_starts(io.BytesIO(b"ab\ncd\n"), [4]) == [(6, 3)]  # the end of the file
+    got = line_starts(data, range(15), tmp_path)
+    assert got == [0, 3, 3, 3, 7, 7, 7, 7, 8, 12, 12, 12, 12, 13, 13]  # 13: the end of the file
+    assert line_starts(b"ab\ncd\n", [4, 6], tmp_path) == [6, 6]
 
 
-def test_line_starts_across_read_chunks():
-    lines = [b"x" * (i % 97) + b"\n" for i in range(5000)]  # ~240 KB, several reads
+def test_a_range_finds_its_line_across_read_chunks(tmp_path):
+    lines = [b"x" * (i * 7919 % 150_000) + b"\n" for i in range(12)]  # lines longer than a read
     data = b"".join(lines)
-    offsets = list(range(1, len(data), 7919))
-    expected = []
-    for offset in offsets:
-        at = data.index(b"\n", offset - 1) + 1
-        if at < len(data) and (at, data.count(b"\n", 0, at) + 1) not in expected:
-            expected.append((at, data.count(b"\n", 0, at) + 1))
-    assert line_starts(io.BytesIO(data), offsets) == expected
+    targets = list(range(1, len(data) + 1, 4099))
+    expected = [data.index(b"\n", target - 1) + 1 for target in targets]
+    assert line_starts(data, targets, tmp_path) == expected
 
 
 # --- errors -------------------------------------------------------------------
 
 
+def fail_at_line(monkeypatch, data: bytes, number: int, error) -> None:
+    """Make every TSV read, whole or a range, raise error() where it reads
+    line `number` of data, which must be the only line with its text."""
+    line = data.splitlines(True)[number - 1]
+    assert data.count(line) == 1
+    real = cli.decode_tsv
+
+    def decode_tsv(stream, stats):
+        def lines():
+            for text in stream:
+                if text == line:
+                    raise error()
+                yield text
+
+        return real(lines(), stats)
+
+    monkeypatch.setattr(cli, "decode_tsv", decode_tsv)
+    monkeypatch.setattr(workers, "decode_tsv", decode_tsv)
+
+
 def test_io_error_in_a_later_range_names_the_line_one_process_names(tmp_path, monkeypatch, capsys):
     path = tmp_path / "t.tsv"
     path.write_bytes(tsv_bytes(RECORDS))
-    real = cli.decode_tsv
-
-    def decode_tsv(stream, stats, first_line=1):
-        def lines():
-            for number, line in enumerate(stream, first_line):
-                if number == 2500:
-                    raise OSError("disk gone")
-                yield line
-
-        return real(lines(), stats, first_line)
-
-    monkeypatch.setattr(cli, "decode_tsv", decode_tsv)
+    fail_at_line(monkeypatch, path.read_bytes(), 2500, lambda: OSError("disk gone"))
     argv = ["classify", "--in", str(path)]
     out = tmp_path / "out"
-    # one process names the first line of the 512-line block that holds line 2500
-    assert run(argv, 1, monkeypatch, capsys, out) == (2, "roottrace: I/O error at line 2049: disk gone\n", None)
+    # the line whose read failed, whichever block or range holds it
+    assert run(argv, 1, monkeypatch, capsys, out) == (2, "roottrace: I/O error reading line 2500: disk gone\n", None)
     for count in (2, 3, 8):
         force_workers(monkeypatch, count)
-        first_task = workers.plan_tasks([str(path)], True, count)[0]
+        first_task = plan([path], True, count)[0]
         assert first_task[0][2] <= len(tsv_bytes(RECORDS[:2499]))  # line 2500 is a worker's
-        assert run(argv, count, monkeypatch, capsys, out) == (2, "roottrace: I/O error at line 2049: disk gone\n", None)
+        assert run(argv, count, monkeypatch, capsys, out) == (2, "roottrace: I/O error reading line 2500: disk gone\n", None)
+
+
+def test_an_io_error_in_a_range_names_its_line_in_the_file(tmp_path, monkeypatch):
+    lines = [good(i) for i in range(11)]
+    path = tmp_path / "t.tsv"
+    path.write_bytes(b"".join(lines))
+    fail_at_line(monkeypatch, path.read_bytes(), 10, lambda: OSError("disk gone"))
+    starts = [0, *accumulate(map(len, lines))]  # starts[i] is where line i + 1 begins
+
+    def fold(reads):
+        return [block for read in reads for block in read(IngestStats())]
+
+    # ranges from line 1, line 7 and line 10 itself, and from targets inside
+    # lines 6 and 9, which begin at lines 7 and 10
+    for start, begin in ((0, None), (starts[6], starts[6]), (starts[9], starts[9]),
+                         (starts[5] + 3, starts[6]), (starts[8] + 3, starts[9])):
+        assert workers.read_task([(str(path), start, None)], False, fold)[0] == begin
+        error = workers.read_task([(str(path), start, None)], False, fold)[2]
+        assert str(error) == "I/O error reading line 10: disk gone"
 
 
 class Unpicklable(ValueError):
@@ -230,18 +298,7 @@ class Unpicklable(ValueError):
 def test_an_error_pickle_cannot_rebuild_is_reported_as_one_process_reports_it(error, tmp_path, monkeypatch, capsys):
     path = tmp_path / "t.tsv"
     path.write_bytes(tsv_bytes(RECORDS))
-    real = cli.decode_tsv
-
-    def decode_tsv(stream, stats, first_line=1):
-        def lines():
-            for number, line in enumerate(stream, first_line):
-                if number == 2500:
-                    raise error()
-                yield line
-
-        return real(lines(), stats, first_line)
-
-    monkeypatch.setattr(cli, "decode_tsv", decode_tsv)
+    fail_at_line(monkeypatch, path.read_bytes(), 2500, error)
     argv = ["classify", "--in", str(path)]
     out = tmp_path / "out"
     expected = run(argv, 1, monkeypatch, capsys, out)
@@ -283,7 +340,7 @@ def test_the_first_error_in_input_order_wins(kinds, tmp_path, monkeypatch, capsy
     assert code == 2 and written is None
     assert ("corrupt pcap record" if kinds[first] == "corrupt" else "No such file") in err
     for count in (2, 4):
-        assert task_count(paths, False, count, monkeypatch) > 1
+        assert task_count(paths, True, count, monkeypatch) > 1
         assert run(argv, count, monkeypatch, capsys, out) == (2, err, None)
 
 
@@ -325,19 +382,128 @@ def test_tasks_no_worker_could_be_forked_for_are_folded_here(tmp_path, monkeypat
     assert len(forks) == 2  # one worker, then the failure; three tasks folded here
 
 
+# --- pcap captures ---------------------------------------------------------------
+
+
+def assert_one_process_bytes(argv, monkeypatch, capsys, out, splits, counts=(2, 3, 8)):
+    """The command gives its one-process bytes at each worker count, from
+    tasks that met where the input was cut."""
+    code, err, expected = run(argv, 1, monkeypatch, capsys, out)
+    assert (code, err) == (0, "")
+    for count in counts:
+        assert run(argv, count, monkeypatch, capsys, out) == (0, "", expected)
+        assert splits.pop() == (count, True)
+
+
+@pytest.mark.parametrize("variant", [
+    {"nano": True}, {"endian": ">"}, {"linktype": 101}, {"endian": ">", "nano": True, "linktype": 101},
+], ids=["nanosecond", "big-endian", "raw-ip", "all-three"])
+def test_pcap_variants_give_one_process_bytes(variant, tmp_path, monkeypatch, capsys, splits):
+    path = tmp_path / "t.pcap"
+    path.write_bytes(pcap_of(RECORDS, **variant))
+    argv = COMMANDS["classify"] + ["--format", "pcap", "--in", str(path)]
+    assert_one_process_bytes(argv, monkeypatch, capsys, tmp_path / "out", splits)
+
+
+def record_offsets(data: bytes) -> list:
+    """The offset of each record header of a little-endian capture."""
+    offsets = [24]
+    while offsets[-1] + 16 <= len(data):
+        offsets.append(offsets[-1] + 16 + int.from_bytes(data[offsets[-1] + 8 : offsets[-1] + 12], "little"))
+    return offsets[:-1]
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["whole", "truncated"])
+def test_a_target_inside_the_last_record(truncated, tmp_path, monkeypatch, capsys, splits):
+    # a last query long enough to hold the last target at 8 workers
+    big = udp4("192.0.2.9", dns_payload([b"www", b"example", b"com"], 1) + b"\0" * 3000)
+    data = pcap_of(RECORDS[:150]) + struct.pack("<IIII", 1_649_800_000, 5, len(big), len(big)) + big
+    if truncated:  # cut short, as a capture that was stopped mid-write is
+        data = data[:-1000]
+    path = tmp_path / "t.pcap"
+    path.write_bytes(data)
+    last = record_offsets(data)[-1]
+    assert last < len(data) * 7 // 8 < len(data)
+    argv = COMMANDS["classify"] + ["--format", "pcap", "--in", str(path)]
+    assert_one_process_bytes(argv, monkeypatch, capsys, tmp_path / "out", splits)
+
+
+def test_a_corrupt_record_past_a_cut_fails_as_in_one_process(tmp_path, monkeypatch, capsys):
+    data = pcap_of(RECORDS[:1000])
+    at = record_offsets(data)[800]
+    path = tmp_path / "t.pcap"
+    path.write_bytes(with_caplen(data, at, 0xFFFFFFF0))
+    argv = ["classify", "--format", "pcap", "--in", str(path)]
+    out = tmp_path / "out"
+    expected = (2, f"roottrace: corrupt pcap record at byte {at}: caplen 4294967280 over 262144\n", None)
+    assert run(argv, 1, monkeypatch, capsys, out) == expected
+    for count in (2, 3, 8):
+        assert at > len(data) // count  # past the first cut
+        assert run(argv, count, monkeypatch, capsys, out) == expected
+
+
+def test_a_resync_to_a_wrong_offset_gives_one_process_bytes(tmp_path, monkeypatch, capsys, splits):
+    path = tmp_path / "t.pcap"
+    path.write_bytes(pcap_of(RECORDS))
+    real = workers._pcap_begin
+    monkeypatch.setattr(workers, "_pcap_begin", lambda fd, target: real(fd, target) + 1)
+    argv = COMMANDS["classify"] + ["--format", "pcap", "--in", str(path)]
+    out = tmp_path / "out"
+    code, err, expected = run(argv, 1, monkeypatch, capsys, out)
+    assert (code, err) == (0, "")
+    for count in (2, 3, 8):
+        assert run(argv, count, monkeypatch, capsys, out) == (0, "", expected)
+        assert splits.pop() == (count, False)  # folded again in one process
+
+
+def test_a_payload_that_imitates_record_headers_gives_one_process_bytes(tmp_path, monkeypatch, capsys, splits):
+    """A frame's bytes hold three plausible record headers in a row, just
+    past the middle of the file, and then one claiming 4 GiB: the second
+    worker resyncs to them and raises, and the command still gives the
+    one-process report, from one process."""
+    before, after = pcap_of(RECORDS[:100]), pcap_of(RECORDS[100:200])[24:]
+    length = 4000
+    size = len(before) + 16 + length + len(after)
+    fake_at = size // 2 + 3 - (len(before) + 16)  # in the frame, just past the middle of the file
+    fake = b""
+    sec = int.from_bytes(before[24:28], "little")
+    for _ in range(3):
+        fake += struct.pack("<IIII", sec, 0, 10, 10) + b"\1" * 10
+    fake += struct.pack("<IIII", sec, 0, 0xFFFFFFF0, 0xFFFFFFF0)
+    frame = b"\0" * fake_at + fake + b"\0" * (length - fake_at - len(fake))
+    data = before + struct.pack("<IIII", sec, 1, length, length) + frame + after
+    path = tmp_path / "t.pcap"
+    path.write_bytes(data)
+    # the second task resyncs to the imitation and fails past it
+    task = plan([path], True, 2)[1]
+    begin, _, error = workers.read_task(task, True, lambda reads: [list(read(IngestStats())) for read in reads])
+    assert begin == len(before) + 16 + fake_at and isinstance(error, PcapError)
+    argv = COMMANDS["classify"] + ["--format", "pcap", "--in", str(path)]
+    out = tmp_path / "out"
+    code, err, expected = run(argv, 1, monkeypatch, capsys, out)
+    assert (code, err) == (0, "")
+    assert run(argv, 2, monkeypatch, capsys, out) == (0, "", expected)
+    assert splits == [(2, False)]
+
+
 # --- when to fork ---------------------------------------------------------------
 
 
-def test_one_cpu_or_a_small_input_is_one_task(tmp_path, monkeypatch):
+def test_one_cpu_or_a_small_input_is_one_task(tmp_path, monkeypatch, splits):
     path = tmp_path / "t.tsv"
     path.write_bytes(tsv_bytes(RECORDS))
-    whole = [[(str(path), 0, None, 1)]]
-    assert workers.plan_tasks([str(path)], True, 1) == whole
-    monkeypatch.setattr(workers, "MIN_TASK_BYTES", path.stat().st_size)
-    assert workers.plan_tasks([str(path)], True, 4) == whole
-    monkeypatch.setattr(workers, "MIN_TASK_BYTES", path.stat().st_size // 2)
-    assert len(workers.plan_tasks([str(path)], True, 4)) == 2
-    assert workers.plan_tasks([str(path)], False, 4) == whole  # a file that may not be cut
+    size = path.stat().st_size
+
+    def run_with(cpus, min_task, *options):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "MIN_TASK_BYTES", min_task)
+        assert main(["classify", *options, "--in", str(path), "--out", str(tmp_path / "out")]) == 0
+        return splits.pop() if splits else None
+
+    assert run_with(1, 1) is None
+    assert run_with(4, size) is None
+    assert run_with(4, size // 2) == (2, True)
+    assert run_with(4, 1, "--sample-rate", "0.5") is None  # a file that may not be cut
 
 
 def test_a_process_with_other_threads_forks_no_workers():
@@ -396,11 +562,32 @@ def test_a_cpu_quota_caps_the_worker_count(monkeypatch):
     assert cli._usable_cpus() == len(os.sched_getaffinity(0))
 
 
-def test_importing_the_cli_loads_no_process_machinery():
-    # set-up time is import time, so what only a split input needs loads then
-    code = ("import sys, roottrace.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'pickle') or m == 'roottrace.workers'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=SRC))
+LOADED = ("print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent', 'pickle')"
+          " or m == 'roottrace.workers'))")
+
+
+def loaded_by(code: str, *args) -> str:
+    """What of the process machinery a fresh interpreter has loaded after
+    running code with these arguments."""
+    proc = subprocess.run([sys.executable, "-c", f"import sys\n{code}\n{LOADED}", *map(str, args)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_importing_the_cli_loads_no_process_machinery(tmp_path):
+    # set-up time is import time, so what only a split input needs loads then
+    assert loaded_by("import roottrace.cli") == "[]"
+    # nor does a run that stays in one process compile the resync code
+    big, small = tmp_path / "big.pcap", tmp_path / "small.pcap"
+    big.write_bytes(pcap_of(RECORDS * 2))
+    small.write_bytes(pcap_of(RECORDS[:1000]))
+    assert big.stat().st_size >= 2 * cli.MIN_TASK_BYTES > small.stat().st_size
+    classify = ("import os\nfrom roottrace.cli import main\n"
+                "if sys.argv[1] == 'one-cpu': os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                "assert main(['classify', '--format', 'pcap', '--in', sys.argv[2], '--out', sys.argv[3]]) == 0")
+    assert loaded_by(classify, "all", small, tmp_path / "out") == "[]"
+    if not hasattr(os, "sched_setaffinity") or cli._usable_cpus() < 2:
+        pytest.skip("needs a process that may run on two CPUs")
+    assert loaded_by(classify, "one-cpu", big, tmp_path / "out") == "[]"
+    assert "roottrace.workers" in loaded_by(classify, "all", big, tmp_path / "out")
