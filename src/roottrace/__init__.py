@@ -47,5 +47,15 @@ from .report import (  # noqa: F401
     unexpected_fraction,
     write_report,
 )
-from .synth import MixSpec, generate, load_mixspec, write_tsv, year_mix  # noqa: F401
 from .tlds import TldRegistry, default_registry, load_registry, load_registry_path  # noqa: F401
+
+# the load generator, loaded on first use so that classifying never imports it
+_SYNTH_NAMES = frozenset({"MixSpec", "generate", "load_mixspec", "write_tsv", "year_mix"})
+
+
+def __getattr__(name: str):
+    if name in _SYNTH_NAMES:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -89,8 +89,8 @@ def classify_block(
     registry: TldRegistry,
     appletalk_tlds: frozenset[str] = DEFAULT_APPLETALK_TLDS,
     stats: Optional[IngestStats] = None,
-) -> tuple[Sequence[str], Sequence[int], Sequence[Classification]]:
-    """The (prefixes, qtypes, classifications) columns of a block's records
+) -> tuple[Sequence[int], Sequence[int], Sequence[Classification]]:
+    """The (sender keys, qtypes, classifications) columns of a block's records
     whose names classify, in order: what report.fold_blocks counts.
 
     Decoded names (a pcap block's DomainNames) are all valid and are

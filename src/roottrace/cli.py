@@ -30,15 +30,6 @@ from .report import (
     trend_csv_from_docs,
     write_report,
 )
-from .synth import (
-    MixSpecError,
-    generate,
-    load_mixspec,
-    parse_day,
-    preset_years,
-    write_tsv,
-    year_mix,
-)
 from .tlds import RegistryError, default_registry, load_registry_path
 
 
@@ -48,6 +39,19 @@ from .tlds import RegistryError, default_registry, load_registry_path
 # from 128 KiB a task; below that, forking a worker and merging what it sends
 # back cost more than the task.
 MIN_TASK_BYTES = 1 << 17
+
+
+class _PresetYears:
+    """The years synth has a preset for, as --preset's choices; synth is
+    loaded only when a --preset value is checked."""
+
+    def __contains__(self, year) -> bool:
+        return year in list(self)
+
+    def __iter__(self):
+        from .synth import preset_years
+
+        return iter(preset_years())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,7 +133,7 @@ def build_parser() -> _Parser:
     p = commands.add_parser("gen", help="generate a seeded synthetic trace")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--spec", metavar="PATH", help="mix spec file")
-    group.add_argument("--preset", type=int, choices=preset_years(), metavar="YEAR",
+    group.add_argument("--preset", type=int, choices=_PresetYears(), metavar="YEAR",
                        help="published year mix (2013-2022)")
     p.add_argument("--count", type=int, required=True, metavar="N")
     p.add_argument("--seed", type=int, help="override the spec seed")
@@ -225,7 +229,11 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
         parser.error("--sample-rate must be in (0, 1]")
     try:
         win = _parse_window(args.window) if args.window else None
-        origin = parse_day(args.day_origin) if args.day_origin else None
+        origin = None
+        if args.day_origin:
+            from .synth import parse_day
+
+            origin = parse_day(args.day_origin)
     except ValueError as exc:
         parser.error(str(exc))
     registry = _registry_for(args)
@@ -315,6 +323,8 @@ def _cmd_trend(args, parser) -> int:
 def _cmd_gen(args, parser) -> int:
     if args.count < 0:
         parser.error("--count must be non-negative")
+    from .synth import generate, load_mixspec, write_tsv, year_mix
+
     spec = load_mixspec(args.spec) if args.spec else year_mix(args.preset)
     if args.seed is not None:
         spec.seed = args.seed
@@ -342,7 +352,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (IngestError, RegistryError, MixSpecError, NameParseError) as exc:
+    except (IngestError, RegistryError, NameParseError) as exc:
         print(f"roottrace: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

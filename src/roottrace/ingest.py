@@ -1,7 +1,7 @@
 """Trace ingestion: TSV logs and classic pcap captures, read in blocks.
 
 decode_tsv and decode_pcap read a trace into Blocks of up to BLOCK records
-held as parallel columns, each record's sender prefix among them, and keep
+held as parallel columns, each record's sender key among them, and keep
 running counters. A file can be read in parts: read_range gives a byte
 range of a TSV file as a stream of its own, and decode_pcap reads the
 records between two offsets of a capture. read_tsv and read_pcap are
@@ -27,10 +27,10 @@ from .model import (
     QTYPE_MNEMONICS,
     DomainName,
     QueryRecord,
-    _prefix48,
+    address_key,
     qclass_code,
     qtype_code,
-    sender_prefix,
+    sender_key,
 )
 from .names import MAX_LABEL, MAX_NAME, to_presentation
 
@@ -83,14 +83,15 @@ class Block(NamedTuple):
     each column belongs to record i. A TSV block holds each source as text
     and each name as presentation bytes; a pcap block holds the packed 4- or
     16-byte address and the DomainName decoded off the wire. prefixes holds
-    each source's model.sender_prefix, derived as the record is read."""
+    each source's sender key (model.sender_key), derived as the record is
+    read."""
 
     timestamps: Sequence[int]
     sources: Sequence
     qclasses: Sequence[int]
     qtypes: Sequence[int]
     names: Sequence
-    prefixes: Sequence[str]
+    prefixes: Sequence[int]
 
     def select(self, mask: list) -> "Block":
         """The records whose mask entry is true, in order."""
@@ -122,7 +123,7 @@ def decode_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterat
             return
         lineno += len(chunk)
         block = Block([], [], [], [], [], [])
-        add_ts, add_source, add_qclass, add_qtype, add_name, add_prefix = (column.append for column in block)
+        add_ts, add_source, add_qclass, add_qtype, add_name, add_key = (column.append for column in block)
         dropped = 0
         for line in chunk:
             fields = line.rstrip(b"\r\n").split(b"\t")
@@ -140,7 +141,7 @@ def decode_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterat
                 if qtype is None:
                     qtype = qtype_code(qtype_b.decode("ascii"))
                 source = source_b.decode("ascii")
-                prefix = sender_prefix(source)
+                key = sender_key(source)
             except (ValueError, UnicodeDecodeError):
                 dropped += 1
                 continue
@@ -152,7 +153,7 @@ def decode_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterat
             add_qclass(qclass)
             add_qtype(qtype)
             add_name(qname_b)
-            add_prefix(prefix)
+            add_key(key)
         stats.bytes_read += sum(map(len, chunk))
         stats.records_dropped_unparseable += dropped
         if block.names:
@@ -290,7 +291,6 @@ def decode_pcap(
     if linktype != LINKTYPE_ETHERNET and linktype not in LINKTYPE_RAW:
         raise PcapError(f"unsupported link type {linktype}")
     unpack_rec = struct.Struct(endian + "IIII").unpack
-    unpack_48 = struct.Struct(">3H").unpack_from
     offset = 24  # of the next record header in the file
     if start > offset:
         stream.seek(start)
@@ -353,14 +353,12 @@ def decode_pcap(
                 stats.packets_skipped += 1
                 continue
             source = ip[12:16]
-            prefix = f"{ip[12]}.{ip[13]}.0.0/16"
             udp = ip[header_len:]
         elif version == 6:
             if len(ip) < 40 or ip[6] != 17:
                 stats.packets_skipped += 1
                 continue
             source = ip[8:24]
-            prefix = _prefix48(unpack_48(ip, 8))
             udp = ip[40:]
         else:
             stats.packets_skipped += 1
@@ -387,7 +385,7 @@ def decode_pcap(
         block.qclasses.append(qclass)
         block.qtypes.append(qtype)
         block.names.append(name)
-        block.prefixes.append(prefix)
+        block.prefixes.append(address_key(source))
         if len(block.names) == size:
             stats.records_emitted += size
             yield block

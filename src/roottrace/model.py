@@ -6,7 +6,6 @@ between worker threads.
 
 from __future__ import annotations
 
-import re
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
@@ -171,9 +170,16 @@ CLS_INVALID_CHROMIUM = Classification(Leaf.INVALID_CHROMIUM)
 
 
 _HEX = frozenset("0123456789abcdefABCDEF")
-_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
-# a dotted quad; group 1 is its /16
-_V4_RE = re.compile(r"(%s\.%s)\.%s\.%s\Z" % ((_OCTET,) * 4))
+# the text of an octet in a dotted quad, "0" to "255" with no leading zero,
+# and its value
+_OCTETS = {str(i): i for i in range(256)}
+_OCTET_TEXTS = frozenset(_OCTETS)
+
+
+# A sender key is an int: an IPv4 /16 a.b is a << 8 | b, and an IPv6 /48 is
+# _V6_FLAG | its top 48 bits, so the two never collide and a key fits in 49
+# bits. Only this module knows the layout; prefix_text turns a key into text.
+_V6_FLAG = 1 << 48
 
 
 def _prefix48(hextets: Sequence[int]) -> str:
@@ -185,8 +191,8 @@ def _prefix48(hextets: Sequence[int]) -> str:
     return ":".join(map("{:x}".format, hextets)) + "::/48"
 
 
-def _v6_prefix48(source: str) -> str:
-    """_prefix48 of a textual IPv6 address.
+def _v6_key(source: str) -> int:
+    """The sender key of a textual IPv6 address.
 
     Validates enough structure to reject non-addresses; avoids the
     ipaddress module because this sits on the per-record path.
@@ -200,7 +206,8 @@ def _v6_prefix48(source: str) -> str:
     groups = lgroups + rgroups
     span = len(groups)
     if groups and "." in groups[-1] and (rgroups or not sep):
-        if _V4_RE.match(groups[-1]) is None:
+        octets = groups[-1].split(".")
+        if len(octets) != 4 or not _OCTET_TEXTS.issuperset(octets):
             raise ValueError(f"not an IPv6 address: {source!r}")
         groups = groups[:-1]
         span += 1  # the dotted tail covers two groups
@@ -212,15 +219,36 @@ def _v6_prefix48(source: str) -> str:
     # expand "::" to its zero groups; a dotted tail only ever occupies the
     # last two group positions, so the first three are always plain hex
     expanded = lgroups + ["0"] * (8 - span) + rgroups
-    return _prefix48([int(g, 16) for g in expanded[:3]])
+    return _V6_FLAG | int(expanded[0], 16) << 32 | int(expanded[1], 16) << 16 | int(expanded[2], 16)
+
+
+def sender_key(source: str) -> int:
+    """The sender key of the text of a source address, its /16 (IPv4) or
+    /48 (IPv6); the one test of a valid source (ValueError if not)."""
+    if ":" in source:
+        return _v6_key(source)
+    octets = source.split(".")
+    if len(octets) != 4 or not _OCTET_TEXTS.issuperset(octets):
+        raise ValueError(f"not an IP address: {source!r}")
+    return _OCTETS[octets[0]] << 8 | _OCTETS[octets[1]]
+
+
+def address_key(packed: bytes) -> int:
+    """The sender key of a packed 4- or 16-byte address."""
+    if len(packed) == 4:
+        return packed[0] << 8 | packed[1]
+    return _V6_FLAG | int.from_bytes(packed[:6], "big")
+
+
+def prefix_text(key: int) -> str:
+    """A sender key as its canonical prefix: 'a.b.0.0/16', or an RFC 5952
+    '/48'."""
+    if key & _V6_FLAG:
+        return _prefix48((key >> 32 & 0xFFFF, key >> 16 & 0xFFFF, key & 0xFFFF))
+    return f"{key >> 8}.{key & 0xFF}.0.0/16"
 
 
 def sender_prefix(source: str) -> str:
     """Canonical /16 (IPv4) or /48 (IPv6) prefix string for the text of a
-    source address; the one test of a valid source (ValueError if not)."""
-    if ":" in source:
-        return _v6_prefix48(source)
-    match = _V4_RE.match(source)
-    if match is None:
-        raise ValueError(f"not an IP address: {source!r}")
-    return match[1] + ".0.0/16"
+    source address (ValueError if it is not one)."""
+    return prefix_text(sender_key(source))

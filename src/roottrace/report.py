@@ -14,7 +14,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
-from operator import add, attrgetter, is_
+from operator import attrgetter, ge, is_, lshift, or_
 from typing import Iterable, Optional, Sequence
 
 from . import ingest
@@ -25,15 +25,23 @@ from .model import (
     Leaf,
     QueryRecord,
     TopCategory,
+    prefix_text,
     qtype_mnemonic,
-    sender_prefix,
+    sender_key,
 )
 
-# sender table rows hold one count per leaf, in this order
+# The sender tables are Counters of ints that pack a sender key
+# (model.sender_key) with one detail: sender_counts counts
+# key << LEAF_BITS | the record's LEAVES index, and empty_by_sender counts
+# key << QTYPE_BITS | the root-name query's qtype code.
 LEAVES = tuple(Leaf)
 LEAF_INDEX = {leaf: i for i, leaf in enumerate(LEAVES)}
+LEAF_BITS = 4  # room for the ten leaves
+QTYPE_BITS = 16
+_QTYPE_MASK = (1 << QTYPE_BITS) - 1
 _ROW_TOPS = tuple(LEAF_TOP[leaf].value for leaf in LEAVES)
 _leaf_of = attrgetter("leaf")
+_index_of = LEAF_INDEX.__getitem__
 
 # every category table has one column per category, in declaration order
 _CATEGORIES = tuple(cat.value for cat in TopCategory)
@@ -47,55 +55,40 @@ class Report:
     total: int = 0
     leaf_counts: Counter = field(default_factory=Counter)  # Classification -> n
     qtype_counts: Counter = field(default_factory=Counter)  # qtype code -> n
-    sender_counts: dict = field(default_factory=dict)  # prefix str -> list[int], one per LEAVES entry
-    empty_by_sender: dict = field(default_factory=dict)  # prefix str -> {qtype code: n}
+    sender_counts: Counter = field(default_factory=Counter)  # key << LEAF_BITS | LEAVES index -> n
+    empty_by_sender: Counter = field(default_factory=Counter)  # key << QTYPE_BITS | qtype code -> n
     dropped: int = 0
     senders_tracked: bool = True
 
 
 def fold_blocks(
-    blocks: Iterable[tuple[Sequence[str], Sequence[int], Sequence[Classification]]],
+    blocks: Iterable[tuple[Sequence[int], Sequence[int], Sequence[Classification]]],
     label: str = "",
     dropped: int = 0,
     track_senders: bool = True,
 ) -> Report:
     """Count blocks of classified records into a fresh Report, each record
-    exactly once. A block is three parallel columns: the records' prefixes,
-    qtypes and classifications (classify.classify_block gives them); the
-    prefixes are read only when senders are tracked.
-
-    The sender tables are returned as counted: a LEAVES-ordered row of
-    counts per sender prefix, and the root-name queries per prefix by
-    qtype code.
+    exactly once. A block is three parallel columns: the records' sender
+    keys, qtypes and classifications (classify.classify_block gives them);
+    the keys are read only when senders are tracked.
     """
     leaf_counts: Counter = Counter()
     qtype_counts: Counter = Counter()
-    senders: dict = {}
-    empties: dict = {}
+    senders: Counter = Counter()
+    empties: Counter = Counter()
     total = 0
     empty_leaf = Leaf.EMPTY
-    leaf_index = LEAF_INDEX
-    blank_row = [0] * len(LEAVES)
 
-    for prefixes, qtypes, classes in blocks:
+    for keys, qtypes, classes in blocks:
         total += len(classes)
         leaf_counts.update(classes)
         qtype_counts.update(qtypes)
         if not track_senders:
             continue
         leaves = list(map(_leaf_of, classes))
-        for (prefix, leaf), n in Counter(zip(prefixes, leaves)).items():
-            row = senders.get(prefix)
-            if row is None:
-                row = senders[prefix] = blank_row.copy()
-            row[leaf_index[leaf]] += n
-        root_queries = compress(zip(prefixes, qtypes), map(is_, leaves, repeat(empty_leaf)))
-        for (prefix, qtype), n in Counter(root_queries).items():
-            by_qtype = empties.get(prefix)
-            if by_qtype is None:
-                empties[prefix] = {qtype: n}
-            else:
-                by_qtype[qtype] = by_qtype.get(qtype, 0) + n
+        senders.update(map(or_, map(lshift, keys, repeat(LEAF_BITS)), map(_index_of, leaves)))
+        root_queries = map(or_, map(lshift, keys, repeat(QTYPE_BITS)), qtypes)
+        empties.update(compress(root_queries, map(is_, leaves, repeat(empty_leaf))))
 
     return Report(
         label=label,
@@ -122,8 +115,8 @@ def fold(
     def blocks():
         while chunk := list(islice(pairs, ingest.BLOCK)):
             records, classes = zip(*chunk)
-            prefixes = [sender_prefix(r.source) for r in records] if track_senders else ()
-            yield prefixes, [r.qtype for r in records], classes
+            keys = [sender_key(r.source) for r in records] if track_senders else ()
+            yield keys, [r.qtype for r in records], classes
 
     return fold_blocks(blocks(), label, dropped, track_senders)
 
@@ -145,36 +138,25 @@ def merge_into(acc: Report, other: Report) -> Report:
     acc.leaf_counts.update(other.leaf_counts)
     acc.qtype_counts.update(other.qtype_counts)
     if not (acc.senders_tracked and other.senders_tracked):
-        acc.sender_counts, acc.empty_by_sender, acc.senders_tracked = {}, {}, False
+        acc.sender_counts, acc.empty_by_sender, acc.senders_tracked = Counter(), Counter(), False
         return acc
-    senders = acc.sender_counts
-    for prefix, row in other.sender_counts.items():
-        mine = senders.get(prefix)
-        if mine is None:
-            senders[prefix] = list(row)
-        else:
-            mine[:] = map(add, mine, row)
-    empties = acc.empty_by_sender
-    for prefix, by_qtype in other.empty_by_sender.items():
-        mine = empties.get(prefix)
-        if mine is None:
-            empties[prefix] = dict(by_qtype)
-        else:
-            for code, n in by_qtype.items():
-                mine[code] = mine.get(code, 0) + n
+    for table, pairs in ((acc.sender_counts, other.sender_counts), (acc.empty_by_sender, other.empty_by_sender)):
+        get = table.get
+        for pair, n in pairs.items():
+            table[pair] = get(pair, 0) + n
     return acc
 
 
 def merge(a: Report, b: Report) -> Report:
     """Pointwise sum of two Reports; commutative, associative, and the
-    empty Report is the identity. Sender rows add element-wise."""
+    empty Report is the identity."""
     copy = Report(
         label=a.label,
         total=a.total,
         leaf_counts=Counter(a.leaf_counts),
         qtype_counts=Counter(a.qtype_counts),
-        sender_counts={prefix: row.copy() for prefix, row in a.sender_counts.items()},
-        empty_by_sender={prefix: by_qtype.copy() for prefix, by_qtype in a.empty_by_sender.items()},
+        sender_counts=Counter(a.sender_counts),
+        empty_by_sender=Counter(a.empty_by_sender),
         dropped=a.dropped,
         senders_tracked=a.senders_tracked,
     )
@@ -191,23 +173,50 @@ def top_level_fractions(report: Report) -> dict[TopCategory, float]:
     return {cat: n / report.total for cat, n in counts.items()}
 
 
-def top_senders(report: Report, k: int) -> list[dict]:
-    """The senders.top rows of a report document: the k busiest sender
-    prefixes, descending, with their counts per category; ties break on
-    prefix."""
+def _totals(table: Counter, bits: int) -> dict:
+    """Each sender key's total over a table of key << bits | detail counts."""
+    totals: dict = {}
+    get = totals.get
+    for pair, n in table.items():
+        key = pair >> bits
+        totals[key] = get(key, 0) + n
+    return totals
+
+
+def _ranked(totals: dict, k: int) -> list[tuple[int, str, int]]:
+    """(-total, prefix, key) for the k sender keys with the largest totals,
+    descending, ties broken on prefix text. Only the keys whose total
+    reaches the k-th largest are formatted."""
+    keys = totals
+    if 0 < k < len(totals):
+        kth = heapq.nlargest(k, totals.values())[-1]
+        keys = compress(totals, map(ge, totals.values(), repeat(kth)))
+    return heapq.nsmallest(k, [(-totals[key], prefix_text(key), key) for key in keys])
+
+
+def _senders_section(report: Report, k: int) -> dict:
+    """The count and top of a report document's senders section."""
     if k < 1:
         raise ValueError("k must be positive")
     if not report.senders_tracked:
         raise ValueError("sender tracking was disabled for this report")
     table = report.sender_counts
-    ranked = heapq.nsmallest(k, ((-sum(row), prefix) for prefix, row in table.items()))
+    totals = _totals(table, LEAF_BITS)
     rows = []
-    for neg_total, prefix in ranked:
+    for neg_total, prefix, key in _ranked(totals, k):
         categories = dict.fromkeys(_CATEGORIES, 0)
-        for top, n in zip(_ROW_TOPS, table[prefix]):
-            categories[top] += n
+        base = key << LEAF_BITS
+        for i, top in enumerate(_ROW_TOPS):
+            categories[top] += table.get(base | i, 0)
         rows.append({"prefix": prefix, "total": -neg_total, "categories": categories})
-    return rows
+    return {"count": len(totals), "top": rows}
+
+
+def top_senders(report: Report, k: int) -> list[dict]:
+    """The senders.top rows of a report document: the k busiest sender
+    prefixes, descending, with their counts per category; ties break on
+    prefix."""
+    return _senders_section(report, k)["top"]
 
 
 def _by_mnemonic(by_code: dict) -> dict:
@@ -221,21 +230,25 @@ def empty_query_stats(report: Report, k: int = 10) -> dict:
     if not report.senders_tracked:
         raise ValueError("sender tracking was disabled for this report")
     total = report.leaf_counts.get(CLS_EMPTY, 0)
-    senders = report.empty_by_sender
+    table = report.empty_by_sender
+    totals = _totals(table, QTYPE_BITS)
+    ranked = _ranked(totals, k)
+    top = {key: {} for _, _, key in ranked}
     qtype_totals: dict = {}
-    totals = []
-    for prefix, by_qtype in senders.items():
-        for code, n in by_qtype.items():
-            qtype_totals[code] = qtype_totals.get(code, 0) + n
-        totals.append((-sum(by_qtype.values()), prefix))
+    for pair, n in table.items():
+        code = pair & _QTYPE_MASK
+        qtype_totals[code] = qtype_totals.get(code, 0) + n
+        by_qtype = top.get(pair >> QTYPE_BITS)
+        if by_qtype is not None:
+            by_qtype[code] = n
     return {
         "total": total,
-        "senders": len(senders),
-        "mean_per_sender": total / len(senders) if senders else None,
+        "senders": len(totals),
+        "mean_per_sender": total / len(totals) if totals else None,
         "qtype_fractions": {m: n / total for m, n in _by_mnemonic(qtype_totals).items()} if total else {},
         "top": [
-            {"prefix": prefix, "total": -neg_total, "qtypes": _by_mnemonic(senders[prefix])}
-            for neg_total, prefix in heapq.nsmallest(k, totals)
+            {"prefix": prefix, "total": -neg_total, "qtypes": _by_mnemonic(top[key])}
+            for neg_total, prefix, key in ranked
         ],
     }
 
@@ -344,8 +357,7 @@ def build_report_doc(
 
     senders: dict = {"tracked": report.senders_tracked}
     if report.senders_tracked:
-        senders["count"] = len(report.sender_counts)
-        senders["top"] = top_senders(report, top_k)
+        senders.update(_senders_section(report, top_k))
         empty_stats = empty_query_stats(report, k=top_k)
     else:
         empty_stats = {"total": report.leaf_counts.get(CLS_EMPTY, 0)}

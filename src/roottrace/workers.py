@@ -23,11 +23,12 @@ import signal
 import struct
 from array import array
 from functools import partial
-from itertools import chain, islice
+from itertools import repeat
+from operator import and_, lshift, or_, rshift
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .ingest import _PCAP_MAGICS, MAX_CAPLEN, TsvReadError, decode_pcap, decode_tsv, read_range
-from .report import LEAVES, Report, merge_into
+from .report import _QTYPE_MASK, QTYPE_BITS, Report, merge_into
 
 # record headers in a row that must be plausible where a task begins in a
 # pcap capture; from 2,000 random targets in each of the benchmark's two
@@ -183,59 +184,42 @@ def _counts(values: Iterable[int]) -> array:
         return array("Q", values)
 
 
-def _split(text: str) -> Iterator[str]:
-    """The newline-separated keys of text, one at a time, so that only the
-    keys a merge keeps are ever held together."""
-    start, end = 0, len(text)
-    while start < end:
-        stop = text.find("\n", start)
-        if stop < 0:
-            stop = end
-        yield text[start:stop]
-        start = stop + 1
+class _Senders(NamedTuple):
+    """A sender_counts table packed: its int keys in one array and their
+    counts in another."""
 
-
-class _Rows(NamedTuple):
-    """A sender_counts table packed: its prefixes newline-joined, and their
-    LEAVES-ordered rows one after another in one array."""
-
-    keys: str
+    keys: array
     counts: array
 
     @classmethod
-    def of(cls, table: dict) -> "_Rows":
-        return cls("\n".join(table), _counts(chain.from_iterable(table.values())))
+    def of(cls, table: dict) -> "_Senders":
+        return cls(array("Q", table), _counts(table.values()))
 
-    def items(self) -> Iterator[tuple[str, tuple]]:
-        return zip(_split(self.keys), zip(*[iter(self.counts)] * len(LEAVES)))
+    def items(self) -> Iterator[tuple[int, int]]:
+        return zip(self.keys, self.counts)
 
 
-class _RootQueries(NamedTuple):
-    """An empty_by_sender table packed: its prefixes newline-joined, how
-    many qtypes each sent, and those qtype codes and their counts, prefix
-    after prefix."""
+class _RootPairs(NamedTuple):
+    """An empty_by_sender table packed: each entry's sender key, qtype code
+    and count in three arrays, as a key with its qtype may need 65 bits."""
 
-    keys: str
-    sizes: array
+    keys: array
     qtypes: array
     counts: array
 
     @classmethod
-    def of(cls, table: dict) -> "_RootQueries":
-        return cls("\n".join(table), array("I", map(len, table.values())),
-                   array("H", chain.from_iterable(table.values())),
-                   _counts(chain.from_iterable(map(dict.values, table.values()))))
+    def of(cls, table: dict) -> "_RootPairs":
+        return cls(array("Q", map(rshift, table, repeat(QTYPE_BITS))),
+                   array("H", map(and_, table, repeat(_QTYPE_MASK))), _counts(table.values()))
 
-    def items(self) -> Iterator[tuple[str, dict]]:
-        pairs = zip(self.qtypes, self.counts)
-        return ((key, dict(islice(pairs, size))) for key, size in zip(_split(self.keys), self.sizes))
+    def items(self) -> Iterator[tuple[int, int]]:
+        return zip(map(or_, map(lshift, self.keys, repeat(QTYPE_BITS)), self.qtypes), self.counts)
 
 
 class Shard(NamedTuple):
-    """A Report packed to cross a process boundary: each sender table is one
-    string and a few arrays of counts, so that it pickles and unpickles as a
-    few objects instead of a few per prefix. merge_into reads it as it reads
-    a Report."""
+    """A Report packed to cross a process boundary: each sender table is a
+    few arrays of ints, so that it pickles and unpickles as a few objects
+    instead of a few per entry. merge_into reads it as it reads a Report."""
 
     label: str
     total: int
@@ -243,14 +227,14 @@ class Shard(NamedTuple):
     senders_tracked: bool
     leaf_counts: dict
     qtype_counts: dict
-    sender_counts: _Rows
-    empty_by_sender: _RootQueries
+    sender_counts: _Senders
+    empty_by_sender: _RootPairs
 
     @classmethod
     def of(cls, report: Report) -> "Shard":
         return cls(report.label, report.total, report.dropped, report.senders_tracked,
                    dict(report.leaf_counts), dict(report.qtype_counts),
-                   _Rows.of(report.sender_counts), _RootQueries.of(report.empty_by_sender))
+                   _Senders.of(report.sender_counts), _RootPairs.of(report.empty_by_sender))
 
 
 def _portable(exc: Exception) -> Exception:

@@ -385,3 +385,28 @@ def test_no_senders_flag(tmp_path, trace):
     doc = json.loads(out.read_text())
     assert doc["senders"] == {"tracked": False}
     assert "top" not in doc["senders"]
+
+
+def synth_loaded_after(code: str, *args) -> bool:
+    """Whether a fresh interpreter has loaded the load generator after
+    running code with these arguments."""
+    proc = subprocess.run([sys.executable, "-c", f"import sys\n{code}\nprint('roottrace.synth' in sys.modules)",
+                           *map(str, args)], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip() == "True"
+
+
+def test_only_generating_loads_the_generator(tmp_path, trace):
+    report = tmp_path / "r.json"
+    assert run("classify", "--in", str(trace), "--out", str(report)) == 0
+    command = "from roottrace.cli import main\nassert main(sys.argv[1:]) == 0"
+    assert not synth_loaded_after("import roottrace")
+    assert not synth_loaded_after("import roottrace.cli\nroottrace.cli.build_parser()")
+    assert not synth_loaded_after(command, "classify", "--in", trace, "--out", tmp_path / "c.json")
+    assert not synth_loaded_after(command, "top-senders", "--in", trace, "--out", tmp_path / "t.csv")
+    assert not synth_loaded_after(command, "report", "--in", report, "--out", tmp_path / "r.csv")
+    # the generator's names still resolve from the package, and its commands load it
+    assert synth_loaded_after("import roottrace\nassert roottrace.generate and roottrace.MixSpec")
+    assert synth_loaded_after(command, "gen", "--preset", "2013", "--count", "10", "--out", tmp_path / "g.tsv")
+    window = ["--window", "00:00-12:00", "--day-origin", "2022-04-12"]
+    assert synth_loaded_after(command, "classify", "--in", trace, *window, "--out", tmp_path / "w.json")

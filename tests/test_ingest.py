@@ -27,7 +27,7 @@ from roottrace.ingest import (
     sample,
     window,
 )
-from roottrace.model import DomainName, QueryRecord, sender_prefix
+from roottrace.model import DomainName, QueryRecord, prefix_text, sender_key
 from roottrace.names import parse_presentation, to_presentation
 from roottrace.report import fold, write_report
 from roottrace.synth import generate, tsv_bytes, year_mix
@@ -175,9 +175,9 @@ def make_records(n):
 
 
 def in_blocks(records, size=1000):
-    """records as Blocks of up to size records each, with their prefixes."""
+    """records as Blocks of up to size records each, with their sender keys."""
     chunks = (records[i : i + size] for i in range(0, len(records), size))
-    return [Block(*zip(*chunk), [sender_prefix(r.source) for r in chunk]) for chunk in chunks]
+    return [Block(*zip(*chunk), [sender_key(r.source) for r in chunk]) for chunk in chunks]
 
 
 def flatten(blocks):
@@ -598,14 +598,14 @@ def test_prefixes_from_bytes_match_prefixes_from_text():
 
     from_pcap = []
     for block in decode_pcap(io.BytesIO(pcap_data)):
-        for packed, prefix in zip(block.sources, block.prefixes):
-            assert prefix == sender_prefix(str(ipaddress.ip_address(packed))), packed
-        from_pcap += block.prefixes
+        for packed, key in zip(block.sources, block.prefixes):
+            assert key == sender_key(str(ipaddress.ip_address(packed))), packed
+        from_pcap += map(prefix_text, block.prefixes)
     from_tsv = []
     for block in decode_tsv(io.BytesIO(tsv_data)):
-        for source, prefix in zip(block.sources, block.prefixes):
-            assert prefix == sender_prefix(source), source
-        from_tsv += block.prefixes
+        for source, key in zip(block.sources, block.prefixes):
+            assert key == sender_key(source), source
+        from_tsv += map(prefix_text, block.prefixes)
     oracle = [ipaddress.ip_network((s, 48 if ":" in s else 16), strict=False).with_prefixlen for s in sources]
     assert from_pcap == from_tsv == oracle
     assert from_pcap[: len(ZERO_HEXTET_SOURCES)] == ["::/48", "0:0:5::/48", "2600::/48", "2600::/48", "2600:0:1f::/48"]

@@ -12,7 +12,10 @@ from roottrace.model import (
     qclass_code,
     qclass_mnemonic,
     qtype_code,
+    address_key,
+    prefix_text,
     qtype_mnemonic,
+    sender_key,
     sender_prefix,
 )
 
@@ -127,6 +130,26 @@ def test_sender_key_host_bits_zero():
 def test_sender_key_rejects_junk(junk):
     with pytest.raises(ValueError):
         sender_prefix(junk)
+
+
+def test_sender_keys_are_one_per_prefix_and_read_back_as_text():
+    import random
+
+    rng = random.Random(12)
+    sources = ["0.0.0.0", "255.255.255.255", "9.1.2.3", "10.1.2.3", "::", "::1", "ffff:ffff:ffff::1"]
+    sources += [str(ipaddress.IPv4Address(rng.getrandbits(32))) for _ in range(1_000)]
+    sources += [str(ipaddress.IPv6Address(rng.getrandbits(128))) for _ in range(1_000)]
+    by_prefix = {}
+    for source in sources:
+        address = ipaddress.ip_address(source)
+        key = sender_key(source)
+        prefix = ipaddress.ip_network((source, 16 if address.version == 4 else 48), strict=False).with_prefixlen
+        assert prefix_text(key) == sender_prefix(source) == prefix, source
+        assert address_key(address.packed) == key, source
+        # an IPv4 key fits 16 bits, an IPv6 one 49, and the two never meet
+        assert (key < 2**16) if address.version == 4 else (2**48 <= key < 2**49), source
+        assert by_prefix.setdefault(prefix, key) == key
+    assert len(set(by_prefix.values())) == len(by_prefix)
 
 
 def test_query_record_names():

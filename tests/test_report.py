@@ -1,5 +1,6 @@
 import csv
 import io
+import ipaddress
 import json
 import pickle
 import random
@@ -15,12 +16,15 @@ from roottrace.model import (
     Leaf,
     QueryRecord,
     TopCategory,
+    prefix_text,
     qtype_mnemonic,
 )
 from roottrace.report import (
     DEFAULT_POLICY,
     INVALID_ONLY_POLICY,
+    LEAF_BITS,
     LEAVES,
+    QTYPE_BITS,
     Report,
     build_report_doc,
     chromium_fractions,
@@ -109,10 +113,10 @@ def test_fold_counting_invariants(registry):
     assert report.total == 5_000
     assert sum(report.leaf_counts.values()) == report.total
     assert sum(report.qtype_counts.values()) == report.total
-    per_sender = sum(sum(row) for row in report.sender_counts.values())
+    per_sender = sum(report.sender_counts.values())
     assert per_sender == report.total
     empty_total = report.leaf_counts.get(Classification(Leaf.EMPTY), 0)
-    assert sum(sum(c.values()) for c in report.empty_by_sender.values()) == empty_total
+    assert sum(report.empty_by_sender.values()) == empty_total
 
 
 def test_merge_identity():
@@ -158,9 +162,9 @@ def test_merge_into_is_merge_in_place():
         assert merge_into(a, b) is a
         assert a == expected
         assert b == b_copy  # the added report is left as it was
-        # and the accumulator shares no row with it
-        for prefix, row in b.sender_counts.items():
-            assert a.sender_counts[prefix] is not row
+        # and the accumulator shares no table with it
+        assert a.sender_counts is not b.sender_counts
+        assert a.empty_by_sender is not b.empty_by_sender
 
 
 def test_shard_merges_like_its_report():
@@ -177,15 +181,31 @@ def test_shard_merges_like_its_report():
 
 def test_shard_counts_are_four_bytes_unless_a_count_needs_eight():
     rng = random.Random(53)
-    report = fold(random_pairs(rng, 500))
-    shard = Shard.of(report)
+    sources = ("44.242.1.2", "255.255.1.1", "2600:1:2:3::9", "ffff:ffff:ffff::1")
+    empty = Classification(Leaf.EMPTY)
+    pairs = random_pairs(rng, 500, sources=sources)
+    # root-name queries at both ends of the qtype range, from the largest key
+    pairs += [(QueryRecord(1, "ffff:ffff:ffff::1", 1, qtype, "."), empty) for qtype in (0, 65535, 65535)]
+    report = fold(pairs)
+    acc = random_report(rng, label="acc")
+
+    shard = pickle.loads(pickle.dumps(Shard.of(report)))
     assert shard.sender_counts.counts.itemsize == shard.empty_by_sender.counts.itemsize == 4
-    prefix = next(iter(report.empty_by_sender))
-    report.sender_counts[prefix][0] += 2**32
-    report.empty_by_sender[prefix][2] = 2**40
-    big = Shard.of(report)
+    assert max(shard.sender_counts.keys) > 2**32 and max(shard.empty_by_sender.keys) > 2**32
+    assert {0, 65535} <= set(shard.empty_by_sender.qtypes)
+    assert dict(shard.sender_counts.items()) == report.sender_counts
+    assert dict(shard.empty_by_sender.items()) == report.empty_by_sender
+    assert merge_into(merge(acc, Report()), shard) == merge(acc, report)
+
+    first = next(iter(report.sender_counts))
+    report.sender_counts[first] = 2**32 - 1
+    assert Shard.of(report).sender_counts.counts.itemsize == 4
+    report.sender_counts[first] = 2**32
+    report.empty_by_sender[max(report.empty_by_sender)] = 2**40
+    big = pickle.loads(pickle.dumps(Shard.of(report)))
     assert big.sender_counts.counts.itemsize == big.empty_by_sender.counts.itemsize == 8
     assert merge_into(Report(), big) == merge(Report(), report)
+    assert merge_into(merge(acc, Report()), big) == merge(acc, report)
 
 
 def test_top_level_fractions_sum_to_one():
@@ -578,9 +598,25 @@ def test_sender_rollup_consistency(registry):
 # --- top-k selection: must equal a full sort on (-total, prefix) -------------
 
 
+def sender_rows(report):
+    """Each sender prefix's LEAVES-ordered row of counts."""
+    rows = {}
+    for pair, n in report.sender_counts.items():
+        rows.setdefault(prefix_text(pair >> LEAF_BITS), [0] * len(LEAVES))[pair & ((1 << LEAF_BITS) - 1)] += n
+    return rows
+
+
+def empty_rows(report):
+    """Each sender prefix's root-name queries by qtype code."""
+    rows = {}
+    for pair, n in report.empty_by_sender.items():
+        rows.setdefault(prefix_text(pair >> QTYPE_BITS), {})[pair & ((1 << QTYPE_BITS) - 1)] = n
+    return rows
+
+
 def full_sort_senders(report):
     rows = []
-    for prefix, row in report.sender_counts.items():
+    for prefix, row in sender_rows(report).items():
         categories = {cat.value: 0 for cat in TopCategory}
         for leaf, n in zip(LEAVES, row):
             categories[LEAF_TOP[leaf].value] += n
@@ -592,7 +628,7 @@ def full_sort_senders(report):
 def full_sort_empty_senders(report):
     rows = [
         (prefix, sum(q.values()), {qtype_mnemonic(code): n for code, n in q.items()})
-        for prefix, q in report.empty_by_sender.items()
+        for prefix, q in empty_rows(report).items()
     ]
     rows.sort(key=lambda r: (-r[1], r[0]))
     return rows
@@ -629,7 +665,7 @@ def test_top_senders_k_beyond_population_equals_full_sort():
 
 def test_empty_query_stats_tie_across_kth_place():
     report = tied_report()
-    full = empty_query_stats(report, k=len(report.empty_by_sender))
+    full = empty_query_stats(report, k=len(empty_rows(report)))
     for k in (1, 2, 3, 4, 5, 50):
         stats = empty_query_stats(report, k=k)
         assert [(r["prefix"], r["total"], r["qtypes"]) for r in stats["top"]] == (
@@ -664,6 +700,81 @@ def test_top_k_matches_full_sort_on_tie_heavy_reports():
             assert stats["qtype_fractions"] == (
                 {m: n / empty_total for m, n in sorted(qtype_totals.items())} if empty_total else {}
             )
+
+
+# --- the document's sender sections against text-keyed tables ----------------
+
+# text order differs from key order: "10.1.0.0/16" < "9.1.0.0/16" and
+# "2001:db8::/48" < "3.0.0.0/16", while every IPv4 key is below every IPv6 one
+ORDER_TRAPS = ("9.1.2.3", "10.1.2.3", "9.200.0.1", "10.20.0.1", "20.1.7.7", "2001:db8::1",
+               "2001:db8:1::1", "3.0.0.1", "200.1.0.1", "::1", "ffff:ffff:ffff::1")
+
+
+def text_keyed_sections(pairs, k):
+    """The senders and empty_stats sections, counted by prefix text from
+    ipaddress and ranked by a full sort on (-total, prefix)."""
+    categories, root_queries = {}, {}
+    for rec, cls in pairs:
+        length = 48 if ":" in rec.source else 16
+        prefix = ipaddress.ip_network((rec.source, length), strict=False).with_prefixlen
+        row = categories.setdefault(prefix, {cat.value: 0 for cat in TopCategory})
+        row[LEAF_TOP[cls.leaf].value] += 1
+        if cls.leaf is Leaf.EMPTY:
+            by_qtype = root_queries.setdefault(prefix, {})
+            mnemonic = qtype_mnemonic(rec.qtype)
+            by_qtype[mnemonic] = by_qtype.get(mnemonic, 0) + 1
+
+    def ranked(table):
+        return sorted(table.items(), key=lambda item: (-sum(item[1].values()), item[0]))[:k]
+
+    empty_total = sum(sum(q.values()) for q in root_queries.values())
+    qtype_totals = {}
+    for by_qtype in root_queries.values():
+        for mnemonic, n in by_qtype.items():
+            qtype_totals[mnemonic] = qtype_totals.get(mnemonic, 0) + n
+    senders = {"tracked": True, "count": len(categories),
+               "top": [{"prefix": p, "total": sum(c.values()), "categories": c} for p, c in ranked(categories)]}
+    empty_stats = {
+        "total": empty_total,
+        "senders": len(root_queries),
+        "mean_per_sender": empty_total / len(root_queries) if root_queries else None,
+        "qtype_fractions": {m: n / empty_total for m, n in sorted(qtype_totals.items())} if empty_total else {},
+        "top": [{"prefix": p, "total": sum(q.values()), "qtypes": dict(sorted(q.items()))}
+                for p, q in ranked(root_queries)],
+    }
+    return senders, empty_stats
+
+
+def tie_heavy_pairs(rng):
+    """Records from the order traps and seeded IPv4 and IPv6 sources, each
+    source sending one to three, so totals tie at every rank."""
+    sources = list(ORDER_TRAPS)
+    sources += [str(ipaddress.IPv4Address(rng.getrandbits(32))) for _ in range(rng.randint(0, 30))]
+    sources += [str(ipaddress.IPv6Address(rng.getrandbits(128))) for _ in range(rng.randint(0, 10))]
+    pairs = []
+    for source in sources:
+        for _ in range(rng.choice((1, 1, 2, 2, 3))):
+            qtype = rng.choice((0, 1, 2, 28, 48, 65535))
+            pairs.append((QueryRecord(len(pairs) + 1, source, 1, qtype, "."), rng.choice(LEAF_POOL)))
+    rng.shuffle(pairs)
+    return pairs, len(sources)
+
+
+def test_sender_sections_match_text_keyed_tables():
+    for seed in range(30):
+        rng = random.Random(seed)
+        pairs, population = tie_heavy_pairs(rng)
+        cut = rng.randint(0, len(pairs))
+        whole = fold(pairs)
+        split = merge_into(fold(pairs[:cut]), pickle.loads(pickle.dumps(Shard.of(fold(pairs[cut:])))))
+        for k in (1, 10, population + 5):
+            senders, empty_stats = text_keyed_sections(pairs, k)
+            for report in (whole, split):
+                doc = build_report_doc(report, top_k=k)
+                assert doc["senders"] == senders, (seed, k)
+                assert doc["empty_stats"] == empty_stats, (seed, k)
+                assert top_senders(report, k) == senders["top"]
+                assert empty_query_stats(report, k) == empty_stats
 
 
 # --- the renderer table --------------------------------------------------------
