@@ -6,6 +6,7 @@ import random
 import socket
 import struct
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 
@@ -502,6 +503,113 @@ def test_decode_pcap_reads_the_records_between_two_offsets():
     assert sources(at[4], None) == ([4], at[5])
     assert sources(at[5], None) == ([], at[5])
     assert sources(0, at[0]) == ([], at[0])
+
+    # ranges longer than a chunk: the reader reads past end, and must still
+    # leave the stream at the first record at or after it
+    frames = [padded(udp4("10.1.%d.%d" % divmod(i, 256), dns_payload([b"com"], 2)), 80 + i % 37) for i in range(4000)]
+    data = pcap_file(frames)
+    at = list(accumulate((16 + len(frame) for frame in frames), initial=24))
+    assert at[-1] == len(data) > 5 * ingest.CHUNK
+    for first, last in [(0, 10), (3, 1500), (1499, 3999), (7, 4000), (2000, 2001)]:
+        for end in (at[last], at[last] - 1, at[last] - 16, at[last - 1] + 1):
+            stop = next(i for i, offset in enumerate(at) if offset >= end)
+            got, tell = sources(at[first], end)
+            assert got == [i % 256 for i in range(first, stop)], (first, end)
+            assert tell == at[stop]
+    # ranges that meet, as a split run's tasks do, read every record once
+    cuts = [0, at[1234], at[1234] + 5, ingest.CHUNK, 3 * ingest.CHUNK + 1, None]
+    stats = IngestStats()
+    got, begin = [], 0
+    for end in cuts[1:]:
+        stream = io.BytesIO(data)
+        got += [src[3] for block in decode_pcap(stream, stats, begin, end) for src in block.sources]
+        begin = stream.tell()
+    assert got == [i % 256 for i in range(4000)]
+    assert (stats.records_emitted, stats.bytes_read) == (4000, len(data) + 24 * (len(cuts) - 2))
+
+
+def padded(frame: bytes, size: int) -> bytes:
+    """frame with zero bytes after its DNS message, to size bytes in all."""
+    assert len(frame) <= size
+    return frame + bytes(size - len(frame))
+
+
+class Trickle(io.RawIOBase):
+    """A seekable raw stream over data whose readinto gives at most step
+    bytes a call."""
+
+    def __init__(self, data: bytes, step: int):
+        self._data = data
+        self._step = step
+        self._at = 0
+
+    def readable(self) -> bool:
+        return True
+
+    def seekable(self) -> bool:
+        return True
+
+    def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
+        self._at = offset + (0, self._at, len(self._data))[whence]
+        return self._at
+
+    def readinto(self, buffer) -> int:
+        got = self._data[self._at : self._at + min(len(buffer), self._step)]
+        buffer[: len(got)] = got
+        self._at += len(got)
+        return len(got)
+
+
+def chunk_edge_pcap() -> tuple[bytes, list[str]]:
+    """A capture of several chunks whose records cross a chunk boundary at
+    many offsets: inside the record header, at its end and inside the frame.
+    One record of MAX_CAPLEN bytes spans four chunks, and the file ends in a
+    partial record header. Returns it with the sources of its queries."""
+    offsets = [1, 2, 4, 8, 12, 15, 16, 17, 30, 31, 50, 90]  # where a boundary falls in a record
+    frames, sources = [], []
+
+    def add(source: str, labels: list, size: int) -> None:
+        frames.append(padded(udp4(source, dns_payload(labels, 1)), size))
+        sources.append(source)
+
+    out = 24  # the reader's reads end at 24 + k * CHUNK
+    for n, offset in enumerate(offsets):
+        if n == 6:
+            add("192.0.2.7", [b"big"], MAX_CAPLEN)
+            out += 16 + MAX_CAPLEN
+        target = 24 + (n + 1 + 4 * (n >= 6)) * ingest.CHUNK - offset
+        while out < target:
+            gap = target - out - 16
+            size = gap if gap <= 300 else 150  # never leaves a gap too small for a frame
+            add("10.%d.%d.%d" % (n, len(frames) >> 8 & 255, len(frames) & 255), [b"q%d" % len(frames), b"net"], size)
+            out += 16 + size
+        add("172.16.%d.1" % n, [b"edge", b"org"], 120)
+        out += 136
+    return pcap_file(frames) + b"\x00" * 9, sources
+
+
+def test_decode_pcap_reads_records_across_chunk_edges():
+    data, expected = chunk_edge_pcap()
+    crossed, caplens, at = set(), [], 24
+    while at + 16 <= len(data):
+        caplens.append(struct.unpack_from("<I", data, at + 8)[0])
+        after = at + 16 + caplens[-1]
+        crossed.update(edge - at for edge in range(24 + ingest.CHUNK, len(data), ingest.CHUNK) if at < edge < after)
+        at = after
+    assert crossed >= {1, 2, 4, 8, 12, 15, 16, 17, 30, 31, 50, 90} and MAX_CAPLEN in caplens
+
+    def decoded(stream):
+        stats = IngestStats()
+        blocks = [[list(column) for column in block] for block in decode_pcap(stream, stats)]
+        return blocks, stats, stream.tell()
+
+    want = decoded(io.BytesIO(data))
+    blocks, stats, tell = want
+    assert [str(ipaddress.ip_address(source)) for block in blocks for source in block[1]] == expected
+    assert (stats.records_emitted, stats.packets_skipped, stats.bytes_read, tell) == (
+        len(expected), 1, len(data), len(data))
+    for step in (7, 4096, 70_000):
+        assert decoded(io.BufferedReader(Trickle(data, step))) == want, step
 
 
 @pytest.mark.parametrize("extra", [1, 7, 15])
