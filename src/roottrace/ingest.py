@@ -223,12 +223,8 @@ _new_tuple = tuple.__new__  # makes a DomainName without its Python-level __new_
 
 
 def _decode_question(data: bytes, i: int, end: int):
-    """Decode the question that starts at data[i] in a DNS query message
-    that ends at data[end], reading it in place.
-
-    Returns (name, qtype, qclass), or the reason text where the question
-    cannot be decoded.
-    """
+    """Decode in place the question at data[i] of a DNS query that ends at
+    data[end]: (name, qtype, qclass), or the text of why it cannot."""
     labels = []
     # the labels and their length bytes take at most MAX_NAME - 1 bytes
     last = i + MAX_NAME - 1
@@ -354,7 +350,10 @@ def decode_pcap(
                     stats.records_dropped_unparseable += 1  # a short DNS header
                 continue
             port, flags, qdcount = _UDP_DNS(buf, udp)
-            if port != 53 or flags & 0x80:  # another port, or a response
+            if port != 53:
+                stats.packets_skipped += 1
+                continue
+            if flags & 0x80:  # a response
                 stats.packets_skipped += 1
                 continue
             question = _decode_question(buf, udp + 20, stop) if qdcount else "no question"
