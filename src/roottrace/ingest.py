@@ -216,7 +216,7 @@ CHUNK = 1 << 16  # bytes read from a capture at a time; 256 KiB cost ~1 MB more 
 
 _IPV4 = struct.Struct(">B5xHxB2x4s").unpack_from  # version/IHL, fragment word, protocol, source
 _IPV6 = struct.Struct(">6xB1x16s").unpack_from  # next header, source
-_UDP_DNS = struct.Struct(">2xH6xBxH").unpack_from  # destination port, DNS flags byte, qdcount
+_UDP_DNS = struct.Struct(">2xHH4xBxH").unpack_from  # destination port, UDP length, DNS flags byte, qdcount
 _QUESTION = struct.Struct(">HH").unpack_from  # qtype, qclass
 _ETHERTYPES = {b"\x08\x00": 4, b"\x86\xdd": 6}
 _new_tuple = tuple.__new__  # makes a DomainName without its Python-level __new__
@@ -256,7 +256,11 @@ def decode_pcap(
     """Read the queries of a classic pcap capture as Blocks, sources as
     packed addresses and names as the DomainNames decoded off the wire.
 
-    Handles Ethernet and raw-IP link types, IPv4/IPv6, UDP to port 53.
+    Handles Ethernet and raw-IP link types, IPv4/IPv6, UDP to port 53. A
+    query's DNS message ends where its UDP length says, or where its
+    captured frame does if that is sooner; a UDP length under 8 is
+    skipped as a short UDP header, and one under 20 on port 53 dropped
+    as a short DNS header.
     Queries (QR=0) that fail to decode count as unparseable; everything
     else (responses, TCP, other ports/protocols, malformed IP headers, a
     truncated final record) counts as skipped. A bad global header or a
@@ -349,13 +353,21 @@ def decode_pcap(
                 else:
                     stats.records_dropped_unparseable += 1  # a short DNS header
                 continue
-            port, flags, qdcount = _UDP_DNS(buf, udp)
+            port, length, flags, qdcount = _UDP_DNS(buf, udp)
             if port != 53:
                 stats.packets_skipped += 1
+                continue
+            if length < 20:
+                if length < 8:
+                    stats.packets_skipped += 1  # a short UDP header
+                else:
+                    stats.records_dropped_unparseable += 1  # a short DNS header
                 continue
             if flags & 0x80:  # a response
                 stats.packets_skipped += 1
                 continue
+            if udp + length < stop:
+                stop = udp + length  # the datagram ends before its captured frame does
             question = _decode_question(buf, udp + 20, stop) if qdcount else "no question"
             if question.__class__ is str:
                 stats.records_dropped_unparseable += 1

@@ -129,9 +129,7 @@ def _merge_labels(a: str, b: str) -> str:
 
 def merge_into(acc: Report, other: Report) -> Report:
     """Add other into acc in place and return acc: merge(acc, other)
-    without copying acc, and other is left as it was. other may be anything
-    that reads like a Report: its two sender tables need only items(), as a
-    workers.Shard's packed tables have."""
+    without copying acc, and other is left as it was."""
     acc.label = _merge_labels(acc.label, other.label)
     acc.total += other.total
     acc.dropped += other.dropped
@@ -140,10 +138,8 @@ def merge_into(acc: Report, other: Report) -> Report:
     if not (acc.senders_tracked and other.senders_tracked):
         acc.sender_counts, acc.empty_by_sender, acc.senders_tracked = Counter(), Counter(), False
         return acc
-    for table, pairs in ((acc.sender_counts, other.sender_counts), (acc.empty_by_sender, other.empty_by_sender)):
-        get = table.get
-        for pair, n in pairs.items():
-            table[pair] = get(pair, 0) + n
+    acc.sender_counts.update(other.sender_counts)
+    acc.empty_by_sender.update(other.empty_by_sender)
     return acc
 
 

@@ -7,7 +7,7 @@ its target in a TSV file (_line_start) and, in a pcap capture, the first
 offset where RESYNC_HEADERS record headers in a row are plausible
 (_pcap_begin); it reads the records that begin before its end target.
 fold_in_workers folds the first task in this process and each other one in
-a forked worker, which sends back its Report packed as a Shard with the
+a forked worker, which pickles its Report, as it is, down a pipe with the
 offsets it began and stopped at, and merges the results in input order. A
 task must begin where the one before it stopped; where one does not, the
 input is folded again in one process, so the output never depends on a
@@ -21,14 +21,11 @@ import os
 import pickle
 import signal
 import struct
-from array import array
 from functools import partial
-from itertools import repeat
-from operator import and_, lshift, or_, rshift
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .ingest import _PCAP_MAGICS, MAX_CAPLEN, TsvReadError, decode_pcap, decode_tsv, read_range
-from .report import _QTYPE_MASK, QTYPE_BITS, Report, merge_into
+from .report import Report, merge_into
 
 # record headers in a row that must be plausible where a task begins in a
 # pcap capture; from 2,000 random targets in each of the benchmark's two
@@ -175,68 +172,6 @@ def read_task(task: list, pcap: bool, fold) -> tuple:
     return bounds[0], bounds[1], result
 
 
-def _counts(values: Iterable[int]) -> array:
-    """Counts as 4-byte values, or 8-byte ones where a count needs them."""
-    values = list(values)
-    try:
-        return array("I", values)
-    except OverflowError:
-        return array("Q", values)
-
-
-class _Senders(NamedTuple):
-    """A sender_counts table packed: its int keys in one array and their
-    counts in another."""
-
-    keys: array
-    counts: array
-
-    @classmethod
-    def of(cls, table: dict) -> "_Senders":
-        return cls(array("Q", table), _counts(table.values()))
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return zip(self.keys, self.counts)
-
-
-class _RootPairs(NamedTuple):
-    """An empty_by_sender table packed: each entry's sender key, qtype code
-    and count in three arrays, as a key with its qtype may need 65 bits."""
-
-    keys: array
-    qtypes: array
-    counts: array
-
-    @classmethod
-    def of(cls, table: dict) -> "_RootPairs":
-        return cls(array("Q", map(rshift, table, repeat(QTYPE_BITS))),
-                   array("H", map(and_, table, repeat(_QTYPE_MASK))), _counts(table.values()))
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return zip(map(or_, map(lshift, self.keys, repeat(QTYPE_BITS)), self.qtypes), self.counts)
-
-
-class Shard(NamedTuple):
-    """A Report packed to cross a process boundary: each sender table is a
-    few arrays of ints, so that it pickles and unpickles as a few objects
-    instead of a few per entry. merge_into reads it as it reads a Report."""
-
-    label: str
-    total: int
-    dropped: int
-    senders_tracked: bool
-    leaf_counts: dict
-    qtype_counts: dict
-    sender_counts: _Senders
-    empty_by_sender: _RootPairs
-
-    @classmethod
-    def of(cls, report: Report) -> "Shard":
-        return cls(report.label, report.total, report.dropped, report.senders_tracked,
-                   dict(report.leaf_counts), dict(report.qtype_counts),
-                   _Senders.of(report.sender_counts), _RootPairs.of(report.empty_by_sender))
-
-
 def _portable(exc: Exception) -> Exception:
     """exc if it survives pickling, else its message in the nearest of its
     base classes that does: one whose arguments differ from its
@@ -254,14 +189,15 @@ def _portable(exc: Exception) -> Exception:
 
 def _work(fd: int, task: list, pcap: bool, fold) -> None:
     """A forked worker: fold the task, send the offsets it began and
-    stopped at with its Shard (or the exception it raised) down the pipe,
+    stopped at with its Report (or the exception it raised) down the pipe,
     and leave through os._exit, never returning into the code that forked
     it."""
     status = 1
     try:
         with open(fd, "wb") as pipe:
             begin, stop, result = read_task(task, pcap, fold)
-            result = _portable(result) if isinstance(result, Exception) else Shard.of(result)
+            if isinstance(result, Exception):
+                result = _portable(result)
             pickle.dump((begin, stop, result), pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:

@@ -396,6 +396,34 @@ def test_pcap_truncated_question_dropped():
     assert stats.records_dropped_unparseable == 1
 
 
+def test_pcap_question_ends_at_the_udp_length():
+    # a query cut after its name's terminator, its frame then padded with
+    # zeros to Ethernet's 64-byte minimum: the padding is not its qtype and qclass
+    short = udp4("10.0.0.1", dns_payload([b"com"], 2)[:-4])
+    assert len(short) == 59
+    padded = short + bytes(5)
+    records, stats = run_pcap(pcap_file([padded]))
+    assert records == []
+    assert stats.records_dropped_unparseable == 1
+    question = 14 + 20 + 8 + 12  # Ethernet, IPv4, UDP and DNS headers
+    assert ingest._decode_question(padded, question, len(short)) == "truncated question"
+    # a valid query in a padded frame gives the record it gives unpadded
+    frame = udp4("10.0.0.1", dns_payload([], 2))
+    records, _ = run_pcap(pcap_file([frame]))
+    assert len(frame) < 64 and len(records) == 1
+    assert run_pcap(pcap_file([frame + bytes(64 - len(frame))]))[0] == records
+
+
+@pytest.mark.parametrize("length, skipped, dropped", [(0, 1, 0), (7, 1, 0), (8, 0, 1), (19, 0, 1)])
+def test_pcap_short_udp_length(length, skipped, dropped):
+    # the UDP length field under 8 is no UDP header; under 20, no DNS header
+    frame = bytearray(udp4("10.0.0.1", dns_payload([b"com"], 2)))
+    struct.pack_into(">H", frame, 14 + 20 + 4, length)
+    records, stats = run_pcap(pcap_file([bytes(frame)]))
+    assert records == []
+    assert (stats.packets_skipped, stats.records_dropped_unparseable) == (skipped, dropped)
+
+
 @pytest.mark.parametrize("endian", ["<", ">"])
 @pytest.mark.parametrize("nano", [False, True])
 def test_pcap_magic_variants(endian, nano):

@@ -45,7 +45,6 @@ from roottrace.report import (
     write_report,
 )
 from roottrace.synth import tsv_bytes
-from roottrace.workers import Shard
 
 LEAF_POOL = [
     Classification(Leaf.EMPTY),
@@ -167,19 +166,23 @@ def test_merge_into_is_merge_in_place():
         assert a.empty_by_sender is not b.empty_by_sender
 
 
-def test_shard_merges_like_its_report():
+def sent(report: Report) -> Report:
+    """report as a worker process sends it: pickled and read back."""
+    return pickle.loads(pickle.dumps(report, pickle.HIGHEST_PROTOCOL))
+
+
+def test_pickled_report_merges_like_its_report():
     rng = random.Random(52)
     for _ in range(200):
         a, b = random_report(rng, label="a"), random_report(rng, label="b")
-        shard = pickle.loads(pickle.dumps(Shard.of(b)))
-        assert merge_into(merge(a, Report()), shard) == merge(a, b)
+        assert merge_into(merge(a, Report()), sent(b)) == merge(a, b)
     untracked = fold(random_pairs(rng, 10), track_senders=False)
-    merged = merge_into(random_report(rng), Shard.of(untracked))
+    merged = merge_into(random_report(rng), sent(untracked))
     assert not merged.senders_tracked
     assert merged.sender_counts == merged.empty_by_sender == {}
 
 
-def test_shard_counts_are_four_bytes_unless_a_count_needs_eight():
+def test_pickled_report_keeps_edge_keys_qtypes_and_counts():
     rng = random.Random(53)
     sources = ("44.242.1.2", "255.255.1.1", "2600:1:2:3::9", "ffff:ffff:ffff::1")
     empty = Classification(Leaf.EMPTY)
@@ -188,24 +191,17 @@ def test_shard_counts_are_four_bytes_unless_a_count_needs_eight():
     pairs += [(QueryRecord(1, "ffff:ffff:ffff::1", 1, qtype, "."), empty) for qtype in (0, 65535, 65535)]
     report = fold(pairs)
     acc = random_report(rng, label="acc")
-
-    shard = pickle.loads(pickle.dumps(Shard.of(report)))
-    assert shard.sender_counts.counts.itemsize == shard.empty_by_sender.counts.itemsize == 4
-    assert max(shard.sender_counts.keys) > 2**32 and max(shard.empty_by_sender.keys) > 2**32
-    assert {0, 65535} <= set(shard.empty_by_sender.qtypes)
-    assert dict(shard.sender_counts.items()) == report.sender_counts
-    assert dict(shard.empty_by_sender.items()) == report.empty_by_sender
-    assert merge_into(merge(acc, Report()), shard) == merge(acc, report)
+    assert max(report.sender_counts) >> LEAF_BITS > 2**32
+    assert {0, 65535} <= {pair & ((1 << QTYPE_BITS) - 1) for pair in report.empty_by_sender}
+    assert merge_into(merge(acc, Report()), sent(report)) == merge(acc, report)
 
     first = next(iter(report.sender_counts))
-    report.sender_counts[first] = 2**32 - 1
-    assert Shard.of(report).sender_counts.counts.itemsize == 4
-    report.sender_counts[first] = 2**32
+    for count in (2**32 - 1, 2**32):
+        report.sender_counts[first] = count
+        assert merge_into(merge(acc, Report()), sent(report)) == merge(acc, report)
     report.empty_by_sender[max(report.empty_by_sender)] = 2**40
-    big = pickle.loads(pickle.dumps(Shard.of(report)))
-    assert big.sender_counts.counts.itemsize == big.empty_by_sender.counts.itemsize == 8
-    assert merge_into(Report(), big) == merge(Report(), report)
-    assert merge_into(merge(acc, Report()), big) == merge(acc, report)
+    assert merge_into(Report(), sent(report)) == merge(Report(), report)
+    assert merge_into(merge(acc, Report()), sent(report)) == merge(acc, report)
 
 
 def test_top_level_fractions_sum_to_one():
@@ -766,7 +762,7 @@ def test_sender_sections_match_text_keyed_tables():
         pairs, population = tie_heavy_pairs(rng)
         cut = rng.randint(0, len(pairs))
         whole = fold(pairs)
-        split = merge_into(fold(pairs[:cut]), pickle.loads(pickle.dumps(Shard.of(fold(pairs[cut:])))))
+        split = merge_into(fold(pairs[:cut]), sent(fold(pairs[cut:])))
         for k in (1, 10, population + 5):
             senders, empty_stats = text_keyed_sections(pairs, k)
             for report in (whole, split):

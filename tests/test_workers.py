@@ -10,6 +10,7 @@ the one-process fold that follows a failed handshake.
 """
 
 import os
+import pickle
 import signal
 import struct
 import subprocess
@@ -356,6 +357,30 @@ def test_a_worker_that_dies_fails_the_command(tmp_path, monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, "fold_blocks", fold_blocks)
+    for count in (2, 3):
+        code, err, written = run(["classify", "--in", str(path)], count, monkeypatch, capsys, tmp_path / "out")
+        assert (code, written) == (2, None)
+        assert err == "roottrace: a worker process ended without a result (exit status 3)\n"
+
+
+@pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+def test_a_worker_that_dies_part_way_through_its_send_fails_the_command(share, tmp_path, monkeypatch, capsys):
+    # the worker writes the first byte, half, or all but the last byte of
+    # its pickled (begin, stop, Report) before it dies
+    path = tmp_path / "t.tsv"
+    path.write_bytes(tsv_bytes(RECORDS))
+    parent = os.getpid()
+    real = pickle.dump
+
+    def dump(obj, file, protocol=None):
+        if os.getpid() == parent:
+            return real(obj, file, protocol)
+        data = pickle.dumps(obj, protocol)
+        file.write(data[: max(1, min(len(data) - 1, int(len(data) * share)))])
+        file.flush()
+        os._exit(3)
+
+    monkeypatch.setattr(pickle, "dump", dump)
     for count in (2, 3):
         code, err, written = run(["classify", "--in", str(path)], count, monkeypatch, capsys, tmp_path / "out")
         assert (code, written) == (2, None)
