@@ -225,7 +225,7 @@ def _read_file(decode, path: str, stats: IngestStats):
 def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, dict]:
     if args.window and not args.day_origin:
         parser.error("--window requires --day-origin")
-    if args.sample_rate is not None and not 0 < args.sample_rate <= 1:
+    if not 0 < args.sample_rate <= 1:
         parser.error("--sample-rate must be in (0, 1]")
     try:
         win = _parse_window(args.window) if args.window else None

@@ -2,11 +2,11 @@
 
 decode_tsv and decode_pcap read a trace into Blocks of up to BLOCK records
 held as parallel columns, each record's sender key among them, and keep
-running counters. A file can be read in parts: read_range gives a byte
-range of a TSV file as a stream of its own, and decode_pcap reads the
-records between two offsets of a capture. read_tsv and read_pcap are
-QueryRecord views of the same blocks, with the same counters. sample and
-window filter blocks.
+running counters. Both read a file in parts the same way: given two byte
+offsets, each reads the records from the one that begins at the first up
+to the first that begins at or after the second. read_tsv and read_pcap
+are QueryRecord views of the same blocks, with the same counters. sample
+and window filter blocks.
 Malformed records never abort a stream; only a corrupt container
 (unreadable file, bad pcap global header, a pcap record header claiming an
 impossible length) does, before the block that holds it is yielded.
@@ -14,12 +14,12 @@ impossible length) does, before the block that holds it is yielded.
 
 from __future__ import annotations
 
-import io
 import ipaddress
 import random
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import accumulate, compress, islice, repeat
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .model import (
@@ -98,19 +98,32 @@ class Block(NamedTuple):
         return Block._make([tuple(compress(column, mask)) for column in self])
 
 
-def decode_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[Block]:
+def decode_tsv(
+    stream: IO[bytes], stats: Optional[IngestStats] = None, start: int = 0, end: Optional[int] = None
+) -> Iterator[Block]:
     """Read tab-separated query records, one per line and five fields, as
     Blocks of the lines' records.
 
     Malformed lines, a source that is not an IP address among them, bump
     records_dropped_unparseable and are left out. The lines of a block are
     read at once, so an I/O failure aborts with a TsvReadError that names
-    the line whose read failed, before the block it cut short is yielded.
+    the line whose read failed, counted from the first line read, before
+    the block it cut short is yielded.
+
+    start and end read part of a seekable binary file: the lines from the
+    one that begins at byte start up to the first that begins at or after
+    byte end, reading at most a block of lines past it. Once the blocks are
+    all read, the stream is left at that line, or at the end of the file.
+    With the defaults the stream is never sought, and any iterable of lines
+    will do.
     """
     if stats is None:
         stats = IngestStats()
     qtype_table = _QTYPE_FROM_BYTES
     qclass_table = _QCLASS_FROM_BYTES
+    if start:
+        stream.seek(start)
+    at = start  # the file offset of the next line
     lineno = 0
     lines = iter(stream)
     while True:
@@ -122,6 +135,16 @@ def decode_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterat
         if not chunk:
             return
         lineno += len(chunk)
+        size = sum(map(len, chunk))
+        if end is not None and at + size >= end:
+            # the last block: the lines that begin before end
+            begins = list(accumulate(map(len, chunk), initial=at))
+            cut = bisect_left(begins, end)
+            del chunk[cut:]
+            stream.seek(begins[cut])
+            size = begins[cut] - at
+            lines = iter(())  # nothing past it is read
+        at += size
         block = Block([], [], [], [], [], [])
         add_ts, add_source, add_qclass, add_qtype, add_name, add_key = (column.append for column in block)
         dropped = 0
@@ -154,38 +177,11 @@ def decode_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterat
             add_qtype(qtype)
             add_name(qname_b)
             add_key(key)
-        stats.bytes_read += sum(map(len, chunk))
+        stats.bytes_read += size
         stats.records_dropped_unparseable += dropped
         if block.names:
             stats.records_emitted += len(block.names)
             yield block
-
-
-class _Range(io.RawIOBase):
-    """The bytes of a raw file from its current position up to a limit."""
-
-    def __init__(self, raw, size: int):
-        self._raw = raw
-        self._left = size
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        got = self._raw.readinto(memoryview(buffer)[: self._left])
-        self._left -= got
-        return got
-
-
-def read_range(stream: IO[bytes], start: int, end: Optional[int]) -> IO[bytes]:
-    """Bytes start to end of an open binary file as a stream of their own,
-    to the end of the file where end is None. The stream reads through the
-    file object, so give each range a file object of its own."""
-    if start:
-        stream.seek(start)
-    if end is None:
-        return stream
-    return io.BufferedReader(_Range(stream.raw, end - start))
 
 
 def read_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[QueryRecord]:
@@ -214,8 +210,8 @@ MAX_CAPLEN = 262_144
 
 CHUNK = 1 << 16  # bytes read from a capture at a time; 256 KiB cost ~1 MB more peak
 
-_IPV4 = struct.Struct(">B5xHxB2x4s").unpack_from  # version/IHL, fragment word, protocol, source
-_IPV6 = struct.Struct(">6xB1x16s").unpack_from  # next header, source
+_IPV4 = struct.Struct(">BxH2xHxB2x4s").unpack_from  # version/IHL, total length, fragment word, protocol, source
+_IPV6 = struct.Struct(">4xHBx16s").unpack_from  # payload length, next header, source
 _UDP_DNS = struct.Struct(">2xHH4xBxH").unpack_from  # destination port, UDP length, DNS flags byte, qdcount
 _QUESTION = struct.Struct(">HH").unpack_from  # qtype, qclass
 _ETHERTYPES = {b"\x08\x00": 4, b"\x86\xdd": 6}
@@ -257,10 +253,11 @@ def decode_pcap(
     packed addresses and names as the DomainNames decoded off the wire.
 
     Handles Ethernet and raw-IP link types, IPv4/IPv6, UDP to port 53. A
-    query's DNS message ends where its UDP length says, or where its
-    captured frame does if that is sooner; a UDP length under 8 is
-    skipped as a short UDP header, and one under 20 on port 53 dropped
-    as a short DNS header.
+    query's DNS message ends at the first of: the end of its captured
+    frame, of its IP datagram (the IPv4 total length, the IPv6 payload
+    length) and of its UDP length. A message with under 8 bytes of UDP is
+    skipped as a short UDP header, and one on port 53 with under 20
+    dropped as a short DNS header.
     Queries (QR=0) that fail to decode count as unparseable; everything
     else (responses, TCP, other ports/protocols, malformed IP headers, a
     truncated final record) counts as skipped. A bad global header or a
@@ -332,17 +329,21 @@ def decode_pcap(
                 version = buf[at] >> 4 if caplen else 0
             if version == 4 and stop - ip >= 20:
                 # version 4 with a header of at least five words (IHL >= 5)
-                vihl, fragment, protocol, source = _IPV4(buf, ip)
+                vihl, total, fragment, protocol, source = _IPV4(buf, ip)
                 udp = ip + (vihl & 0x0F) * 4
+                if ip + total < stop:
+                    stop = ip + total  # the datagram ends before its captured frame does
                 if not 0x45 <= vihl <= 0x4F or protocol != 17 or fragment & 0x1FFF or udp > stop:
                     stats.packets_skipped += 1
                     continue
             elif version == 6 and stop - ip >= 40:
-                protocol, source = _IPV6(buf, ip)
+                payload, protocol, source = _IPV6(buf, ip)
                 if protocol != 17:
                     stats.packets_skipped += 1
                     continue
                 udp = ip + 40
+                if udp + payload < stop:
+                    stop = udp + payload  # the datagram ends before its captured frame does
             else:  # not IP, or an IP header cut short
                 stats.packets_skipped += 1
                 continue
@@ -367,7 +368,7 @@ def decode_pcap(
                 stats.packets_skipped += 1
                 continue
             if udp + length < stop:
-                stop = udp + length  # the datagram ends before its captured frame does
+                stop = udp + length  # the UDP length says the message ends sooner
             question = _decode_question(buf, udp + 20, stop) if qdcount else "no question"
             if question.__class__ is str:
                 stats.records_dropped_unparseable += 1

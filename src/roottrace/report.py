@@ -64,7 +64,6 @@ class Report:
 def fold_blocks(
     blocks: Iterable[tuple[Sequence[int], Sequence[int], Sequence[Classification]]],
     label: str = "",
-    dropped: int = 0,
     track_senders: bool = True,
 ) -> Report:
     """Count blocks of classified records into a fresh Report, each record
@@ -97,7 +96,6 @@ def fold_blocks(
         qtype_counts=qtype_counts,
         sender_counts=senders,
         empty_by_sender=empties,
-        dropped=dropped,
         senders_tracked=track_senders,
     )
 
@@ -105,7 +103,6 @@ def fold_blocks(
 def fold(
     classified: Iterable[tuple[QueryRecord, Classification]],
     label: str = "",
-    dropped: int = 0,
     track_senders: bool = True,
 ) -> Report:
     """fold_blocks over (record, classification) pairs, taken ingest.BLOCK
@@ -118,7 +115,7 @@ def fold(
             keys = [sender_key(r.source) for r in records] if track_senders else ()
             yield keys, [r.qtype for r in records], classes
 
-    return fold_blocks(blocks(), label, dropped, track_senders)
+    return fold_blocks(blocks(), label, track_senders)
 
 
 def _merge_labels(a: str, b: str) -> str:

@@ -5,7 +5,9 @@ bytes, and opens none of them: it cuts a file at a byte target. Each task
 then finds its own first record, the first line that begins at or after
 its target in a TSV file (_line_start) and, in a pcap capture, the first
 offset where RESYNC_HEADERS record headers in a row are plausible
-(_pcap_begin); it reads the records that begin before its end target.
+(_pcap_begin). decode_tsv or decode_pcap then reads, from there, the
+records that begin before its end target, and leaves the file at the
+first that does not: that offset is where the task stopped.
 fold_in_workers folds the first task in this process and each other one in
 a forked worker, which pickles its Report, as it is, down a pipe with the
 offsets it began and stopped at, and merges the results in input order. A
@@ -24,7 +26,7 @@ import struct
 from functools import partial
 from typing import Iterator, Optional
 
-from .ingest import _PCAP_MAGICS, MAX_CAPLEN, TsvReadError, decode_pcap, decode_tsv, read_range
+from .ingest import _PCAP_MAGICS, MAX_CAPLEN, TsvReadError, decode_pcap, decode_tsv
 from .report import Report, merge_into
 
 # record headers in a row that must be plausible where a task begins in a
@@ -89,15 +91,18 @@ def _newlines(fd: int, end: int) -> int:
 
 def _pcap_begin(fd: int, target: int) -> Optional[int]:
     """Where a task whose range starts at byte target of a pcap capture
-    begins: the first offset at or after it where RESYNC_HEADERS record
-    headers in a row (fewer where the file ends first) are plausible
-    (draft-ietf-opsawg-pcap), or the end of the file if no record header
-    starts after target. A header is plausible if its sub-second field is
-    under 10^6 (10^9 in a nanosecond capture), its caplen is at most the
-    snaplen (MAX_CAPLEN where the snaplen is 0 or larger) and at most the
-    original length, and its timestamp is within RESYNC_SECONDS of the
-    first record's. None where the capture has no first record or no
-    header within a record's length of target is plausible."""
+    begins: 0 where target is 0, else the first offset at or after it
+    where RESYNC_HEADERS record headers in a row (fewer where the file ends
+    first) are plausible (draft-ietf-opsawg-pcap), or the end of the file
+    if no record header starts after target. A header is plausible if its
+    sub-second field is under 10^6 (10^9 in a nanosecond capture), its
+    caplen is at most the snaplen (MAX_CAPLEN where the snaplen is 0 or
+    larger) and at most the original length, and its timestamp is within
+    RESYNC_SECONDS of the first record's. None where the capture has no
+    first record or no header within a record's length of target is
+    plausible."""
+    if not target:
+        return 0  # decode_pcap reads the global header
     head = os.pread(fd, 40, 0)
     if len(head) < 40 or head[:4] not in _PCAP_MAGICS:
         return None  # decode_pcap reads the file from byte 0 in an earlier task
@@ -138,25 +143,17 @@ def _read(pcap: bool, path: str, start: int, end: Optional[int], bounds: list, s
     it ends inside the file, the offset it stopped at goes in bounds[1]."""
     with open(path, "rb") as fh:
         fd = fh.fileno()
-        if pcap:
-            begin = _pcap_begin(fd, start) if start else 0
-        else:
-            begin = _line_start(fd, start)
-            stop = None if end is None else _line_start(fd, end)
+        begin = (_pcap_begin if pcap else _line_start)(fd, start)
         if start:
             bounds[0] = begin
         if begin is None:
             return  # the task fails the handshake; the input is folded in one process
-        if pcap:
-            yield from decode_pcap(fh, stats, begin, end)
-            stop = fh.tell()
-        else:
-            try:
-                yield from decode_tsv(read_range(fh, begin, stop), stats)
-            except TsvReadError as exc:  # numbered from the range's first line
-                raise TsvReadError(exc.line + _newlines(fd, begin), exc.error) from exc.error
+        try:
+            yield from (decode_pcap if pcap else decode_tsv)(fh, stats, begin, end)
+        except TsvReadError as exc:  # numbered from the range's first line
+            raise TsvReadError(exc.line + _newlines(fd, begin), exc.error) from exc.error
         if end is not None:
-            bounds[1] = stop
+            bounds[1] = fh.tell()
 
 
 def read_task(task: list, pcap: bool, fold) -> tuple:

@@ -1,3 +1,4 @@
+import bisect
 import io
 import ipaddress
 import json
@@ -23,7 +24,6 @@ from roottrace.ingest import (
     decode_pcap,
     decode_tsv,
     read_pcap,
-    read_range,
     read_tsv,
     sample,
     window,
@@ -157,15 +157,64 @@ def test_tsv_io_error_names_its_line_wherever_blocks_break(monkeypatch):
         assert caught.value.line == bad_line
 
 
-def test_read_range_reads_only_its_bytes(tmp_path):
+def range_trace() -> bytes:
+    """A TSV of 1,101 lines, CRLF, blank and malformed lines among them, with
+    a good and a malformed line each longer than a file's read buffer, and
+    a last line that has no newline."""
+    rng = random.Random(15)
+    lines = []
+    for i in range(1100):
+        kind = rng.random()
+        if kind < 0.1:
+            lines.append(b"\n" if kind < 0.05 else b"\r\n")
+        elif kind < 0.2:
+            lines.append(b"not\ta\trecord\n")
+        else:
+            name = bytes(rng.choice(b"abc-\\09.") for _ in range(rng.randint(1, 30)))
+            lines.append(b"%d\t10.%d.0.1\tIN\tA\t%s%s" % (i + 1, i % 256, name, b"\r\n" if i % 3 else b"\n"))
+    lines[250] = b"251\t10.0.0.1\tIN\tA\t" + b"x" * (2 * io.DEFAULT_BUFFER_SIZE) + b".\n"
+    lines[400] = b"y" * (3 * io.DEFAULT_BUFFER_SIZE) + b"\n"
+    return b"".join(lines) + b"1101\t10.0.0.9\tIN\tNS\tlast."
+
+
+@pytest.mark.parametrize("block", [7, 512])
+def test_decode_tsv_ranges_that_meet_read_the_file_once(block, tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "BLOCK", block)
+    data = range_trace()
+    assert b"\r" not in data.replace(b"\r\n", b"")
     path = tmp_path / "t.tsv"
-    path.write_bytes(b"one\ntwo\nthree\nfour\n")
+    path.write_bytes(data)
+    starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")] + [len(data)]
+
+    def decoded(blocks):
+        return [[value for part in column for value in part] for column in zip(*blocks)]
+
+    whole = IngestStats()
     with open(path, "rb") as fh:
-        assert list(read_range(fh, 4, 14)) == [b"two\n", b"three\n"]
-    with open(path, "rb") as fh:
-        assert list(read_range(fh, 14, None)) == [b"four\n"]
-    with open(path, "rb") as fh:
-        assert read_range(fh, 0, None) is fh
+        expected = decoded(list(decode_tsv(fh, whole)))
+    assert len(starts) - 1 > 2 * 512  # lines: more than two blocks at either size
+    assert whole.records_dropped_unparseable > 0 and whole.bytes_read == len(data)
+
+    rng = random.Random(block)
+    cut_sets = {
+        "line starts": starts[1:],
+        "inside lines": [start + 1 for start in starts[1:-1]] + [len(data) - 1],
+        "random": rng.sample(range(1, len(data) + 1), 60),
+        "block edges": [starts[block] - 1, starts[block], starts[block] + 1, starts[2 * block] + 3, len(data)],
+        "end of file": [len(data)],
+    }
+    for name, cuts in cut_sets.items():
+        stats = IngestStats()
+        blocks = []
+        begin = 0
+        for end in sorted(set(cuts)) + [None]:
+            with open(path, "rb") as fh:
+                blocks += decode_tsv(fh, stats, begin, end)
+                begin = fh.tell()  # where the next range begins
+            # the stream was left at the first line at or after end
+            assert begin == (len(data) if end is None else starts[bisect.bisect_left(starts, end)]), (name, end)
+        assert decoded(blocks) == expected, name
+        assert stats == whole, name
 
 
 # --- sampling and windows ----------------------------------------------------
@@ -412,6 +461,42 @@ def test_pcap_question_ends_at_the_udp_length():
     records, _ = run_pcap(pcap_file([frame]))
     assert len(frame) < 64 and len(records) == 1
     assert run_pcap(pcap_file([frame + bytes(64 - len(frame))]))[0] == records
+
+
+# udp: where the UDP header of the frame begins
+@pytest.mark.parametrize("build, source, udp", [(udp4, "10.0.0.1", 14 + 20), (udp6, "2001:db8::1", 14 + 40)],
+                         ids=["ipv4", "ipv6"])
+def test_pcap_question_ends_at_the_ip_datagram(build, source, udp):
+    # a query cut after its name's terminator in a frame padded with zeros,
+    # whose UDP length counts the padding: the IP layer's length (IPv4 total
+    # length, IPv6 payload length) ends the datagram before the padding,
+    # which is not its qtype and qclass
+    frame = bytearray(build(source, dns_payload([b"com"], 2)[:-4]) + bytes(8))
+    struct.pack_into(">H", frame, udp + 4, len(frame) - udp)
+    records, stats = run_pcap(pcap_file([bytes(frame)]))
+    assert records == []
+    assert (stats.records_emitted, stats.records_dropped_unparseable, stats.packets_skipped) == (0, 1, 0)
+    # a whole query so framed gives the record it gives unpadded
+    frame = bytearray(build(source, dns_payload([b"com"], 2)) + bytes(8))
+    struct.pack_into(">H", frame, udp + 4, len(frame) - udp)
+    records, _ = run_pcap(pcap_file([bytes(frame)]))
+    assert records == run_pcap(pcap_file([build(source, dns_payload([b"com"], 2))]))[0]
+    assert len(records) == 1
+
+
+# each IP header's length field: where it is, and the header bytes it counts
+@pytest.mark.parametrize("build, source, length_at, header",
+                         [(udp4, "10.0.0.1", 14 + 2, 20), (udp6, "2001:db8::1", 14 + 4, 0)],
+                         ids=["ipv4", "ipv6"])
+@pytest.mark.parametrize("room, skipped, dropped", [(0, 1, 0), (7, 1, 0), (8, 0, 1), (19, 0, 1)])
+def test_pcap_short_ip_datagram(build, source, length_at, header, room, skipped, dropped):
+    # an IP length that leaves under 8 bytes for UDP is no UDP header; one
+    # that leaves under 20, no DNS header
+    frame = bytearray(build(source, dns_payload([b"com"], 2)))
+    struct.pack_into(">H", frame, length_at, header + room)
+    records, stats = run_pcap(pcap_file([bytes(frame)]))
+    assert records == []
+    assert (stats.packets_skipped, stats.records_dropped_unparseable) == (skipped, dropped)
 
 
 @pytest.mark.parametrize("length, skipped, dropped", [(0, 1, 0), (7, 1, 0), (8, 0, 1), (19, 0, 1)])

@@ -237,14 +237,26 @@ def fail_at_line(monkeypatch, data: bytes, number: int, error) -> None:
     assert data.count(line) == 1
     real = cli.decode_tsv
 
-    def decode_tsv(stream, stats):
-        def lines():
-            for text in stream:
-                if text == line:
-                    raise error()
-                yield text
+    class Failing:
+        """The file, as seekable as it is, whose line `number` cannot be read."""
 
-        return real(lines(), stats)
+        def __init__(self, stream):
+            self.stream = stream
+
+        def __getattr__(self, name):
+            return getattr(self.stream, name)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            text = next(self.stream)
+            if text == line:
+                raise error()
+            return text
+
+    def decode_tsv(stream, stats=None, start=0, end=None):
+        return real(Failing(stream), stats, start, end)
 
     monkeypatch.setattr(cli, "decode_tsv", decode_tsv)
     monkeypatch.setattr(workers, "decode_tsv", decode_tsv)
