@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 from functools import partial
-from pathlib import Path
 
 from . import __version__
 from .classify import DEFAULT_APPLETALK_TLDS, classify_block
@@ -288,20 +287,32 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
     return report, meta
 
 
+# open() rather than pathlib.Path: pathlib loads urllib.parse, and with it
+# ipaddress, at start-up
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _write(path: str, data: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
 def _cmd_classify(args, parser) -> int:
     if args.top_k < 1:
         parser.error("--top-k must be positive")
     report, meta = _ingest_report(args, parser, track_senders=not args.no_senders)
     data = write_report(report, "json", meta=meta, policy=POLICIES[args.policy], top_k=args.top_k)
-    Path(args.out).write_bytes(data)
+    _write(args.out, data)
     return 0
 
 
 def _cmd_report(args, parser) -> int:
     if len(args.inputs) > 1:
         parser.error("report reformats one report; give --in once")
-    doc = read_report_doc(Path(args.inputs[0]).read_bytes())
-    Path(args.out).write_bytes(render_doc(doc, args.format))
+    doc = read_report_doc(_read(args.inputs[0]))
+    _write(args.out, render_doc(doc, args.format))
     return 0
 
 
@@ -310,13 +321,13 @@ def _cmd_top_senders(args, parser) -> int:
         parser.error("-k must be positive")
     report, _ = _ingest_report(args, parser)
     render = doc_to_empty_senders_csv if args.empty else doc_to_top_senders_csv
-    Path(args.out).write_bytes(render(build_report_doc(report, top_k=args.k)))
+    _write(args.out, render(build_report_doc(report, top_k=args.k)))
     return 0
 
 
 def _cmd_trend(args, parser) -> int:
-    docs = [read_report_doc(Path(path).read_bytes()) for path in args.inputs]
-    Path(args.out).write_text(trend_csv_from_docs(docs), encoding="utf-8")
+    docs = [read_report_doc(_read(path)) for path in args.inputs]
+    _write(args.out, trend_csv_from_docs(docs).encode("utf-8"))
     return 0
 
 

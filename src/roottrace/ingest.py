@@ -14,7 +14,6 @@ impossible length) does, before the block that holds it is yielded.
 
 from __future__ import annotations
 
-import ipaddress
 import random
 import struct
 from bisect import bisect_left
@@ -423,6 +422,8 @@ def _address_text(packed: bytes) -> str:
     RFC 5952 form."""
     if len(packed) == 4:
         return "%d.%d.%d.%d" % tuple(packed)
+    import ipaddress  # loaded only where read_pcap renders an IPv6 source
+
     return str(ipaddress.IPv6Address(packed))
 
 

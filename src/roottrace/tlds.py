@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pkgutil
 import re
-from importlib import resources
 from typing import IO, Iterable
 
 ENV_TLD_LIST = "ROOTTRACE_TLDS"
@@ -91,6 +91,6 @@ def default_registry() -> TldRegistry:
     if override:
         return load_registry_path(override)
     if _default is None:
-        data = resources.files("roottrace").joinpath("data/tlds.txt").read_bytes()
+        data = pkgutil.get_data("roottrace", "data/tlds.txt")
         _default = _load_fingerprinted(data, "builtin:data/tlds.txt")
     return _default

@@ -396,6 +396,18 @@ def synth_loaded_after(code: str, *args) -> bool:
     return proc.stdout.strip() == "True"
 
 
+def test_a_tsv_run_loads_no_address_library(tmp_path, trace):
+    """A TSV classify loads neither socket nor ipaddress: set-up time is
+    import time. -S, as a site-packages .pth file may import either first."""
+    code = ("import sys\nfrom roottrace.cli import main\nassert main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in ('socket', 'ipaddress') if m in sys.modules))")
+    argv = ["classify", "--in", str(trace), "--out", str(tmp_path / "r.json")]
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_only_generating_loads_the_generator(tmp_path, trace):
     report = tmp_path / "r.json"
     assert run("classify", "--in", str(trace), "--out", str(report)) == 0

@@ -70,6 +70,8 @@ def test_tsv_ipv6_root():
         b"1\tnot-an-ip\tIN\tA\tfoo.\n",
         b"1\t1.2.3.4\tZZ\tA\tfoo.\n",
         b"1\t1.2.3.4\tIN\tBOGUS\tfoo.\n",
+        b"1\t1.2.3.4\tIN\tTYPE+5\tfoo.\n",  # a generic mnemonic's code is decimal digits only
+        b"1\t1.2.3.4\tCLASS 3 \tA\tfoo.\n",
         b"1\t1.2.3.4\tIN\tA\n",  # four fields
         b"1\t1.2.3.4\tIN\tA\tfoo.\textra\n",  # six fields
         b"1\t1.2.3.4\tIN\tA\t\n",  # empty name

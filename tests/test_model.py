@@ -41,10 +41,18 @@ def test_qclass_round_trip_full_range():
         assert qclass_code(qclass_mnemonic(code)) == code
 
 
-@pytest.mark.parametrize("bad", ["BOGUS", "TYPEx", "TYPE70000", ""])
+# RFC 3597 §5: TYPE or CLASS then decimal digits, not whatever int() takes
+@pytest.mark.parametrize("bad", ["BOGUS", "TYPEx", "TYPE70000", "", "TYPE", "TYPE+5", "TYPE 5", "TYPE5 ", "TYPE1_0",
+                                 "TYPE-0", "TYPE\u00b2", "TYPE\u0665"])
 def test_qtype_code_rejects_junk(bad):
     with pytest.raises(ValueError):
         qtype_code(bad)
+
+
+@pytest.mark.parametrize("bad", ["ZZ", "CLASS", "CLASS 3 ", "CLASS+3", "CLASS-1", "CLASS1_0", "CLASS70000"])
+def test_qclass_code_rejects_junk(bad):
+    with pytest.raises(ValueError):
+        qclass_code(bad)
 
 
 def test_code_range_checked():
@@ -150,6 +158,74 @@ def test_sender_keys_are_one_per_prefix_and_read_back_as_text():
         assert (key < 2**16) if address.version == 4 else (2**48 <= key < 2**49), source
         assert by_prefix.setdefault(prefix, key) == key
     assert len(set(by_prefix.values())) == len(by_prefix)
+
+
+def reference_key(source):
+    """sender_key's answer by way of ipaddress, after the same %zone split,
+    or None where ipaddress rejects the source."""
+    try:
+        if ":" in source:
+            address = ipaddress.IPv6Address(source.split("%", 1)[0])
+        else:
+            address = ipaddress.IPv4Address(source)
+    except ValueError:
+        return None
+    return address_key(address.packed)
+
+
+# what a mutation inserts or writes over: the shapes sender_key must judge
+# as ipaddress does, and characters no address holds
+_MUTATIONS = ["::", ":::", ":", ".", "%eth0", "%", "0", "00", "12345", "fffff", "1.2.3.4", "01.2.3.4", "256",
+              " ", "\x00", "/", "/48", "+", "-", "_", "g", "G", "x", "\u0665", "\uff11", "a", "F", "9"]
+
+
+def mutated_sources(rng, count):
+    """count seeded mutations of valid IPv4 and IPv6 sources: each gets one
+    to three insertions, overwrites or deletions."""
+    sources = []
+    for _ in range(count):
+        if rng.random() < 0.3:
+            source = str(ipaddress.IPv4Address(rng.getrandbits(32)))
+        else:
+            # half the groups zero, so the compressed forms hold "::" runs
+            address = ipaddress.IPv6Address(":".join(f"{rng.choice((0, rng.randrange(0x10000))):x}" for _ in range(8)))
+            form = rng.randrange(4)
+            if form == 0:
+                source = address.exploded
+            elif form == 1:
+                source = f"{address.exploded[:30]}{ipaddress.IPv4Address(rng.getrandbits(32))}"  # dotted tail
+            elif form == 2:
+                source = f"{address.compressed.upper()}%eth{rng.randrange(4)}"
+            else:
+                source = address.compressed
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(source) + 1)
+            kind = rng.randrange(3)
+            if kind == 0:
+                source = source[:at] + rng.choice(_MUTATIONS) + source[at:]
+            elif kind == 1:
+                token = rng.choice(_MUTATIONS)
+                source = source[:at] + token + source[at + len(token):]
+            else:
+                source = source[:at] + source[at + 1:]
+        sources.append(source)
+    return sources
+
+
+def test_sender_key_accepts_and_keys_what_ipaddress_does():
+    import random
+
+    accepted = 0
+    for source in mutated_sources(random.Random(16), 100_000):
+        expected = reference_key(source)
+        try:
+            key = sender_key(source)
+        except ValueError:
+            key = None
+        assert key == expected, source
+        accepted += key is not None
+    # both outcomes are well represented, so the agreement is not vacuous
+    assert 10_000 < accepted < 90_000, accepted
 
 
 def test_query_record_names():
