@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 
 from . import __version__
 from .classify import DEFAULT_APPLETALK_TLDS, classify_block
-from .ingest import IngestError, IngestStats, decode_pcap, decode_tsv, sample, window
+from .ingest import IngestError, IngestStats, TsvReadError, decode_pcap, decode_tsv, sample, window
 from .names import NameParseError
 from .report import (
     POLICIES,
@@ -216,9 +215,13 @@ def _size(path: str) -> int:
         return 0  # the read of the file raises the error in its turn
 
 
-def _read_file(decode, path: str, stats: IngestStats):
-    with open(path, "rb") as fh:  # open while its blocks are folded
-        yield from decode(fh, stats)
+def _newlines(fd: int, end: int) -> int:
+    """How many newlines the first `end` bytes of a file hold."""
+    count = at = 0
+    while at < end and (chunk := os.pread(fd, min(1 << 20, end - at), at)):
+        count += chunk.count(b"\n")
+        at += len(chunk)
+    return count
 
 
 def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, dict]:
@@ -239,14 +242,27 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
     appletalk = _appletalk_set(args)
     pcap = args.format == "pcap"
 
-    def fold(reads) -> Report:
-        """Fold the Blocks of each read in turn; read(stats) yields those of
-        one input file, or of one byte range of it."""
+    def fold(ranges: list) -> tuple[int, Report]:
+        """The offset the last range stopped at, and the Report of the
+        records of each (path, start, end) byte range in turn, as decode_tsv
+        and decode_pcap read them: from the record that begins at byte start
+        up to the first that begins at or after byte end (to the end of the
+        file where end is None)."""
         stats = IngestStats()
+        stop = 0
+
+        def read(path: str, start: int, end):
+            nonlocal stop
+            with open(path, "rb") as fh:  # open while its blocks are folded
+                try:
+                    yield from (decode_pcap if pcap else decode_tsv)(fh, stats, start, end)
+                except TsvReadError as exc:  # numbered from the range's first line
+                    raise TsvReadError(exc.line + _newlines(fh.fileno(), start), exc.error) from exc.error
+                stop = fh.tell()
 
         def classified():
-            for read in reads:
-                blocks = read(stats)
+            for path, start, end in ranges:
+                blocks = read(path, start, end)
                 if args.sample_rate < 1:
                     # reseeded per file: what a file keeps does not depend on the files before it
                     blocks = sample(blocks, args.sample_rate, args.seed)
@@ -257,21 +273,19 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
 
         report = fold_blocks(classified(), label=args.label, track_senders=track_senders)
         report.dropped = stats.records_dropped_unparseable + stats.names_unparseable
-        return report
+        return stop, report
 
     # sample draws from a seed reset at the start of each file, so a sampled
     # file is never cut
     cuttable = not args.sample_rate < 1
     sizes = [_size(path) for path in args.inputs]
     count = min(sum(sizes) // MIN_TASK_BYTES, _usable_cpus())
-    report = None
     if count > 1 and (cuttable or len(args.inputs) > 1):
         from . import workers  # loaded only where the input is split
 
         report = workers.fold_in_workers(workers.plan_tasks(args.inputs, sizes, cuttable, count), pcap, fold)
-    if report is None:  # one process, or tasks that did not meet where the input was cut
-        decode = decode_pcap if pcap else decode_tsv
-        report = fold([partial(_read_file, decode, path) for path in args.inputs])
+    else:
+        _, report = fold([(path, 0, None) for path in args.inputs])
     report.label = args.label  # as given, not merge's sorted union of its parts
     meta = {
         "tool": f"roottrace {__version__}",

@@ -103,7 +103,8 @@ def decode_tsv(
     """Read tab-separated query records, one per line and five fields, as
     Blocks of the lines' records.
 
-    Malformed lines, a source that is not an IP address among them, bump
+    Malformed lines, a source that is not an IP address and a timestamp
+    that is not a positive run of ASCII decimal digits among them, bump
     records_dropped_unparseable and are left out. The lines of a block are
     read at once, so an I/O failure aborts with a TsvReadError that names
     the line whose read failed, counted from the first line read, before
@@ -157,7 +158,7 @@ def decode_tsv(
             qclass = qclass_table.get(qclass_b)
             qtype = qtype_table.get(qtype_b)
             try:
-                timestamp = int(ts_b)
+                timestamp = int(ts_b) if ts_b.isdigit() else 0  # ASCII decimal digits only
                 if qclass is None:
                     qclass = qclass_code(qclass_b.decode("ascii"))
                 if qtype is None:
@@ -273,10 +274,15 @@ def decode_pcap(
     start and end read part of a seekable capture: the records from the
     one whose header is at byte start (past the global header) up to the
     first that begins at or after byte end. Once the blocks are all read,
-    the stream is left at that record, or at the end of the file.
+    the stream is left at that record, or at the end of the file. A range
+    with a start reads the global header from byte 0, so ranges that meet
+    may be read through one open stream, and only the range that starts at
+    byte 0 counts the header in bytes_read.
     """
     if stats is None:
         stats = IngestStats()
+    if start:
+        stream.seek(0)
     header = stream.read(24)
     if len(header) < 24:
         raise PcapError("truncated pcap global header")
@@ -284,7 +290,6 @@ def decode_pcap(
         endian, nano = _PCAP_MAGICS[header[:4]]
     except KeyError:
         raise PcapError(f"bad pcap magic {header[:4].hex()}") from None
-    stats.bytes_read += 24
     linktype = struct.unpack(endian + "I", header[20:24])[0] & 0x0FFFFFFF
     if linktype != LINKTYPE_ETHERNET and linktype not in LINKTYPE_RAW:
         raise PcapError(f"unsupported link type {linktype}")
@@ -295,7 +300,7 @@ def decode_pcap(
     if start > base:
         stream.seek(start)
         base = start
-    counted = base  # bytes_read covers the file up to here
+    counted = base if start else 0  # bytes_read covers the file up to here
     buf = b""
     pos = 0  # of the next record header in buf
     block = Block([], [], [], [], [], [])

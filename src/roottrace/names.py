@@ -140,11 +140,6 @@ def to_presentation(name: DomainName) -> str:
     return ".".join(out) + "."
 
 
-def encoded_length(name: DomainName) -> int:
-    """Wire-format length of the name, including the root byte."""
-    return 1 + sum(len(label) + 1 for label in name.labels)
-
-
 def label_has_bad_encoding(label: bytes) -> bool:
     """True iff the label holds a byte a text dump would escape as \\DDD.
 

@@ -1,20 +1,21 @@
 """Folding the input of one command across the CPUs it may use.
 
 plan_tasks splits the input files into contiguous tasks of about equal
-bytes, and opens none of them: it cuts a file at a byte target. Each task
-then finds its own first record, the first line that begins at or after
-its target in a TSV file (_line_start) and, in a pcap capture, the first
-offset where RESYNC_HEADERS record headers in a row are plausible
-(_pcap_begin). decode_tsv or decode_pcap then reads, from there, the
-records that begin before its end target, and leaves the file at the
-first that does not: that offset is where the task stopped.
-fold_in_workers folds the first task in this process and each other one in
-a forked worker, which pickles its Report, as it is, down a pipe with the
-offsets it began and stopped at, and merges the results in input order. A
-task must begin where the one before it stopped; where one does not, the
-input is folded again in one process, so the output never depends on a
-resync. The CLI imports this module only where it may fork, so a one-CPU
-run, or an input too small to split, neither loads nor compiles it.
+bytes, and opens none of them: it cuts a file at a byte target.
+fold_in_workers resolves each cut to its first record before it forks:
+the first line that begins at or after the target in a TSV file
+(_line_start) and, in a pcap capture, the first offset where
+RESYNC_HEADERS record headers in a row are plausible (_pcap_begin). It
+folds the first task in this process and each other one in a forked
+worker, with the CLI's fold, which reads each range from its first record
+up to the first record that begins at or after its end target and returns
+that offset, where the task stopped, with its Report. A worker pickles
+the two, as they are, down a pipe, and the results are merged in input
+order. A task must begin where the one before it stopped; where one does
+not, that task alone is folded again in this process, from where the one
+before it stopped, so the output never depends on a resync. The CLI
+imports this module only where it may fork, so a one-CPU run, or an input
+too small to split, neither loads nor compiles it.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ import os
 import pickle
 import signal
 import struct
-from functools import partial
-from typing import Iterator, Optional
+from typing import Optional
 
-from .ingest import _PCAP_MAGICS, MAX_CAPLEN, TsvReadError, decode_pcap, decode_tsv
+from .ingest import _PCAP_MAGICS, MAX_CAPLEN
 from .report import Report, merge_into
 
 # record headers in a row that must be plausible where a task begins in a
@@ -43,9 +43,10 @@ def plan_tasks(paths: list, sizes: list, cuttable: bool, count: int) -> list:
     """The input files, of these sizes, as `count` contiguous tasks of about
     equal bytes, each a list of (path, start, end) byte ranges in input
     order; end None reads to the end of the file. A range that starts or
-    ends inside a file does so at a byte target, and the task reading it
-    finds the record there (read_task). A file is cut only if cuttable; one
-    that is not goes to the task its middle byte falls in."""
+    ends inside a file does so at a byte target: fold_in_workers resolves a
+    start to the first record at or after it, and an end stops the read at
+    that record. A file is cut only if cuttable; one that is not goes to the
+    task its middle byte falls in."""
     total = sum(sizes)
     targets = [total * k // count for k in range(1, count)]
     cuts = {(0, 0)}  # (file index, byte offset) where a task begins
@@ -80,29 +81,18 @@ def _line_start(fd: int, target: int) -> int:
     return at
 
 
-def _newlines(fd: int, end: int) -> int:
-    """How many newlines the first `end` bytes of a file hold."""
-    count = at = 0
-    while at < end and (chunk := os.pread(fd, min(1 << 20, end - at), at)):
-        count += chunk.count(b"\n")
-        at += len(chunk)
-    return count
-
-
 def _pcap_begin(fd: int, target: int) -> Optional[int]:
-    """Where a task whose range starts at byte target of a pcap capture
-    begins: 0 where target is 0, else the first offset at or after it
-    where RESYNC_HEADERS record headers in a row (fewer where the file ends
-    first) are plausible (draft-ietf-opsawg-pcap), or the end of the file
-    if no record header starts after target. A header is plausible if its
+    """Where a task whose range starts at byte target (not 0) of a pcap
+    capture begins: the first offset at or after it where RESYNC_HEADERS
+    record headers in a row (fewer where the file ends first) are
+    plausible (draft-ietf-opsawg-pcap), or the end of the file if no
+    record header starts after target. A header is plausible if its
     sub-second field is under 10^6 (10^9 in a nanosecond capture), its
     caplen is at most the snaplen (MAX_CAPLEN where the snaplen is 0 or
     larger) and at most the original length, and its timestamp is within
     RESYNC_SECONDS of the first record's. None where the capture has no
     first record or no header within a record's length of target is
     plausible."""
-    if not target:
-        return 0  # decode_pcap reads the global header
     head = os.pread(fd, 40, 0)
     if len(head) < 40 or head[:4] not in _PCAP_MAGICS:
         return None  # decode_pcap reads the file from byte 0 in an earlier task
@@ -135,40 +125,6 @@ def _pcap_begin(fd: int, target: int) -> Optional[int]:
     return at + len(window) if len(window) <= span else None
 
 
-def _read(pcap: bool, path: str, start: int, end: Optional[int], bounds: list, stats) -> Iterator:
-    """The Blocks of a file's records that begin in bytes start to end (to
-    the end of the file where end is None), the file kept open while they
-    are read. Where the range starts inside the file, the offset it began
-    at goes in bounds[0] (None where a pcap resync found no record); where
-    it ends inside the file, the offset it stopped at goes in bounds[1]."""
-    with open(path, "rb") as fh:
-        fd = fh.fileno()
-        begin = (_pcap_begin if pcap else _line_start)(fd, start)
-        if start:
-            bounds[0] = begin
-        if begin is None:
-            return  # the task fails the handshake; the input is folded in one process
-        try:
-            yield from (decode_pcap if pcap else decode_tsv)(fh, stats, begin, end)
-        except TsvReadError as exc:  # numbered from the range's first line
-            raise TsvReadError(exc.line + _newlines(fd, begin), exc.error) from exc.error
-        if end is not None:
-            bounds[1] = fh.tell()
-
-
-def read_task(task: list, pcap: bool, fold) -> tuple:
-    """fold over the reads of a task's ranges, as (the offset its first
-    range began at, the offset its last range stopped at, and the Report or
-    the exception fold raised). An offset is None where the task does not
-    begin or end inside a file."""
-    bounds = [None, None]
-    try:
-        result = fold([partial(_read, pcap, path, start, end, bounds) for path, start, end in task])
-    except Exception as exc:
-        result = exc
-    return bounds[0], bounds[1], result
-
-
 def _portable(exc: Exception) -> Exception:
     """exc if it survives pickling, else its message in the nearest of its
     base classes that does: one whose arguments differ from its
@@ -184,55 +140,73 @@ def _portable(exc: Exception) -> Exception:
     return Exception(str(exc))
 
 
-def _work(fd: int, task: list, pcap: bool, fold) -> None:
-    """A forked worker: fold the task, send the offsets it began and
-    stopped at with its Report (or the exception it raised) down the pipe,
-    and leave through os._exit, never returning into the code that forked
-    it."""
+def _begin(find, path: str, target: int):
+    """find (_line_start or _pcap_begin) at byte target of a file; None
+    where the file cannot be read, so that the task is refolded in its
+    turn, which raises the error there."""
+    try:
+        with open(path, "rb") as fh:
+            return find(fh.fileno(), target)
+    except OSError:
+        return None
+
+
+def _work(fd: int, task: list, fold) -> None:
+    """A forked worker: fold the task, send what fold returns (or the
+    exception it raised) down the pipe, and leave through os._exit, never
+    returning into the code that forked it."""
     status = 1
     try:
         with open(fd, "wb") as pipe:
-            begin, stop, result = read_task(task, pcap, fold)
-            if isinstance(result, Exception):
-                result = _portable(result)
-            pickle.dump((begin, stop, result), pipe, pickle.HIGHEST_PROTOCOL)
+            try:
+                result = fold(task)
+            except Exception as exc:
+                result = _portable(exc)
+            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
 
 
-def _receive(running: list) -> tuple:
-    """What the first running worker sent, once it is reaped; a worker that
-    ends without a result raises ChildProcessError."""
-    pid, pipe = running[0]
+def _receive(running: dict, i: int):
+    """What the worker of task i sent, once it is reaped; a worker that ends
+    without a result raises ChildProcessError."""
+    pid, pipe = running[i]
     with pipe:
         try:
             sent = pickle.load(pipe)
         except (EOFError, pickle.UnpicklingError):
             sent = None
     status = os.waitpid(pid, 0)[1]
-    running.pop(0)
+    del running[i]
     if sent is None:
         code = os.waitstatus_to_exitcode(status)
         raise ChildProcessError(f"a worker process ended without a result (exit status {code})")
     return sent
 
 
-def fold_in_workers(tasks: list, pcap: bool, fold) -> Optional[Report]:
-    """fold over the reads of each task's ranges (read_task), the first task
-    in this process and each other one in a forked worker, merged in task
-    order; the tasks no worker could be forked for are folded here last.
+def fold_in_workers(tasks: list, pcap: bool, fold) -> Report:
+    """The Report of every task, merged in task order: fold(ranges) folds
+    (path, start, end) ranges whose start is a record's first byte, and
+    returns (the offset the last one stopped at, their Report). The first
+    task is folded here, each other one in a forked worker, and the tasks
+    no worker could be forked for here in their turn.
 
     A task that starts inside a file must begin where the one before it
-    stopped. Where one does not, a resync missed the record boundary, and
-    this returns None, whatever that task or a later one raised, for the
-    caller to fold the input in one process. Otherwise a task's exception is
-    raised here in its turn, and a worker that ends without a result raises
-    ChildProcessError. Every worker is ended and reaped before this returns.
+    stopped. Where one does not, or no record was found at its cut, what
+    its worker sent, a Report or an exception, is dropped, and the task is
+    folded again here from where the one before it stopped. Otherwise a
+    task's exception is raised here in its turn, and a worker that ends
+    without a result raises ChildProcessError. Every worker is ended and
+    reaped before this returns.
     """
-    running = []  # (pid, pipe) of each unreaped worker, in task order
+    find = _pcap_begin if pcap else _line_start
+    tasks = [[(path, start and _begin(find, path, start), end), *rest] for (path, start, end), *rest in tasks]
+    running = {}  # task index: (pid, pipe) of each unreaped worker
     try:
-        for task in tasks[1:]:
+        for i, task in enumerate(tasks[1:], 1):
+            if task[0][1] is None:
+                continue  # no record at its cut: folded here in its turn
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -242,26 +216,27 @@ def fold_in_workers(tasks: list, pcap: bool, fold) -> Optional[Report]:
                 break
             if pid == 0:
                 os.close(read_fd)
-                for _, pipe in running:
+                for _, pipe in running.values():
                     pipe.close()
-                _work(write_fd, task, pcap, fold)
+                _work(write_fd, task, fold)
             os.close(write_fd)
-            running.append((pid, open(read_fd, "rb")))
-        _, stop, report = read_task(tasks[0], pcap, fold)
-        if isinstance(report, Exception):
-            raise report  # the first task begins at the input's first byte
-        for task in tasks[1:]:
-            begin, next_stop, result = _receive(running) if running else read_task(task, pcap, fold)
-            if task[0][1] and begin != stop:
-                return None
-            if isinstance(result, Exception):
+            running[i] = (pid, open(read_fd, "rb"))
+        stop, report = fold(tasks[0])
+        for i, task in enumerate(tasks[1:], 1):
+            result = _receive(running, i) if i in running else None
+            (path, begin, end), *rest = task
+            if begin not in (0, stop):  # a missed resync: refolded from the verified stop
+                result = fold([(path, stop, end), *rest])
+            elif result is None:
+                result = fold(task)
+            elif isinstance(result, Exception):
                 raise result
-            merge_into(report, result)
-            del result  # freed before the next one is read
-            stop = next_stop
+            stop, part = result
+            merge_into(report, part)
+            del result, part  # freed before the next one is read
         return report
     finally:
-        for pid, pipe in running:
+        for pid, pipe in running.values():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -67,6 +67,10 @@ def test_tsv_ipv6_root():
         b"0\t1.2.3.4\tIN\tA\tfoo.\n",  # timestamp must be positive
         b"-5\t1.2.3.4\tIN\tA\tfoo.\n",
         b"x\t1.2.3.4\tIN\tA\tfoo.\n",
+        b"+5\t1.2.3.4\tIN\tA\tfoo.\n",  # a timestamp is ASCII decimal digits only
+        b" 5\t1.2.3.4\tIN\tA\tfoo.\n",
+        b"5 \t1.2.3.4\tIN\tA\tfoo.\n",
+        b"1_000\t1.2.3.4\tIN\tA\tfoo.\n",
         b"1\tnot-an-ip\tIN\tA\tfoo.\n",
         b"1\t1.2.3.4\tZZ\tA\tfoo.\n",
         b"1\t1.2.3.4\tIN\tBOGUS\tfoo.\n",
@@ -640,7 +644,36 @@ def test_decode_pcap_reads_the_records_between_two_offsets():
         got += [src[3] for block in decode_pcap(stream, stats, begin, end) for src in block.sources]
         begin = stream.tell()
     assert got == [i % 256 for i in range(4000)]
-    assert (stats.records_emitted, stats.bytes_read) == (4000, len(data) + 24 * (len(cuts) - 2))
+    assert (stats.records_emitted, stats.bytes_read) == (4000, len(data))  # the header counted once
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "pcap"])
+def test_ranges_that_meet_read_through_one_open_stream_as_the_whole_file(fmt, tmp_path):
+    if fmt == "tsv":
+        data, decode = range_trace(), decode_tsv
+    else:
+        frames = [padded(udp4("10.1.%d.%d" % divmod(i, 256), dns_payload([b"com"], 2)), 80 + i % 37) for i in range(4000)]
+        data, decode = pcap_file(frames), decode_pcap
+    path = tmp_path / "trace"
+    path.write_bytes(data)
+
+    def decoded(blocks):
+        return [[value for part in column for value in part] for column in zip(*blocks)]
+
+    whole = IngestStats()
+    with open(path, "rb") as fh:
+        expected = decoded(list(decode(fh, whole)))
+    stats = IngestStats()
+    blocks = []
+    ends = sorted(random.Random(17).sample(range(1, len(data)), 40)) + [None]
+    with open(path, "rb") as fh:
+        begin = 0
+        for end in ends:
+            blocks += decode(fh, stats, begin, end)
+            begin = fh.tell()  # the next range begins where this one stopped
+    assert begin == len(data)
+    assert decoded(blocks) == expected
+    assert stats == whole
 
 
 def padded(frame: bytes, size: int) -> bytes:

@@ -5,7 +5,6 @@ import pytest
 from roottrace.model import DomainName
 from roottrace.names import (
     NameParseError,
-    encoded_length,
     label_has_bad_encoding,
     parse_presentation,
     to_presentation,
@@ -125,9 +124,4 @@ def test_parsed_labels_always_in_bounds():
             continue
         for label in name.labels:
             assert 1 <= len(label) <= 63
-        assert encoded_length(name) <= 255
-
-
-def test_encoded_length():
-    assert encoded_length(DomainName(())) == 1
-    assert encoded_length(parse_presentation("www.example.com.")) == 17
+        assert 1 + sum(len(label) + 1 for label in name.labels) <= 255  # wire length, root byte too

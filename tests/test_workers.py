@@ -6,7 +6,7 @@ Every test forces the worker count and the smallest task, the way
 test_golden forces ingest.BLOCK, so that even small inputs are split. The
 parity tests also check, through the splits fixture, that each split's
 tasks met where the input was cut, so that their bytes do not come from
-the one-process fold that follows a failed handshake.
+the refold that follows a missed resync.
 """
 
 import os
@@ -21,9 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from roottrace import cli, workers
+from roottrace import cli, ingest, workers
 from roottrace.cli import main
-from roottrace.ingest import IngestStats, PcapError
+from roottrace.ingest import PcapError, decode_pcap
 from roottrace.names import NameParseError, parse_presentation
 from roottrace.synth import generate, tsv_bytes, year_mix
 
@@ -51,15 +51,26 @@ def time_bound():
 
 @pytest.fixture
 def splits(monkeypatch):
-    """(task count, whether the tasks met) of each input split in workers,
-    in order; a split whose tasks did not meet is folded again in one
-    process."""
+    """(task count, the indexes of the tasks folded again in this process)
+    of each input split in workers, in order; a task that does not begin
+    where the one before it stopped is folded again from there. No fork
+    fails in the tests that use this, so every later task this process
+    folds is such a refold."""
     real = workers.fold_in_workers
     seen = []
 
     def fold_in_workers(tasks, pcap, fold):
-        report = real(tasks, pcap, fold)
-        seen.append((len(tasks), report is not None))
+        parent = os.getpid()
+        ends = []  # (path, end) of the last range of each task this process folds
+
+        def tracked(ranges):
+            if os.getpid() == parent:
+                ends.append(ranges[-1][::2])
+            return fold(ranges)
+
+        report = real(tasks, pcap, tracked)
+        planned = [task[-1][::2] for task in tasks]
+        seen.append((len(tasks), [planned.index(end) for end in ends[1:]]))
         return report
 
     monkeypatch.setattr(workers, "fold_in_workers", fold_in_workers)
@@ -139,7 +150,7 @@ def test_several_files_give_one_process_bytes(fmt, command, tmp_path, monkeypatc
         # a sampled file stays whole; any other is cut inside, pcap too
         cut = command != "sampled"
         tasks = plan(paths, cut, count)
-        assert splits.pop() == (len(tasks), True) and len(tasks) > 1
+        assert splits.pop() == (len(tasks), []) and len(tasks) > 1
         assert any(start for task in tasks for _, start, _ in task) == cut
 
 
@@ -184,7 +195,7 @@ def test_edge_lines_give_one_process_bytes(tmp_path, monkeypatch, capsys, splits
         assert (code, err) == (0, "")
         for count in (2, 3, 8, 16):
             assert run(argv, count, monkeypatch, capsys, out) == (0, "", expected)
-            assert splits.pop() == (count, True)
+            assert splits.pop() == (count, [])
     # the cuts do fall where the lines are awkward
     starts = [line for count in (2, 3, 8, 16) for line in range_starts(paths, count)]
     assert b"junk line\n" in starts or b"1\t1.2.3.4\tIN\tA\n" in starts
@@ -201,7 +212,7 @@ def test_more_workers_than_lines(tmp_path, monkeypatch, capsys, splits):
     # eight byte targets in three lines: most tasks find no line of their own
     assert task_count([path], True, 8, monkeypatch) == 8
     assert run(argv, 8, monkeypatch, capsys, out) == (0, "", expected)
-    assert splits == [(8, True)]
+    assert splits == [(8, [])]
 
 
 def line_starts(data: bytes, targets, tmp_path) -> list:
@@ -259,7 +270,6 @@ def fail_at_line(monkeypatch, data: bytes, number: int, error) -> None:
         return real(Failing(stream), stats, start, end)
 
     monkeypatch.setattr(cli, "decode_tsv", decode_tsv)
-    monkeypatch.setattr(workers, "decode_tsv", decode_tsv)
 
 
 def test_io_error_in_a_later_range_names_the_line_one_process_names(tmp_path, monkeypatch, capsys):
@@ -277,23 +287,27 @@ def test_io_error_in_a_later_range_names_the_line_one_process_names(tmp_path, mo
         assert run(argv, count, monkeypatch, capsys, out) == (2, "roottrace: I/O error reading line 2500: disk gone\n", None)
 
 
-def test_an_io_error_in_a_range_names_its_line_in_the_file(tmp_path, monkeypatch):
+def test_an_io_error_in_a_range_names_its_line_in_the_file(tmp_path, monkeypatch, capsys):
     lines = [good(i) for i in range(11)]
     path = tmp_path / "t.tsv"
     path.write_bytes(b"".join(lines))
     fail_at_line(monkeypatch, path.read_bytes(), 10, lambda: OSError("disk gone"))
+    # a line at a time, so that the first task never reads line 10
+    monkeypatch.setattr(ingest, "BLOCK", 1)
     starts = [0, *accumulate(map(len, lines))]  # starts[i] is where line i + 1 begins
-
-    def fold(reads):
-        return [block for read in reads for block in read(IngestStats())]
-
-    # ranges from line 1, line 7 and line 10 itself, and from targets inside
-    # lines 6 and 9, which begin at lines 7 and 10
-    for start, begin in ((0, None), (starts[6], starts[6]), (starts[9], starts[9]),
-                         (starts[5] + 3, starts[6]), (starts[8] + 3, starts[9])):
-        assert workers.read_task([(str(path), start, None)], False, fold)[0] == begin
-        error = workers.read_task([(str(path), start, None)], False, fold)[2]
-        assert str(error) == "I/O error reading line 10: disk gone"
+    argv = ["classify", "--in", str(path)]
+    out = tmp_path / "out"
+    expected = (2, "roottrace: I/O error reading line 10: disk gone\n", None)
+    assert run(argv, 1, monkeypatch, capsys, out) == expected  # a range from line 1
+    # the second task's range starts at line 7 or line 10 itself, or at a
+    # target inside line 6 or 9, which begins at line 7 or 10
+    for target, begin in ((starts[6], starts[6]), (starts[9], starts[9]),
+                          (starts[5] + 3, starts[6]), (starts[8] + 3, starts[9])):
+        with open(path, "rb") as fh:
+            assert workers._line_start(fh.fileno(), target) == begin
+        tasks = [[(str(path), 0, target)], [(str(path), target, None)]]
+        monkeypatch.setattr(workers, "plan_tasks", lambda paths, sizes, cuttable, count: tasks)
+        assert run(argv, 2, monkeypatch, capsys, out) == expected
 
 
 class Unpicklable(ValueError):
@@ -357,6 +371,22 @@ def test_the_first_error_in_input_order_wins(kinds, tmp_path, monkeypatch, capsy
         assert run(argv, count, monkeypatch, capsys, out) == (2, err, None)
 
 
+@pytest.mark.parametrize("first", ["good", "corrupt"])
+def test_a_cut_in_a_file_that_cannot_be_opened_fails_in_its_turn(first, tmp_path, monkeypatch, capsys):
+    # a directory has a size, so it can be cut, but opening it fails
+    path, = pcap_files(tmp_path, [first])
+    unreadable = tmp_path / "dir.pcap"
+    unreadable.mkdir()
+    argv = ["classify", "--format", "pcap", "--in", str(path), str(unreadable)]
+    out = tmp_path / "out"
+    code, err, written = run(argv, 1, monkeypatch, capsys, out)
+    assert (code, written) == (2, None)
+    assert ("corrupt pcap record" if first == "corrupt" else "Is a directory") in err
+    tasks = [[(str(path), 0, None), (str(unreadable), 0, 2)], [(str(unreadable), 2, None)]]
+    monkeypatch.setattr(workers, "plan_tasks", lambda paths, sizes, cuttable, count: tasks)
+    assert run(argv, 2, monkeypatch, capsys, out) == (2, err, None)
+
+
 def test_a_worker_that_dies_fails_the_command(tmp_path, monkeypatch, capsys):
     path = tmp_path / "t.tsv"
     path.write_bytes(tsv_bytes(RECORDS))
@@ -378,7 +408,7 @@ def test_a_worker_that_dies_fails_the_command(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
 def test_a_worker_that_dies_part_way_through_its_send_fails_the_command(share, tmp_path, monkeypatch, capsys):
     # the worker writes the first byte, half, or all but the last byte of
-    # its pickled (begin, stop, Report) before it dies
+    # its pickled (stop, Report) before it dies
     path = tmp_path / "t.tsv"
     path.write_bytes(tsv_bytes(RECORDS))
     parent = os.getpid()
@@ -429,7 +459,7 @@ def assert_one_process_bytes(argv, monkeypatch, capsys, out, splits, counts=(2, 
     assert (code, err) == (0, "")
     for count in counts:
         assert run(argv, count, monkeypatch, capsys, out) == (0, "", expected)
-        assert splits.pop() == (count, True)
+        assert splits.pop() == (count, [])
 
 
 @pytest.mark.parametrize("variant", [
@@ -479,6 +509,28 @@ def test_a_corrupt_record_past_a_cut_fails_as_in_one_process(tmp_path, monkeypat
         assert run(argv, count, monkeypatch, capsys, out) == expected
 
 
+def decoded_here(monkeypatch) -> list:
+    """The (start, stop) byte span of each capture range this process
+    decodes, in the order it decodes them."""
+    parent = os.getpid()
+    real = cli.decode_pcap
+    spans = []
+
+    def decode_pcap(stream, stats=None, start=0, end=None):
+        yield from real(stream, stats, start, end)
+        if os.getpid() == parent:
+            spans.append((start, stream.tell()))
+
+    monkeypatch.setattr(cli, "decode_pcap", decode_pcap)
+    return spans
+
+
+def assert_each_byte_once(spans, size):
+    """The spans cover bytes 0 to size, each one once."""
+    assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
+    assert spans[-1][1] == size
+
+
 def test_a_resync_to_a_wrong_offset_gives_one_process_bytes(tmp_path, monkeypatch, capsys, splits):
     path = tmp_path / "t.pcap"
     path.write_bytes(pcap_of(RECORDS))
@@ -489,15 +541,20 @@ def test_a_resync_to_a_wrong_offset_gives_one_process_bytes(tmp_path, monkeypatc
     code, err, expected = run(argv, 1, monkeypatch, capsys, out)
     assert (code, err) == (0, "")
     for count in (2, 3, 8):
+        spans = decoded_here(monkeypatch)
         assert run(argv, count, monkeypatch, capsys, out) == (0, "", expected)
-        assert splits.pop() == (count, False)  # folded again in one process
+        # every later task missed and was folded again here, from where the
+        # one before it stopped, and no byte was decoded here twice
+        assert splits.pop() == (count, list(range(1, count)))
+        assert_each_byte_once(spans, path.stat().st_size)
 
 
 def test_a_payload_that_imitates_record_headers_gives_one_process_bytes(tmp_path, monkeypatch, capsys, splits):
     """A frame's bytes hold three plausible record headers in a row, just
     past the middle of the file, and then one claiming 4 GiB: the second
-    worker resyncs to them and raises, and the command still gives the
-    one-process report, from one process."""
+    task resyncs to them and its worker raises, and the command still gives
+    the one-process report, folding that task again from where the first
+    one stopped."""
     before, after = pcap_of(RECORDS[:100]), pcap_of(RECORDS[100:200])[24:]
     length = 4000
     size = len(before) + 16 + length + len(after)
@@ -512,15 +569,20 @@ def test_a_payload_that_imitates_record_headers_gives_one_process_bytes(tmp_path
     path = tmp_path / "t.pcap"
     path.write_bytes(data)
     # the second task resyncs to the imitation and fails past it
-    task = plan([path], True, 2)[1]
-    begin, _, error = workers.read_task(task, True, lambda reads: [list(read(IngestStats())) for read in reads])
-    assert begin == len(before) + 16 + fake_at and isinstance(error, PcapError)
+    (_, target, _), = plan([path], True, 2)[1]
+    with open(path, "rb") as fh:
+        begin = workers._pcap_begin(fh.fileno(), target)
+        assert begin == len(before) + 16 + fake_at
+        with pytest.raises(PcapError):
+            list(decode_pcap(fh, None, begin, None))
     argv = COMMANDS["classify"] + ["--format", "pcap", "--in", str(path)]
     out = tmp_path / "out"
     code, err, expected = run(argv, 1, monkeypatch, capsys, out)
     assert (code, err) == (0, "")
+    spans = decoded_here(monkeypatch)
     assert run(argv, 2, monkeypatch, capsys, out) == (0, "", expected)
-    assert splits == [(2, False)]
+    assert splits == [(2, [1])]
+    assert_each_byte_once(spans, len(data))
 
 
 # --- when to fork ---------------------------------------------------------------
@@ -539,7 +601,7 @@ def test_one_cpu_or_a_small_input_is_one_task(tmp_path, monkeypatch, splits):
 
     assert run_with(1, 1) is None
     assert run_with(4, size) is None
-    assert run_with(4, size // 2) == (2, True)
+    assert run_with(4, size // 2) == (2, [])
     assert run_with(4, 1, "--sample-rate", "0.5") is None  # a file that may not be cut
 
 
