@@ -14,8 +14,7 @@ import sys
 
 from . import __version__
 from .classify import DEFAULT_APPLETALK_TLDS, classify_block
-from .ingest import IngestError, IngestStats, TsvReadError, decode_pcap, decode_tsv, sample, window
-from .names import NameParseError
+from .ingest import IngestError, IngestStats, decode_pcap, decode_tsv, line_start, pcap_start, sample, window
 from .report import (
     POLICIES,
     Report,
@@ -28,7 +27,7 @@ from .report import (
     trend_csv_from_docs,
     write_report,
 )
-from .tlds import RegistryError, default_registry, load_registry_path
+from .tlds import default_registry, load_registry_path
 
 
 # A task is given at least this many bytes of input. On a 2-CPU Xeon,
@@ -37,19 +36,6 @@ from .tlds import RegistryError, default_registry, load_registry_path
 # from 128 KiB a task; below that, forking a worker and merging what it sends
 # back cost more than the task.
 MIN_TASK_BYTES = 1 << 17
-
-
-class _PresetYears:
-    """The years synth has a preset for, as --preset's choices; synth is
-    loaded only when a --preset value is checked."""
-
-    def __contains__(self, year) -> bool:
-        return year in list(self)
-
-    def __iter__(self):
-        from .synth import preset_years
-
-        return iter(preset_years())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,7 +117,7 @@ def build_parser() -> _Parser:
     p = commands.add_parser("gen", help="generate a seeded synthetic trace")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--spec", metavar="PATH", help="mix spec file")
-    group.add_argument("--preset", type=int, choices=_PresetYears(), metavar="YEAR",
+    group.add_argument("--preset", type=int, metavar="YEAR",
                        help="published year mix (2013-2022)")
     p.add_argument("--count", type=int, required=True, metavar="N")
     p.add_argument("--seed", type=int, help="override the spec seed")
@@ -215,15 +201,6 @@ def _size(path: str) -> int:
         return 0  # the read of the file raises the error in its turn
 
 
-def _newlines(fd: int, end: int) -> int:
-    """How many newlines the first `end` bytes of a file hold."""
-    count = at = 0
-    while at < end and (chunk := os.pread(fd, min(1 << 20, end - at), at)):
-        count += chunk.count(b"\n")
-        at += len(chunk)
-    return count
-
-
 def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, dict]:
     if args.window and not args.day_origin:
         parser.error("--window requires --day-origin")
@@ -240,7 +217,7 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
         parser.error(str(exc))
     registry = _registry_for(args)
     appletalk = _appletalk_set(args)
-    pcap = args.format == "pcap"
+    decode, find = (decode_pcap, pcap_start) if args.format == "pcap" else (decode_tsv, line_start)
 
     def fold(ranges: list) -> tuple[int, Report]:
         """The offset the last range stopped at, and the Report of the
@@ -254,10 +231,7 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
         def read(path: str, start: int, end):
             nonlocal stop
             with open(path, "rb") as fh:  # open while its blocks are folded
-                try:
-                    yield from (decode_pcap if pcap else decode_tsv)(fh, stats, start, end)
-                except TsvReadError as exc:  # numbered from the range's first line
-                    raise TsvReadError(exc.line + _newlines(fh.fileno(), start), exc.error) from exc.error
+                yield from decode(fh, stats, start, end)
                 stop = fh.tell()
 
         def classified():
@@ -283,7 +257,7 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
     if count > 1 and (cuttable or len(args.inputs) > 1):
         from . import workers  # loaded only where the input is split
 
-        report = workers.fold_in_workers(workers.plan_tasks(args.inputs, sizes, cuttable, count), pcap, fold)
+        report = workers.fold_in_workers(workers.plan_tasks(args.inputs, sizes, cuttable, count), find, fold)
     else:
         _, report = fold([(path, 0, None) for path in args.inputs])
     report.label = args.label  # as given, not merge's sorted union of its parts
@@ -348,8 +322,11 @@ def _cmd_trend(args, parser) -> int:
 def _cmd_gen(args, parser) -> int:
     if args.count < 0:
         parser.error("--count must be non-negative")
-    from .synth import generate, load_mixspec, write_tsv, year_mix
+    from .synth import generate, load_mixspec, preset_years, write_tsv, year_mix
 
+    years = preset_years()
+    if args.preset is not None and args.preset not in years:
+        parser.error(f"argument --preset: invalid choice: {args.preset} (choose from {', '.join(map(str, years))})")
     spec = load_mixspec(args.spec) if args.spec else year_mix(args.preset)
     if args.seed is not None:
         spec.seed = args.seed
@@ -377,13 +354,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (IngestError, RegistryError, NameParseError) as exc:
-        print(f"roottrace: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"roottrace: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (IngestError, OSError, ValueError) as exc:  # RegistryError and NameParseError among them
         print(f"roottrace: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,13 @@
 """Trace ingestion: TSV logs and classic pcap captures, read in blocks.
 
-decode_tsv and decode_pcap read a trace into Blocks of up to BLOCK records
-held as parallel columns, each record's sender key among them, and keep
-running counters. Both read a file in parts the same way: given two byte
-offsets, each reads the records from the one that begins at the first up
-to the first that begins at or after the second. read_tsv and read_pcap
+This is the one module that knows the layout of either format. decode_tsv
+and decode_pcap read a trace into Blocks of up to BLOCK records held as
+parallel columns, each record's sender key among them, and keep running
+counters. Both read a file in parts the same way: given two byte offsets,
+each reads the records from the one that begins at the first up to the
+first that begins at or after the second. line_start and pcap_start find,
+beside each decoder, where the first record at or after a byte target of
+a file begins, so that a file can be cut anywhere. read_tsv and read_pcap
 are QueryRecord views of the same blocks, with the same counters. sample
 and window filter blocks.
 Malformed records never abort a stream; only a corrupt container
@@ -14,6 +17,7 @@ impossible length) does, before the block that holds it is yielded.
 
 from __future__ import annotations
 
+import os
 import random
 import struct
 from bisect import bisect_left
@@ -55,7 +59,7 @@ class PcapError(IngestError):
 
 
 class TsvReadError(IngestError):
-    """An I/O error reading a TSV line, numbered from the stream's first line."""
+    """An I/O error reading a TSV line, numbered from the file's first line."""
 
     def __init__(self, line: int, error: OSError):
         super().__init__(f"I/O error reading line {line}: {error}")
@@ -107,15 +111,16 @@ def decode_tsv(
     that is not a positive run of ASCII decimal digits among them, bump
     records_dropped_unparseable and are left out. The lines of a block are
     read at once, so an I/O failure aborts with a TsvReadError that names
-    the line whose read failed, counted from the first line read, before
-    the block it cut short is yielded.
+    the line whose read failed, counted from the file's first line, before
+    the block it cut short is yielded; only then are the newlines before
+    byte start counted.
 
     start and end read part of a seekable binary file: the lines from the
-    one that begins at byte start up to the first that begins at or after
-    byte end, reading at most a block of lines past it. Once the blocks are
-    all read, the stream is left at that line, or at the end of the file.
-    With the defaults the stream is never sought, and any iterable of lines
-    will do.
+    one that begins at byte start (as line_start finds it) up to the first
+    that begins at or after byte end, reading at most a block of lines past
+    it. Once the blocks are all read, the stream is left at that line, or
+    at the end of the file. With the defaults the stream is never sought,
+    and any iterable of lines will do.
     """
     if stats is None:
         stats = IngestStats()
@@ -131,7 +136,8 @@ def decode_tsv(
         try:
             chunk.extend(islice(lines, BLOCK))  # keeps the lines read before a failure
         except OSError as exc:
-            raise TsvReadError(lineno + len(chunk) + 1, exc) from exc
+            before = _newlines(stream.fileno(), start) if start else 0
+            raise TsvReadError(before + lineno + len(chunk) + 1, exc) from exc
         if not chunk:
             return
         lineno += len(chunk)
@@ -184,6 +190,30 @@ def decode_tsv(
             yield block
 
 
+def _newlines(fd: int, end: int) -> int:
+    """How many newlines the first `end` bytes of a file hold."""
+    count = at = 0
+    while at < end and (chunk := os.pread(fd, min(1 << 20, end - at), at)):
+        count += chunk.count(b"\n")
+        at += len(chunk)
+    return count
+
+
+def line_start(fd: int, target: int) -> int:
+    """Where the first line that begins at or after byte target of a file
+    begins, by decode_tsv's end rule: just after the first newline at or
+    after byte target - 1, or at the end of the file."""
+    if not target:
+        return 0
+    at = target - 1
+    while chunk := os.pread(fd, 1 << 16, at):
+        found = chunk.find(b"\n")
+        if found >= 0:
+            return at + found + 1
+        at += len(chunk)
+    return at
+
+
 def read_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[QueryRecord]:
     """decode_tsv's records as QueryRecords, names as latin-1 text.
 
@@ -210,12 +240,44 @@ MAX_CAPLEN = 262_144
 
 CHUNK = 1 << 16  # bytes read from a capture at a time; 256 KiB cost ~1 MB more peak
 
+# record headers in a row that must be plausible where pcap_start finds a
+# record; from 2,000 random targets in each of the benchmark's two 11.7 MB
+# synthetic captures, three found the true next record every time, in
+# ~0.1 ms a target
+RESYNC_HEADERS = 3
+# how far a plausible record's timestamp may be from the capture's first
+# one, in seconds
+RESYNC_SECONDS = 7 * 86_400
+
 _IPV4 = struct.Struct(">BxH2xHxB2x4s").unpack_from  # version/IHL, total length, fragment word, protocol, source
 _IPV6 = struct.Struct(">4xHBx16s").unpack_from  # payload length, next header, source
-_UDP_DNS = struct.Struct(">2xHH4xBxH").unpack_from  # destination port, UDP length, DNS flags byte, qdcount
+_UDP = struct.Struct(">2xHH").unpack_from  # destination port, UDP length
+_DNS = struct.Struct(">2xBxH").unpack_from  # flags byte, qdcount
 _QUESTION = struct.Struct(">HH").unpack_from  # qtype, qclass
 _ETHERTYPES = {b"\x08\x00": 4, b"\x86\xdd": 6}
 _new_tuple = tuple.__new__  # makes a DomainName without its Python-level __new__
+
+
+def _pcap_header(header: bytes):
+    """What a classic pcap global header says (draft-ietf-opsawg-pcap):
+    (unpack_from of a record header's four fields, whether timestamps are
+    in nanoseconds, whether frames are Ethernet rather than raw IP, and the
+    most a record may capture: the snaplen, or MAX_CAPLEN where that is 0
+    or larger). Raises PcapError where header is under 24 bytes, has no
+    pcap magic or names a link type that is neither."""
+    if len(header) < 24:
+        raise PcapError("truncated pcap global header")
+    try:
+        endian, nano = _PCAP_MAGICS[header[:4]]
+    except KeyError:
+        raise PcapError(f"bad pcap magic {header[:4].hex()}") from None
+    snaplen, linktype = struct.unpack_from(endian + "II", header, 16)
+    linktype &= 0x0FFFFFFF
+    if linktype != LINKTYPE_ETHERNET and linktype not in LINKTYPE_RAW:
+        raise PcapError(f"unsupported link type {linktype}")
+    if not 0 < snaplen <= MAX_CAPLEN:
+        snaplen = MAX_CAPLEN
+    return struct.Struct(endian + "IIII").unpack_from, nano, linktype == LINKTYPE_ETHERNET, snaplen
 
 
 def _decode_question(data: bytes, i: int, end: int):
@@ -255,9 +317,10 @@ def decode_pcap(
     Handles Ethernet and raw-IP link types, IPv4/IPv6, UDP to port 53. A
     query's DNS message ends at the first of: the end of its captured
     frame, of its IP datagram (the IPv4 total length, the IPv6 payload
-    length) and of its UDP length. A message with under 8 bytes of UDP is
-    skipped as a short UDP header, and one on port 53 with under 20
-    dropped as a short DNS header.
+    length) and of its UDP length. A datagram with under 8 bytes of UDP
+    captured, to another port, or whose UDP length is under 8 is skipped;
+    a message that ends under 20 bytes past its UDP header is then dropped
+    as a short DNS header.
     Queries (QR=0) that fail to decode count as unparseable; everything
     else (responses, TCP, other ports/protocols, malformed IP headers, a
     truncated final record) counts as skipped. A bad global header or a
@@ -283,18 +346,7 @@ def decode_pcap(
         stats = IngestStats()
     if start:
         stream.seek(0)
-    header = stream.read(24)
-    if len(header) < 24:
-        raise PcapError("truncated pcap global header")
-    try:
-        endian, nano = _PCAP_MAGICS[header[:4]]
-    except KeyError:
-        raise PcapError(f"bad pcap magic {header[:4].hex()}") from None
-    linktype = struct.unpack(endian + "I", header[20:24])[0] & 0x0FFFFFFF
-    if linktype != LINKTYPE_ETHERNET and linktype not in LINKTYPE_RAW:
-        raise PcapError(f"unsupported link type {linktype}")
-    ethernet = linktype == LINKTYPE_ETHERNET
-    unpack_rec = struct.Struct(endian + "IIII").unpack_from
+    unpack_rec, nano, ethernet, _ = _pcap_header(stream.read(24))
     block_size = BLOCK
     base = 24  # the file offset of buf[0]
     if start > base:
@@ -352,27 +404,22 @@ def decode_pcap(
                 stats.packets_skipped += 1
                 continue
 
-            if stop - udp < 20:
-                if stop - udp < 8 or buf[udp + 2 : udp + 4] != b"\x00\x35":
-                    stats.packets_skipped += 1  # a short UDP header, or another port
-                else:
-                    stats.records_dropped_unparseable += 1  # a short DNS header
+            if stop - udp < 8:
+                stats.packets_skipped += 1  # a short UDP header
                 continue
-            port, length, flags, qdcount = _UDP_DNS(buf, udp)
-            if port != 53:
-                stats.packets_skipped += 1
-                continue
-            if length < 20:
-                if length < 8:
-                    stats.packets_skipped += 1  # a short UDP header
-                else:
-                    stats.records_dropped_unparseable += 1  # a short DNS header
-                continue
-            if flags & 0x80:  # a response
-                stats.packets_skipped += 1
+            port, length = _UDP(buf, udp)
+            if port != 53 or length < 8:
+                stats.packets_skipped += 1  # another port, or a short UDP length
                 continue
             if udp + length < stop:
                 stop = udp + length  # the UDP length says the message ends sooner
+            if stop - udp < 20:
+                stats.records_dropped_unparseable += 1  # a short DNS header
+                continue
+            flags, qdcount = _DNS(buf, udp + 8)
+            if flags & 0x80:  # a response
+                stats.packets_skipped += 1
+                continue
             question = _decode_question(buf, udp + 20, stop) if qdcount else "no question"
             if question.__class__ is str:
                 stats.records_dropped_unparseable += 1
@@ -409,6 +456,49 @@ def decode_pcap(
     if block.names:
         stats.records_emitted += len(block.names)
         yield block
+
+
+def pcap_start(fd: int, target: int) -> Optional[int]:
+    """Where a range that starts at byte target (not 0) of a pcap capture
+    begins: the first offset at or after it where RESYNC_HEADERS record
+    headers in a row (fewer where the file ends first) are plausible, or
+    the end of the file if no record header starts after target. A header
+    is plausible if its sub-second field is under 10^6 (10^9 in a
+    nanosecond capture), its caplen is at most the global header's snaplen
+    (see _pcap_header) and at most the original length, and its timestamp
+    is within RESYNC_SECONDS of the first record's. None where the file is
+    not a capture decode_pcap can read, where the capture has no first
+    record, or where no header within a record's length of target is
+    plausible."""
+    head = os.pread(fd, 40, 0)
+    try:
+        unpack, nano, _, snaplen = _pcap_header(head)
+    except PcapError:
+        return None  # decode_pcap raises it, reading the file from byte 0
+    if len(head) < 40:
+        return None
+    subsecond = 1_000_000_000 if nano else 1_000_000
+    first = unpack(head, 24)[0]
+    at = max(target, 24)
+    # a true record starts within 16 + snaplen bytes of any offset, and each
+    # header checked from there lies within as many bytes of the one before
+    span = 16 + snaplen
+    buf = os.pread(fd, (RESYNC_HEADERS + 1) * span, at)
+
+    def plausible(i: int) -> bool:
+        for checked in range(RESYNC_HEADERS):
+            if i + 16 > len(buf):
+                return checked > 0  # the file ends after a plausible record
+            sec, sub, caplen, length = unpack(buf, i)
+            if sub >= subsecond or caplen > snaplen or caplen > length or abs(sec - first) > RESYNC_SECONDS:
+                return False
+            i += 16 + caplen
+        return True
+
+    for i in range(min(span + 1, len(buf))):
+        if plausible(i):
+            return at + i
+    return at + len(buf) if len(buf) <= span else None
 
 
 def read_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[QueryRecord]:

@@ -1,21 +1,20 @@
 """Folding the input of one command across the CPUs it may use.
 
-plan_tasks splits the input files into contiguous tasks of about equal
-bytes, and opens none of them: it cuts a file at a byte target.
-fold_in_workers resolves each cut to its first record before it forks:
-the first line that begins at or after the target in a TSV file
-(_line_start) and, in a pcap capture, the first offset where
-RESYNC_HEADERS record headers in a row are plausible (_pcap_begin). It
-folds the first task in this process and each other one in a forked
-worker, with the CLI's fold, which reads each range from its first record
-up to the first record that begins at or after its end target and returns
-that offset, where the task stopped, with its Report. A worker pickles
-the two, as they are, down a pipe, and the results are merged in input
-order. A task must begin where the one before it stopped; where one does
-not, that task alone is folded again in this process, from where the one
-before it stopped, so the output never depends on a resync. The CLI
-imports this module only where it may fork, so a one-CPU run, or an input
-too small to split, neither loads nor compiles it.
+This module only cuts and forks; it knows no input format. plan_tasks
+splits the input files into contiguous tasks of about equal bytes, and
+opens none of them: it cuts a file at a byte target. fold_in_workers
+resolves each cut to its first record before it forks, with the finder
+the CLI gives it (ingest.line_start for a TSV file, ingest.pcap_start for
+a pcap capture). It folds the first task in this process and each other
+one in a forked worker, with the CLI's fold, which reads each range from
+its first record up to the first record that begins at or after its end
+target and returns that offset, where the task stopped, with its Report.
+A worker pickles the two, as they are, down a pipe, and the results are
+merged in input order. A task must begin where the one before it stopped;
+where one does not, that task alone is folded again in this process, from
+where the one before it stopped, so the output never depends on a
+resync. The CLI imports this module only where it may fork, so a one-CPU
+run, or an input too small to split, neither loads nor compiles it.
 """
 
 from __future__ import annotations
@@ -23,20 +22,8 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-import struct
-from typing import Optional
 
-from .ingest import _PCAP_MAGICS, MAX_CAPLEN
 from .report import Report, merge_into
-
-# record headers in a row that must be plausible where a task begins in a
-# pcap capture; from 2,000 random targets in each of the benchmark's two
-# 11.7 MB synthetic captures, three found the true next record every time,
-# in ~0.1 ms a target
-RESYNC_HEADERS = 3
-# how far a plausible record's timestamp may be from the capture's first
-# one, in seconds
-RESYNC_SECONDS = 7 * 86_400
 
 
 def plan_tasks(paths: list, sizes: list, cuttable: bool, count: int) -> list:
@@ -66,65 +53,6 @@ def plan_tasks(paths: list, sizes: list, cuttable: bool, count: int) -> list:
     return tasks
 
 
-def _line_start(fd: int, target: int) -> int:
-    """Where the first line that begins at or after byte target of a file
-    begins: just after the first newline at or after byte target - 1, or
-    at the end of the file."""
-    if not target:
-        return 0
-    at = target - 1
-    while chunk := os.pread(fd, 1 << 16, at):
-        found = chunk.find(b"\n")
-        if found >= 0:
-            return at + found + 1
-        at += len(chunk)
-    return at
-
-
-def _pcap_begin(fd: int, target: int) -> Optional[int]:
-    """Where a task whose range starts at byte target (not 0) of a pcap
-    capture begins: the first offset at or after it where RESYNC_HEADERS
-    record headers in a row (fewer where the file ends first) are
-    plausible (draft-ietf-opsawg-pcap), or the end of the file if no
-    record header starts after target. A header is plausible if its
-    sub-second field is under 10^6 (10^9 in a nanosecond capture), its
-    caplen is at most the snaplen (MAX_CAPLEN where the snaplen is 0 or
-    larger) and at most the original length, and its timestamp is within
-    RESYNC_SECONDS of the first record's. None where the capture has no
-    first record or no header within a record's length of target is
-    plausible."""
-    head = os.pread(fd, 40, 0)
-    if len(head) < 40 or head[:4] not in _PCAP_MAGICS:
-        return None  # decode_pcap reads the file from byte 0 in an earlier task
-    endian, nano = _PCAP_MAGICS[head[:4]]
-    unpack = struct.Struct(endian + "IIII").unpack_from
-    snaplen = struct.unpack_from(endian + "I", head, 16)[0]
-    if not 0 < snaplen <= MAX_CAPLEN:
-        snaplen = MAX_CAPLEN
-    subsecond = 1_000_000_000 if nano else 1_000_000
-    first = unpack(head, 24)[0]
-    at = max(target, 24)
-    # a true record starts within 16 + snaplen bytes of any offset, and each
-    # header checked from there lies within as many bytes of the one before
-    span = 16 + snaplen
-    window = os.pread(fd, (RESYNC_HEADERS + 1) * span, at)
-
-    def plausible(i: int) -> bool:
-        for checked in range(RESYNC_HEADERS):
-            if i + 16 > len(window):
-                return checked > 0  # the file ends after a plausible record
-            sec, sub, caplen, length = unpack(window, i)
-            if sub >= subsecond or caplen > snaplen or caplen > length or abs(sec - first) > RESYNC_SECONDS:
-                return False
-            i += 16 + caplen
-        return True
-
-    for i in range(min(span + 1, len(window))):
-        if plausible(i):
-            return at + i
-    return at + len(window) if len(window) <= span else None
-
-
 def _portable(exc: Exception) -> Exception:
     """exc if it survives pickling, else its message in the nearest of its
     base classes that does: one whose arguments differ from its
@@ -141,7 +69,7 @@ def _portable(exc: Exception) -> Exception:
 
 
 def _begin(find, path: str, target: int):
-    """find (_line_start or _pcap_begin) at byte target of a file; None
+    """find(fd, target) at byte target of a file; None
     where the file cannot be read, so that the task is refolded in its
     turn, which raises the error there."""
     try:
@@ -185,10 +113,12 @@ def _receive(running: dict, i: int):
     return sent
 
 
-def fold_in_workers(tasks: list, pcap: bool, fold) -> Report:
-    """The Report of every task, merged in task order: fold(ranges) folds
-    (path, start, end) ranges whose start is a record's first byte, and
-    returns (the offset the last one stopped at, their Report). The first
+def fold_in_workers(tasks: list, find, fold) -> Report:
+    """The Report of every task, merged in task order: find(fd, target)
+    gives the offset of the first record at or after a byte target of an
+    open file (None where it finds none), and fold(ranges) folds (path,
+    start, end) ranges whose start is a record's first byte, and returns
+    (the offset the last one stopped at, their Report). The first
     task is folded here, each other one in a forked worker, and the tasks
     no worker could be forked for here in their turn.
 
@@ -200,7 +130,6 @@ def fold_in_workers(tasks: list, pcap: bool, fold) -> Report:
     without a result raises ChildProcessError. Every worker is ended and
     reaped before this returns.
     """
-    find = _pcap_begin if pcap else _line_start
     tasks = [[(path, start and _begin(find, path, start), end), *rest] for (path, start, end), *rest in tasks]
     running = {}  # task index: (pid, pipe) of each unreaped worker
     try:

@@ -282,6 +282,15 @@ def test_gen_truth_file(tmp_path):
     assert len(trace.read_bytes().strip().split(b"\n")) == 300
 
 
+def test_gen_rejects_a_year_without_a_preset(tmp_path, capsys):
+    out = tmp_path / "t.tsv"
+    with pytest.raises(SystemExit) as err:
+        run("gen", "--preset", "1999", "--count", "10", "--out", str(out))
+    assert err.value.code == 1
+    assert "invalid choice: 1999 (choose from 2013, " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_from_spec_file(tmp_path):
     spec = tmp_path / "mix.cfg"
     spec.write_text("seed = 5\nweight.empty = 1.0\nqtype.empty.NS = 1\n")

@@ -145,14 +145,14 @@ def test_report_bytes_match_golden_at_any_worker_count(fmt, count, tmp_path, mon
     folded = []  # per split command, how many tasks this process folded
     parent = os.getpid()
 
-    def fold_in_workers(tasks, pcap, fold):
+    def fold_in_workers(tasks, find, fold):
         folded.append(0)
 
         def counted(ranges):
             folded[-1] += os.getpid() == parent
             return fold(ranges)
 
-        return real(tasks, pcap, counted)
+        return real(tasks, find, counted)
 
     monkeypatch.setattr(workers, "fold_in_workers", fold_in_workers)
     test_report_bytes_match_golden(fmt, tmp_path, monkeypatch)

@@ -515,6 +515,18 @@ def test_pcap_short_udp_length(length, skipped, dropped):
     assert (stats.packets_skipped, stats.records_dropped_unparseable) == (skipped, dropped)
 
 
+@pytest.mark.parametrize("captured", [12, 22])
+@pytest.mark.parametrize("length, skipped, dropped", [(4, 1, 0), (12, 0, 1)])
+def test_pcap_udp_length_outcome_does_not_depend_on_the_snap_length(captured, length, skipped, dropped):
+    # a UDP length under 8 is skipped and one under 20 dropped, whether 12 or
+    # 22 bytes of the datagram were captured
+    frame = bytearray(udp4("10.0.0.1", dns_payload([b"com"], 2)))
+    struct.pack_into(">H", frame, 14 + 20 + 4, length)
+    records, stats = run_pcap(pcap_file([bytes(frame[: 14 + 20 + captured])]))
+    assert records == []
+    assert (stats.packets_skipped, stats.records_dropped_unparseable) == (skipped, dropped)
+
+
 @pytest.mark.parametrize("endian", ["<", ">"])
 @pytest.mark.parametrize("nano", [False, True])
 def test_pcap_magic_variants(endian, nano):
@@ -551,6 +563,30 @@ def test_pcap_unsupported_linktype_aborts():
     data = pcap_file([], linktype=105)
     with pytest.raises(PcapError):
         list(read_pcap(io.BytesIO(data)))
+
+
+def test_pcap_start_finds_no_record_where_decode_pcap_reads_no_capture(tmp_path):
+    frames = [udp4("1.2.3.4", dns_payload([b"net"], 1))] * 3
+    second = 24 + 16 + len(frames[0])  # where the second record begins
+    path = tmp_path / "t.pcap"
+
+    def start(data: bytes):
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            return ingest.pcap_start(fh.fileno(), 25)
+
+    capture = pcap_file(frames)
+    not_captures = [capture[:size] for size in range(24)]
+    not_captures += [magic + capture[4:] for magic in (b"\0" * 4, b"\x0a\x0d\x0d\x0a", b"\xa1\xb2\xc3\xd5")]
+    not_captures.append(pcap_file(frames, linktype=105))
+    for data in not_captures:
+        with pytest.raises(PcapError, match="truncated pcap global header|bad pcap magic|unsupported link type"):
+            list(decode_pcap(io.BytesIO(data)))
+        assert start(data) is None
+    # each of the four magics is a capture the finder reads
+    for endian in "<>":
+        for nano in (False, True):
+            assert start(pcap_file(frames, endian=endian, nano=nano)) == second
 
 
 def test_pcap_fragment_skipped():

@@ -9,6 +9,7 @@ tasks met where the input was cut, so that their bytes do not come from
 the refold that follows a missed resync.
 """
 
+import ast
 import os
 import pickle
 import signal
@@ -59,7 +60,7 @@ def splits(monkeypatch):
     real = workers.fold_in_workers
     seen = []
 
-    def fold_in_workers(tasks, pcap, fold):
+    def fold_in_workers(tasks, find, fold):
         parent = os.getpid()
         ends = []  # (path, end) of the last range of each task this process folds
 
@@ -68,7 +69,7 @@ def splits(monkeypatch):
                 ends.append(ranges[-1][::2])
             return fold(ranges)
 
-        report = real(tasks, pcap, tracked)
+        report = real(tasks, find, tracked)
         planned = [task[-1][::2] for task in tasks]
         seen.append((len(tasks), [planned.index(end) for end in ends[1:]]))
         return report
@@ -181,7 +182,7 @@ def range_starts(paths, count):
         for path, start, _ in task:
             if start:
                 with open(path, "rb") as fh:
-                    fh.seek(workers._line_start(fh.fileno(), start))
+                    fh.seek(ingest.line_start(fh.fileno(), start))
                     starts.append(fh.readline())
     return starts
 
@@ -215,11 +216,26 @@ def test_more_workers_than_lines(tmp_path, monkeypatch, capsys, splits):
     assert splits == [(8, [])]
 
 
+def test_workers_reads_no_input_format():
+    """workers only cuts and forks: every record layout, and every finder of
+    a record at a byte target, is ingest's."""
+    tree = ast.parse(Path(workers.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("roottrace." * bool(node.level) + (node.module or "")).rstrip(".")  # workers imports from its own package
+            imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
+    assert "roottrace.report" in imported
+    assert not [name for name in imported if name == "struct" or name.startswith("roottrace.ingest")]
+
+
 def line_starts(data: bytes, targets, tmp_path) -> list:
     path = tmp_path / "lines"
     path.write_bytes(data)
     with open(path, "rb") as fh:
-        return [workers._line_start(fh.fileno(), target) for target in targets]
+        return [ingest.line_start(fh.fileno(), target) for target in targets]
 
 
 def test_a_range_begins_at_the_first_line_at_or_after_its_target(tmp_path):
@@ -304,7 +320,7 @@ def test_an_io_error_in_a_range_names_its_line_in_the_file(tmp_path, monkeypatch
     for target, begin in ((starts[6], starts[6]), (starts[9], starts[9]),
                           (starts[5] + 3, starts[6]), (starts[8] + 3, starts[9])):
         with open(path, "rb") as fh:
-            assert workers._line_start(fh.fileno(), target) == begin
+            assert ingest.line_start(fh.fileno(), target) == begin
         tasks = [[(str(path), 0, target)], [(str(path), target, None)]]
         monkeypatch.setattr(workers, "plan_tasks", lambda paths, sizes, cuttable, count: tasks)
         assert run(argv, 2, monkeypatch, capsys, out) == expected
@@ -534,8 +550,8 @@ def assert_each_byte_once(spans, size):
 def test_a_resync_to_a_wrong_offset_gives_one_process_bytes(tmp_path, monkeypatch, capsys, splits):
     path = tmp_path / "t.pcap"
     path.write_bytes(pcap_of(RECORDS))
-    real = workers._pcap_begin
-    monkeypatch.setattr(workers, "_pcap_begin", lambda fd, target: real(fd, target) + 1)
+    real = ingest.pcap_start
+    monkeypatch.setattr(cli, "pcap_start", lambda fd, target: real(fd, target) + 1)
     argv = COMMANDS["classify"] + ["--format", "pcap", "--in", str(path)]
     out = tmp_path / "out"
     code, err, expected = run(argv, 1, monkeypatch, capsys, out)
@@ -571,7 +587,7 @@ def test_a_payload_that_imitates_record_headers_gives_one_process_bytes(tmp_path
     # the second task resyncs to the imitation and fails past it
     (_, target, _), = plan([path], True, 2)[1]
     with open(path, "rb") as fh:
-        begin = workers._pcap_begin(fh.fileno(), target)
+        begin = ingest.pcap_start(fh.fileno(), target)
         assert begin == len(before) + 16 + fake_at
         with pytest.raises(PcapError):
             list(decode_pcap(fh, None, begin, None))
