@@ -14,7 +14,8 @@ import sys
 
 from . import __version__
 from .classify import DEFAULT_APPLETALK_TLDS, classify_block
-from .ingest import IngestError, IngestStats, decode_pcap, decode_tsv, line_start, pcap_start, sample, window
+from .ingest import (IngestError, IngestStats, decode_pcap, decode_tsv, line_start, parse_day, pcap_start,
+                     sample, window)
 from .report import (
     POLICIES,
     Report,
@@ -208,11 +209,7 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
         parser.error("--sample-rate must be in (0, 1]")
     try:
         win = _parse_window(args.window) if args.window else None
-        origin = None
-        if args.day_origin:
-            from .synth import parse_day
-
-            origin = parse_day(args.day_origin)
+        origin = parse_day(args.day_origin) if args.day_origin else None
     except ValueError as exc:
         parser.error(str(exc))
     registry = _registry_for(args)
@@ -245,7 +242,7 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
                 for block in blocks:
                     yield classify_block(block, registry, appletalk, stats)
 
-        report = fold_blocks(classified(), label=args.label, track_senders=track_senders)
+        report = fold_blocks(classified(), track_senders=track_senders)
         report.dropped = stats.records_dropped_unparseable + stats.names_unparseable
         return stop, report
 
@@ -260,7 +257,7 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
         report = workers.fold_in_workers(workers.plan_tasks(args.inputs, sizes, cuttable, count), find, fold)
     else:
         _, report = fold([(path, 0, None) for path in args.inputs])
-    report.label = args.label  # as given, not merge's sorted union of its parts
+    report.label = args.label  # the one place it is set: folds and merges carry none
     meta = {
         "tool": f"roottrace {__version__}",
         "inputs": list(args.inputs),

@@ -9,7 +9,7 @@ first that begins at or after the second. line_start and pcap_start find,
 beside each decoder, where the first record at or after a byte target of
 a file begins, so that a file can be cut anywhere. read_tsv and read_pcap
 are QueryRecord views of the same blocks, with the same counters. sample
-and window filter blocks.
+and window filter blocks; parse_day reads the day a window is taken in.
 Malformed records never abort a stream; only a corrupt container
 (unreadable file, bad pcap global header, a pcap record header claiming an
 impossible length) does, before the block that holds it is yielded.
@@ -533,6 +533,17 @@ def sample(blocks: Iterable[Block], rate: float, seed: int) -> Iterator[Block]:
         raise ValueError(f"sample rate must be in (0, 1], got {rate}")
     rnd = random.Random(seed).random
     return (block.select([rnd() < rate for _ in block.timestamps]) for block in blocks)
+
+
+def parse_day(value: str) -> int:
+    """Microseconds at the start of a UTC day, an ISO date or epoch seconds:
+    the day_origin_micros that window takes."""
+    from datetime import datetime, timezone
+
+    if value.isdigit():
+        return int(value) * 1_000_000
+    dt = datetime.strptime(value, "%Y-%m-%d").replace(tzinfo=timezone.utc)
+    return int(dt.timestamp()) * 1_000_000
 
 
 def window(

@@ -1,10 +1,10 @@
 """Mergeable aggregates over classified query streams.
 
 A Report is a bag of exact integer counters; fractions are derived from
-the integers only at output time, so merging shards never drifts. fold()
-builds one, merge() combines any number of them (merge_into in place), and
-build_report_doc() derives the report document, the one view every output
-format renders.
+the integers only at output time, so merging shards never drifts.
+fold_blocks() builds one, merge_into() is the one adder (merge() adds two
+into the empty Report), and build_report_doc() derives the report document,
+the one view every output format renders.
 """
 
 from __future__ import annotations
@@ -49,16 +49,22 @@ _CATEGORIES = tuple(cat.value for cat in TopCategory)
 
 @dataclass
 class Report:
-    """Aggregate counts for one labelled slice of traffic (e.g. a year)."""
+    """Aggregate counts for one labelled slice of traffic (e.g. a year).
+    Each count is kept once: total is derived from leaf_counts, and
+    merge_into is the one place every field is added."""
 
     label: str = ""
-    total: int = 0
     leaf_counts: Counter = field(default_factory=Counter)  # Classification -> n
     qtype_counts: Counter = field(default_factory=Counter)  # qtype code -> n
     sender_counts: Counter = field(default_factory=Counter)  # key << LEAF_BITS | LEAVES index -> n
     empty_by_sender: Counter = field(default_factory=Counter)  # key << QTYPE_BITS | qtype code -> n
     dropped: int = 0
     senders_tracked: bool = True
+
+    @property
+    def total(self) -> int:
+        """The records counted: the sum of leaf_counts."""
+        return sum(self.leaf_counts.values())
 
 
 def fold_blocks(
@@ -69,17 +75,17 @@ def fold_blocks(
     """Count blocks of classified records into a fresh Report, each record
     exactly once. A block is three parallel columns: the records' sender
     keys, qtypes and classifications (classify.classify_block gives them);
-    the keys are read only when senders are tracked.
+    the keys are read only when senders are tracked. Each record adds one to
+    leaf_counts, whose sum is the Report's total. dropped is left 0: the
+    caller knows what its reader dropped.
     """
     leaf_counts: Counter = Counter()
     qtype_counts: Counter = Counter()
     senders: Counter = Counter()
     empties: Counter = Counter()
-    total = 0
     empty_leaf = Leaf.EMPTY
 
     for keys, qtypes, classes in blocks:
-        total += len(classes)
         leaf_counts.update(classes)
         qtype_counts.update(qtypes)
         if not track_senders:
@@ -91,7 +97,6 @@ def fold_blocks(
 
     return Report(
         label=label,
-        total=total,
         leaf_counts=leaf_counts,
         qtype_counts=qtype_counts,
         sender_counts=senders,
@@ -128,7 +133,6 @@ def merge_into(acc: Report, other: Report) -> Report:
     """Add other into acc in place and return acc: merge(acc, other)
     without copying acc, and other is left as it was."""
     acc.label = _merge_labels(acc.label, other.label)
-    acc.total += other.total
     acc.dropped += other.dropped
     acc.leaf_counts.update(other.leaf_counts)
     acc.qtype_counts.update(other.qtype_counts)
@@ -141,68 +145,56 @@ def merge_into(acc: Report, other: Report) -> Report:
 
 
 def merge(a: Report, b: Report) -> Report:
-    """Pointwise sum of two Reports; commutative, associative, and the
-    empty Report is the identity."""
-    copy = Report(
-        label=a.label,
-        total=a.total,
-        leaf_counts=Counter(a.leaf_counts),
-        qtype_counts=Counter(a.qtype_counts),
-        sender_counts=Counter(a.sender_counts),
-        empty_by_sender=Counter(a.empty_by_sender),
-        dropped=a.dropped,
-        senders_tracked=a.senders_tracked,
-    )
-    return merge_into(copy, b)
+    """Pointwise sum of two Reports, added into the empty Report, so it
+    shares no Counter with either and changes neither; commutative,
+    associative, and the empty Report is the identity."""
+    return merge_into(merge_into(Report(), a), b)
 
 
 def top_level_fractions(report: Report) -> dict[TopCategory, float]:
     """The four-category rollup as fractions of the report total."""
-    if report.total == 0:
+    total = report.total
+    if total == 0:
         raise ValueError("empty report has no fractions")
     counts = dict.fromkeys(TopCategory, 0)
     for cls, n in report.leaf_counts.items():
         counts[LEAF_TOP[cls.leaf]] += n
-    return {cat: n / report.total for cat, n in counts.items()}
+    return {cat: n / total for cat, n in counts.items()}
 
 
-def _totals(table: Counter, bits: int) -> dict:
-    """Each sender key's total over a table of key << bits | detail counts."""
+def _ranked(report: Report, table: Counter, bits: int, k: int) -> tuple[int, list[tuple[int, str, int]]]:
+    """Over one of the report's sender tables, of key << bits | detail
+    counts: how many sender keys it holds, and (-total, prefix, key) for the
+    k keys with the largest totals, descending, ties broken on prefix text.
+    Only the keys whose total reaches the k-th largest are formatted."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    if not report.senders_tracked:
+        raise ValueError("sender tracking was disabled for this report")
     totals: dict = {}
     get = totals.get
     for pair, n in table.items():
         key = pair >> bits
         totals[key] = get(key, 0) + n
-    return totals
-
-
-def _ranked(totals: dict, k: int) -> list[tuple[int, str, int]]:
-    """(-total, prefix, key) for the k sender keys with the largest totals,
-    descending, ties broken on prefix text. Only the keys whose total
-    reaches the k-th largest are formatted."""
     keys = totals
-    if 0 < k < len(totals):
+    if k < len(totals):
         kth = heapq.nlargest(k, totals.values())[-1]
         keys = compress(totals, map(ge, totals.values(), repeat(kth)))
-    return heapq.nsmallest(k, [(-totals[key], prefix_text(key), key) for key in keys])
+    return len(totals), heapq.nsmallest(k, [(-totals[key], prefix_text(key), key) for key in keys])
 
 
 def _senders_section(report: Report, k: int) -> dict:
     """The count and top of a report document's senders section."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if not report.senders_tracked:
-        raise ValueError("sender tracking was disabled for this report")
     table = report.sender_counts
-    totals = _totals(table, LEAF_BITS)
+    count, ranked = _ranked(report, table, LEAF_BITS, k)
     rows = []
-    for neg_total, prefix, key in _ranked(totals, k):
+    for neg_total, prefix, key in ranked:
         categories = dict.fromkeys(_CATEGORIES, 0)
         base = key << LEAF_BITS
         for i, top in enumerate(_ROW_TOPS):
             categories[top] += table.get(base | i, 0)
         rows.append({"prefix": prefix, "total": -neg_total, "categories": categories})
-    return {"count": len(totals), "top": rows}
+    return {"count": count, "top": rows}
 
 
 def top_senders(report: Report, k: int) -> list[dict]:
@@ -220,12 +212,9 @@ def empty_query_stats(report: Report, k: int = 10) -> dict:
     """The empty_stats section of a report document, a priming-oriented
     view: who sends root-name queries, and of what type. mean_per_sender
     is None when there are no root-name queries."""
-    if not report.senders_tracked:
-        raise ValueError("sender tracking was disabled for this report")
-    total = report.leaf_counts.get(CLS_EMPTY, 0)
     table = report.empty_by_sender
-    totals = _totals(table, QTYPE_BITS)
-    ranked = _ranked(totals, k)
+    senders, ranked = _ranked(report, table, QTYPE_BITS, k)
+    total = report.leaf_counts.get(CLS_EMPTY, 0)
     top = {key: {} for _, _, key in ranked}
     qtype_totals: dict = {}
     for pair, n in table.items():
@@ -236,8 +225,8 @@ def empty_query_stats(report: Report, k: int = 10) -> dict:
             by_qtype[code] = n
     return {
         "total": total,
-        "senders": len(totals),
-        "mean_per_sender": total / len(totals) if totals else None,
+        "senders": senders,
+        "mean_per_sender": total / senders if senders else None,
         "qtype_fractions": {m: n / total for m, n in _by_mnemonic(qtype_totals).items()} if total else {},
         "top": [
             {"prefix": prefix, "total": -neg_total, "qtypes": _by_mnemonic(top[key])}
@@ -273,10 +262,11 @@ POLICIES = {p.name: p for p in (DEFAULT_POLICY, INVALID_ONLY_POLICY)}
 
 def unexpected_fraction(report: Report, policy: UnexpectedPolicy = DEFAULT_POLICY) -> float:
     """Fraction of classified queries the policy marks unexpected."""
-    if report.total == 0:
+    total = report.total
+    if total == 0:
         return 0.0
     hits = sum(n for cls, n in report.leaf_counts.items() if cls.leaf in policy.leaves)
-    return hits / report.total
+    return hits / total
 
 
 # --- report documents -------------------------------------------------------
@@ -310,11 +300,12 @@ def build_report_doc(
     doc_meta.setdefault("label", report.label)
     doc_meta.setdefault("senders_tracked", report.senders_tracked)
 
+    total = report.total
     totals: dict = {
-        "records": report.total,
+        "records": total,
         "dropped_unparseable": report.dropped,
     }
-    if report.total:
+    if total:
         totals["fractions"] = {
             cat.value: frac for cat, frac in top_level_fractions(report).items()
         }

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Optional
 
 from .classify import DEFAULT_APPLETALK_TLDS
+from .ingest import parse_day
 from .model import (
     CLS_EMPTY,
     CLS_INVALID_ALL_NUMERIC,
@@ -193,7 +194,9 @@ def generate(
     registry: Optional[TldRegistry] = None,
     appletalk_tlds: frozenset = DEFAULT_APPLETALK_TLDS,
 ) -> Iterator[tuple[QueryRecord, Classification]]:
-    """Yield n (record, ground-truth classification) pairs.
+    """An iterator over n (record, ground-truth classification) pairs. The
+    arguments are checked and the draw tables built when generate is called,
+    so bad arguments raise before anything is drawn.
 
     Names are constructed so the classifier is guaranteed to land on the
     drawn stratum; strings that could collide with a more specific leaf
@@ -251,82 +254,85 @@ def generate(
     if spec.empty_per_sender is not None:
         expected_empty = spec.weights.get("empty", 0.0) * n
         empty_pool_size = max(1, round(expected_empty / spec.empty_per_sender))
-    empty_seq = 0
 
     day = spec.day_origin_micros
     qclass_in = 1
-    seq = 0
 
-    for _ in range(n):
-        seq += 1
-        stratum = strata.draw(rng)
+    def draws() -> Iterator[tuple[QueryRecord, Classification]]:
+        empty_seq = 0
+        seq = 0
+        for _ in range(n):
+            seq += 1
+            stratum = strata.draw(rng)
 
-        if stratum == "empty":
-            qname = "."
-            truth = CLS_EMPTY
-        elif stratum == "one_word_minimized":
-            tld = minimized_table.draw(rng)
-            qname = tld + "."
-            truth = Classification(Leaf.ONE_WORD_MINIMIZED, tld)
-        elif stratum == "one_word_chromium":
-            word = _chromium_word(rng)
-            while registry.is_valid_tld(word.encode()):
+            if stratum == "empty":
+                qname = "."
+                truth = CLS_EMPTY
+            elif stratum == "one_word_minimized":
+                tld = minimized_table.draw(rng)
+                qname = tld + "."
+                truth = Classification(Leaf.ONE_WORD_MINIMIZED, tld)
+            elif stratum == "one_word_chromium":
                 word = _chromium_word(rng)
-            qname = word + "."
-            truth = CLS_ONE_WORD_CHROMIUM
-        elif stratum == "one_word_other":
-            word = f"word{seq}"
-            while registry.is_valid_tld(word.encode()):
-                word += "0"
-            qname = word + "."
-            truth = CLS_ONE_WORD_OTHER
-        elif stratum == "valid_tld":
-            tld = valid_table.draw(rng)
-            if rng.random() < 0.25:
-                qname = f"www.host{seq}.{tld}."
-            else:
+                while registry.is_valid_tld(word.encode()):
+                    word = _chromium_word(rng)
+                qname = word + "."
+                truth = CLS_ONE_WORD_CHROMIUM
+            elif stratum == "one_word_other":
+                word = f"word{seq}"
+                while registry.is_valid_tld(word.encode()):
+                    word += "0"
+                qname = word + "."
+                truth = CLS_ONE_WORD_OTHER
+            elif stratum == "valid_tld":
+                tld = valid_table.draw(rng)
+                if rng.random() < 0.25:
+                    qname = f"www.host{seq}.{tld}."
+                else:
+                    qname = f"host{seq}.{tld}."
+                truth = Classification(Leaf.VALID_TLD, tld, False)
+            elif stratum == "valid_tld_chromium":
+                tld = valid_table.draw(rng)
+                qname = f"{_chromium_word(rng)}.{tld}."
+                truth = Classification(Leaf.VALID_TLD, tld, True)
+            elif stratum == "invalid_tld_appletalk":
+                tld = appletalk_list[rng.randrange(len(appletalk_list))]
+                qname = f"node{seq}.{tld}."
+                truth = CLS_INVALID_APPLETALK
+            elif stratum == "invalid_tld_bad_encoding":
+                raw = "".join(f"\\{rng.randrange(128, 256):03d}" for _ in range(rng.randint(1, 4)))
+                qname = f"host{seq}.{raw}."
+                truth = CLS_INVALID_BAD_ENCODING
+            elif stratum == "invalid_tld_all_numeric":
+                digits = str(rng.randrange(1, 1_000_000))
+                while registry.is_valid_tld(digits.encode()):
+                    digits += "0"
+                qname = f"host{seq}.{digits}."
+                truth = CLS_INVALID_ALL_NUMERIC
+            elif stratum == "invalid_tld_chromium":
+                tld = f"x{seq}z"
+                while registry.is_valid_tld(tld.encode()) or tld in appletalk_tlds:
+                    tld += "z"
+                qname = f"{_chromium_word(rng)}.{tld}."
+                truth = CLS_INVALID_CHROMIUM
+            else:  # invalid_tld_other
+                tld = invalid_other_table.draw(rng)
                 qname = f"host{seq}.{tld}."
-            truth = Classification(Leaf.VALID_TLD, tld, False)
-        elif stratum == "valid_tld_chromium":
-            tld = valid_table.draw(rng)
-            qname = f"{_chromium_word(rng)}.{tld}."
-            truth = Classification(Leaf.VALID_TLD, tld, True)
-        elif stratum == "invalid_tld_appletalk":
-            tld = appletalk_list[rng.randrange(len(appletalk_list))]
-            qname = f"node{seq}.{tld}."
-            truth = CLS_INVALID_APPLETALK
-        elif stratum == "invalid_tld_bad_encoding":
-            raw = "".join(f"\\{rng.randrange(128, 256):03d}" for _ in range(rng.randint(1, 4)))
-            qname = f"host{seq}.{raw}."
-            truth = CLS_INVALID_BAD_ENCODING
-        elif stratum == "invalid_tld_all_numeric":
-            digits = str(rng.randrange(1, 1_000_000))
-            while registry.is_valid_tld(digits.encode()):
-                digits += "0"
-            qname = f"host{seq}.{digits}."
-            truth = CLS_INVALID_ALL_NUMERIC
-        elif stratum == "invalid_tld_chromium":
-            tld = f"x{seq}z"
-            while registry.is_valid_tld(tld.encode()) or tld in appletalk_tlds:
-                tld += "z"
-            qname = f"{_chromium_word(rng)}.{tld}."
-            truth = CLS_INVALID_CHROMIUM
-        else:  # invalid_tld_other
-            tld = invalid_other_table.draw(rng)
-            qname = f"host{seq}.{tld}."
-            truth = Classification(Leaf.INVALID_OTHER, tld)
+                truth = Classification(Leaf.INVALID_OTHER, tld)
 
-        qtype = qtype_code(qtype_tables[stratum].draw(rng))
+            qtype = qtype_code(qtype_tables[stratum].draw(rng))
 
-        if stratum == "empty" and empty_pool_size:
-            j = empty_seq % empty_pool_size
-            empty_seq += 1
-            source = f"2600:{1 + (j >> 16):x}:{j & 0xFFFF:x}::{rng.randrange(1, 0x10000):x}"
-        else:
-            source = pool.draw(rng)
+            if stratum == "empty" and empty_pool_size:
+                j = empty_seq % empty_pool_size
+                empty_seq += 1
+                source = f"2600:{1 + (j >> 16):x}:{j & 0xFFFF:x}::{rng.randrange(1, 0x10000):x}"
+            else:
+                source = pool.draw(rng)
 
-        timestamp = day + rng.randrange(86_400_000_000)
-        yield QueryRecord(timestamp, source, qclass_in, qtype, qname), truth
+            timestamp = day + rng.randrange(86_400_000_000)
+            yield QueryRecord(timestamp, source, qclass_in, qtype, qname), truth
+
+    return draws()
 
 
 def write_tsv(records: Iterable[QueryRecord], out: IO[bytes]) -> int:
@@ -509,16 +515,6 @@ def parse_mixspec(text: str, source: str = "<mixspec>") -> MixSpec:
             raise MixSpecError(f"{source}: unknown tld group {group!r}")
     spec.validate()
     return spec
-
-
-def parse_day(value: str) -> int:
-    """Microseconds at the start of a UTC day: an ISO date or epoch seconds."""
-    from datetime import datetime, timezone
-
-    if value.isdigit():
-        return int(value) * 1_000_000
-    dt = datetime.strptime(value, "%Y-%m-%d").replace(tzinfo=timezone.utc)
-    return int(dt.timestamp()) * 1_000_000
 
 
 def load_mixspec(path: str) -> MixSpec:

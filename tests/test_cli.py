@@ -291,6 +291,18 @@ def test_gen_rejects_a_year_without_a_preset(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_rejected_arguments_leave_the_out_files_alone(tmp_path, capsys):
+    out = tmp_path / "out.tsv"
+    out.write_bytes(b"keep\n")
+    truth = tmp_path / "truth.txt"
+    rc = run("gen", "--preset", "2022", "--count", "10", "--appletalk", "com",
+             "--out", str(out), "--truth-out", str(truth))
+    assert rc == 2
+    assert "appletalk TLD 'com' is in the registry" in capsys.readouterr().err
+    assert out.read_bytes() == b"keep\n"
+    assert not truth.exists()
+
+
 def test_gen_from_spec_file(tmp_path):
     spec = tmp_path / "mix.cfg"
     spec.write_text("seed = 5\nweight.empty = 1.0\nqtype.empty.NS = 1\n")
@@ -426,8 +438,8 @@ def test_only_generating_loads_the_generator(tmp_path, trace):
     assert not synth_loaded_after(command, "classify", "--in", trace, "--out", tmp_path / "c.json")
     assert not synth_loaded_after(command, "top-senders", "--in", trace, "--out", tmp_path / "t.csv")
     assert not synth_loaded_after(command, "report", "--in", report, "--out", tmp_path / "r.csv")
-    # the generator's names still resolve from the package, and its commands load it
+    window = ["--window", "00:00-12:00", "--day-origin", "2022-04-12"]
+    assert not synth_loaded_after(command, "classify", "--in", trace, *window, "--out", tmp_path / "w.json")
+    # the generator's names still resolve from the package, and its command loads it
     assert synth_loaded_after("import roottrace\nassert roottrace.generate and roottrace.MixSpec")
     assert synth_loaded_after(command, "gen", "--preset", "2013", "--count", "10", "--out", tmp_path / "g.tsv")
-    window = ["--window", "00:00-12:00", "--day-origin", "2022-04-12"]
-    assert synth_loaded_after(command, "classify", "--in", trace, *window, "--out", tmp_path / "w.json")

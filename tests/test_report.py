@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import io
 import ipaddress
 import json
 import pickle
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -116,6 +118,61 @@ def test_fold_counting_invariants(registry):
     assert per_sender == report.total
     empty_total = report.leaf_counts.get(Classification(Leaf.EMPTY), 0)
     assert sum(report.empty_by_sender.values()) == empty_total
+
+
+def test_total_is_derived_from_leaf_counts():
+    assert "total" not in {f.name for f in dataclasses.fields(Report)}
+    rng = random.Random(21)
+    reports = [random_report(rng) for _ in range(50)] + [Report(), fold([], track_senders=False)]
+    reports.append(merge(reports[0], reports[1]))
+    for report in reports:
+        assert report.total == sum(report.leaf_counts.values())
+    with pytest.raises(AttributeError):
+        Report().total = 1
+
+
+def nondefault_reports() -> list[Report]:
+    """Two Reports that between them give every field a value other than
+    its default: one with senders tracked, one without, whose sender tables
+    are then empty. A field added to Report must be listed here."""
+    counts = {
+        "label": "2013+2022",
+        "leaf_counts": Counter({Classification(Leaf.EMPTY): 3, Classification(Leaf.VALID_TLD, "com", False): 2}),
+        "qtype_counts": Counter({2: 3, 1: 2}),
+        "sender_counts": Counter({7 << LEAF_BITS | 0: 3, 9 << LEAF_BITS | 5: 2}),
+        "empty_by_sender": Counter({7 << QTYPE_BITS | 2: 3}),
+        "dropped": 4,
+    }
+    untracked = dict(counts, sender_counts=Counter(), empty_by_sender=Counter(), senders_tracked=False)
+    reports = [Report(**counts), Report(**untracked)]
+    default = Report()
+    for f in dataclasses.fields(Report):
+        assert any(getattr(r, f.name) != getattr(default, f.name) for r in reports), f.name
+    return reports
+
+
+def test_merge_into_adds_every_field():
+    for report in nondefault_reports():
+        assert merge_into(Report(), report) == report
+        assert merge(report, Report()) == report
+        assert merge(Report(), report) == report
+
+
+def test_merge_shares_no_counter_and_changes_neither():
+    rng = random.Random(22)
+    counters = [f.name for f in dataclasses.fields(Report) if isinstance(getattr(Report(), f.name), Counter)]
+    assert counters
+    for _ in range(50):
+        a, b = random_report(rng, label="a"), random_report(rng, label="b")
+        a_copy, b_copy = pickle.loads(pickle.dumps((a, b)))
+        merged = merge(a, b)
+        assert (a, b) == (a_copy, b_copy)
+        for name in counters:
+            assert getattr(merged, name) is not getattr(a, name)
+            assert getattr(merged, name) is not getattr(b, name)
+        merged.leaf_counts[Classification(Leaf.EMPTY)] += 1
+        merged.sender_counts[1] += 1
+        assert (a, b) == (a_copy, b_copy)
 
 
 def test_merge_identity():
@@ -266,6 +323,15 @@ def test_top_senders_rejects_bad_k(registry):
     report = fold_tsv_like(["a.com."], registry)
     with pytest.raises(ValueError):
         top_senders(report, k=0)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_sender_rankings_reject_bad_k(registry, k):
+    report = fold_tsv_like([".", "a.com."], registry)
+    with pytest.raises(ValueError, match="k must be positive"):
+        top_senders(report, k=k)
+    with pytest.raises(ValueError, match="k must be positive"):
+        empty_query_stats(report, k=k)
 
 
 def test_top_senders_requires_tracking():
