@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 
 from . import __version__
@@ -47,12 +48,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _digits(text: str) -> int:
+    """A run of ASCII decimal digits as an int; int() would also take a
+    sign, spaces, _ and other scripts' digits."""
+    if not (text.isdigit() and text.isascii()):
+        raise ValueError(f"not decimal digits: {text!r}")
+    return int(text)
+
+
 def _parse_window(text: str) -> tuple[int, int]:
     """Seconds into the day at which a HH:MM-HH:MM window starts and ends."""
     try:
         start_s, end_s = text.split("-")
-        sh, sm = (int(x) for x in start_s.split(":"))
-        eh, em = (int(x) for x in end_s.split(":"))
+        sh, sm = map(_digits, start_s.split(":"))
+        eh, em = map(_digits, end_s.split(":"))
     except ValueError:
         raise ValueError(f"bad window {text!r}, expected HH:MM-HH:MM") from None
     start, end = sh * 3600 + sm * 60, eh * 3600 + em * 60
@@ -72,8 +81,8 @@ def _add_ingest_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--appletalk", default="appletalk", metavar="TLDS",
                      help="comma-separated TLDs treated as appletalk leakage")
     sub.add_argument("--sample-rate", type=float, default=1.0, metavar="F",
-                     help="keep each record with probability F; every --in file is sampled "
-                          "afresh from --seed, so each file keeps the same positions")
+                     help="keep each record with probability F, decided by --seed and the "
+                          "record's byte offset in its file alone")
     sub.add_argument("--seed", type=int, default=0, help="sampling seed")
     sub.add_argument("--window", metavar="HH:MM-HH:MM",
                      help="keep a time-of-day window (requires --day-origin)")
@@ -235,7 +244,6 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
             for path, start, end in ranges:
                 blocks = read(path, start, end)
                 if args.sample_rate < 1:
-                    # reseeded per file: what a file keeps does not depend on the files before it
                     blocks = sample(blocks, args.sample_rate, args.seed)
                 if win:
                     blocks = window(blocks, win[0], win[1], origin)
@@ -246,15 +254,12 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
         report.dropped = stats.records_dropped_unparseable + stats.names_unparseable
         return stop, report
 
-    # sample draws from a seed reset at the start of each file, so a sampled
-    # file is never cut
-    cuttable = not args.sample_rate < 1
     sizes = [_size(path) for path in args.inputs]
     count = min(sum(sizes) // MIN_TASK_BYTES, _usable_cpus())
-    if count > 1 and (cuttable or len(args.inputs) > 1):
+    if count > 1:
         from . import workers  # loaded only where the input is split
 
-        report = workers.fold_in_workers(workers.plan_tasks(args.inputs, sizes, cuttable, count), find, fold)
+        report = workers.fold_in_workers(workers.plan_tasks(args.inputs, sizes, count), find, fold)
     else:
         _, report = fold([(path, 0, None) for path in args.inputs])
     report.label = args.label  # the one place it is set: folds and merges carry none
@@ -331,19 +336,43 @@ def _cmd_gen(args, parser) -> int:
     appletalk = _appletalk_set(args)
     pairs = generate(spec, args.count, registry, appletalk)
 
-    truth_fh = open(args.truth_out, "w", encoding="utf-8") if args.truth_out else None
+    out, *truth = files = _open_outputs([args.out, *filter(None, [args.truth_out])])
     try:
-        with open(args.out, "wb") as out:
-            if truth_fh is None:
-                write_tsv((rec for rec, _ in pairs), out)
-            else:
-                for rec, cls in pairs:
-                    write_tsv((rec,), out)
-                    truth_fh.write(f"{cls.leaf.value}\t{cls.tld or ''}\t{int(cls.chromium_like)}\n")
+        if not truth:
+            write_tsv((rec for rec, _ in pairs), out)
+        else:
+            for rec, cls in pairs:
+                write_tsv((rec,), out)
+                truth[0].write(f"{cls.leaf.value}\t{cls.tld or ''}\t{int(cls.chromium_like)}\n".encode())
     finally:
-        if truth_fh is not None:
-            truth_fh.close()
+        for fh in files:
+            fh.close()
     return 0
+
+
+def _open_outputs(paths: list) -> list:
+    """Each path open to be written from its first byte, or the OSError of
+    one that cannot be opened, with every path left as it was: no file is
+    truncated until all are open, and a file this created is removed."""
+    files, created = [], []
+    try:
+        for path in paths:
+            try:
+                fd = os.open(path, os.O_WRONLY)
+            except FileNotFoundError:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                created.append(path)
+            files.append(open(fd, "wb"))
+    except OSError:
+        for fh in files:
+            fh.close()
+        for path in created:
+            os.remove(path)
+        raise
+    for fh in files:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe or a terminal holds nothing to cut
+            fh.truncate()
+    return files
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,9 @@ first that begins at or after the second. line_start and pcap_start find,
 beside each decoder, where the first record at or after a byte target of
 a file begins, so that a file can be cut anywhere. read_tsv and read_pcap
 are QueryRecord views of the same blocks, with the same counters. sample
-and window filter blocks; parse_day reads the day a window is taken in.
+and window filter blocks: sample keeps a record by its seed and its
+offset alone, so a file's sample does not depend on where it is cut;
+parse_day reads the day a window is taken in.
 Malformed records never abort a stream; only a corrupt container
 (unreadable file, bad pcap global header, a pcap record header claiming an
 impossible length) does, before the block that holds it is yielded.
@@ -18,7 +20,6 @@ impossible length) does, before the block that holds it is yielded.
 from __future__ import annotations
 
 import os
-import random
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -87,7 +88,8 @@ class Block(NamedTuple):
     and each name as presentation bytes; a pcap block holds the packed 4- or
     16-byte address and the DomainName decoded off the wire. prefixes holds
     each source's sender key (model.sender_key), derived as the record is
-    read."""
+    read, and offsets each record's first byte in its file: a TSV line's
+    first byte, a pcap record header's first byte."""
 
     timestamps: Sequence[int]
     sources: Sequence
@@ -95,6 +97,7 @@ class Block(NamedTuple):
     qtypes: Sequence[int]
     names: Sequence
     prefixes: Sequence[int]
+    offsets: Sequence[int]
 
     def select(self, mask: list) -> "Block":
         """The records whose mask entry is true, in order."""
@@ -141,20 +144,16 @@ def decode_tsv(
         if not chunk:
             return
         lineno += len(chunk)
-        size = sum(map(len, chunk))
-        if end is not None and at + size >= end:
+        begins = list(accumulate(map(len, chunk), initial=at))  # each line's first byte, then the next line's
+        if end is not None and begins[-1] >= end:
             # the last block: the lines that begin before end
-            begins = list(accumulate(map(len, chunk), initial=at))
-            cut = bisect_left(begins, end)
-            del chunk[cut:]
-            stream.seek(begins[cut])
-            size = begins[cut] - at
+            del chunk[bisect_left(begins, end) :]
+            stream.seek(begins[len(chunk)])
             lines = iter(())  # nothing past it is read
-        at += size
-        block = Block([], [], [], [], [], [])
-        add_ts, add_source, add_qclass, add_qtype, add_name, add_key = (column.append for column in block)
+        block = Block([], [], [], [], [], [], [])
+        add_ts, add_source, add_qclass, add_qtype, add_name, add_key, add_offset = (column.append for column in block)
         dropped = 0
-        for line in chunk:
+        for offset, line in zip(begins, chunk):
             fields = line.rstrip(b"\r\n").split(b"\t")
             if len(fields) != TSV_FIELDS:
                 if fields != [b""]:
@@ -183,7 +182,9 @@ def decode_tsv(
             add_qtype(qtype)
             add_name(qname_b)
             add_key(key)
-        stats.bytes_read += size
+            add_offset(offset)
+        stats.bytes_read += begins[len(chunk)] - at
+        at = begins[len(chunk)]
         stats.records_dropped_unparseable += dropped
         if block.names:
             stats.records_emitted += len(block.names)
@@ -355,8 +356,8 @@ def decode_pcap(
     counted = base if start else 0  # bytes_read covers the file up to here
     buf = b""
     pos = 0  # of the next record header in buf
-    block = Block([], [], [], [], [], [])
-    add_ts, add_source, add_qclass, add_qtype, add_name, add_key = (column.append for column in block)
+    block = Block([], [], [], [], [], [], [])
+    add_ts, add_source, add_qclass, add_qtype, add_name, add_key, add_offset = (column.append for column in block)
 
     while True:
         more = stream.read(CHUNK)
@@ -435,13 +436,16 @@ def decode_pcap(
             add_qtype(qtype)
             add_name(name)
             add_key(address_key(source))
+            add_offset(base + at - 16)
             if len(block.names) == block_size:
                 stats.bytes_read += base + pos - counted
                 counted = base + pos
                 stats.records_emitted += block_size
                 yield block
-                block = Block([], [], [], [], [], [])
-                add_ts, add_source, add_qclass, add_qtype, add_name, add_key = (column.append for column in block)
+                block = Block([], [], [], [], [], [], [])
+                add_ts, add_source, add_qclass, add_qtype, add_name, add_key, add_offset = (
+                    column.append for column in block
+                )
 
         if pos + 16 <= size and pos >= limit:
             stream.seek(base + pos)  # left at the record that begins at or after end
@@ -522,17 +526,34 @@ def _address_text(packed: bytes) -> str:
     return str(ipaddress.IPv6Address(packed))
 
 
-def sample(blocks: Iterable[Block], rate: float, seed: int) -> Iterator[Block]:
-    """Keep each record independently with probability rate, seeded.
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's increment, 2^64 over the golden ratio, made odd
 
-    One draw per record, in order, so identical (input, rate, seed) keeps
-    an identical subset whatever the block size; relative order is
+
+def _mix(z: int) -> int:
+    """splitmix64's finalizer (Steele, Lea & Flood, OOPSLA 2014) of a 64-bit int."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK
+    return z ^ z >> 31
+
+
+def sample(blocks: Iterable[Block], rate: float, seed: int) -> Iterator[Block]:
+    """Keep each record with probability rate, by its seed and its offset.
+
+    A record is kept iff the splitmix64 finalizer of (the seed's mix plus
+    its offset times splitmix64's increment) is under rate * 2^64, as in
+    hash-based trajectory sampling (Duffield & Grossglauser, IEEE/ACM ToN
+    2001). So a record's fate depends on (rate, seed, its file offset)
+    alone: the same in any block size and wherever its file is cut, and the
+    same for records at the same offset of two files. Seeds are taken
+    modulo 2^64, so a negative seed keeps its own subset. Relative order is
     preserved. Rejects the rate eagerly, not on first iteration.
     """
     if not 0 < rate <= 1:
         raise ValueError(f"sample rate must be in (0, 1], got {rate}")
-    rnd = random.Random(seed).random
-    return (block.select([rnd() < rate for _ in block.timestamps]) for block in blocks)
+    limit = int(rate * 2**64)
+    key = _mix(seed & _MASK)
+    return (block.select([_mix(key + offset * _GAMMA & _MASK) < limit for offset in block.offsets]) for block in blocks)
 
 
 def parse_day(value: str) -> int:
@@ -540,7 +561,7 @@ def parse_day(value: str) -> int:
     the day_origin_micros that window takes."""
     from datetime import datetime, timezone
 
-    if value.isdigit():
+    if value.isdigit() and value.isascii():  # int() would also take other scripts' digits
         return int(value) * 1_000_000
     dt = datetime.strptime(value, "%Y-%m-%d").replace(tzinfo=timezone.utc)
     return int(dt.timestamp()) * 1_000_000

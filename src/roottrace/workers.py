@@ -2,7 +2,8 @@
 
 This module only cuts and forks; it knows no input format. plan_tasks
 splits the input files into contiguous tasks of about equal bytes, and
-opens none of them: it cuts a file at a byte target. fold_in_workers
+opens none of them: it cuts any file at a byte target, sampled or not, as
+a record's fate under sampling depends on its offset alone. fold_in_workers
 resolves each cut to its first record before it forks, with the finder
 the CLI gives it (ingest.line_start for a TSV file, ingest.pcap_start for
 a pcap capture). It folds the first task in this process and each other
@@ -26,23 +27,21 @@ import signal
 from .report import Report, merge_into
 
 
-def plan_tasks(paths: list, sizes: list, cuttable: bool, count: int) -> list:
+def plan_tasks(paths: list, sizes: list, count: int) -> list:
     """The input files, of these sizes, as `count` contiguous tasks of about
     equal bytes, each a list of (path, start, end) byte ranges in input
     order; end None reads to the end of the file. A range that starts or
     ends inside a file does so at a byte target: fold_in_workers resolves a
     start to the first record at or after it, and an end stops the read at
-    that record. A file is cut only if cuttable; one that is not goes to the
-    task its middle byte falls in."""
+    that record."""
     total = sum(sizes)
     targets = [total * k // count for k in range(1, count)]
     cuts = {(0, 0)}  # (file index, byte offset) where a task begins
     offset = 0
     for i, size in enumerate(sizes):
-        for at in [target - offset for target in targets if offset <= target < offset + size]:
-            cuts.add((i, at) if cuttable else (i, 0) if at < size / 2 else (i + 1, 0))
+        cuts.update((i, target - offset) for target in targets if offset <= target < offset + size)
         offset += size
-    bounds = sorted(cut for cut in cuts if cut[0] < len(paths)) + [(len(paths), 0)]
+    bounds = sorted(cuts) + [(len(paths), 0)]
     tasks = []
     for (first, start), (last, end) in zip(bounds, bounds[1:]):
         task = [(paths[first], start, None)] if first < last else []

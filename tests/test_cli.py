@@ -80,11 +80,22 @@ def test_window_requires_day_origin(tmp_path, trace):
     assert err.value.code == 1
 
 
-@pytest.mark.parametrize("window", ["10:00-09:00", "10:00-10:00", "23:00-24:30", "10:99-12:00", "10:00-11:60"])
+@pytest.mark.parametrize("window", ["10:00-09:00", "10:00-10:00", "23:00-24:30", "10:99-12:00", "10:00-11:60",
+                                    # int() takes a sign, spaces, _ and other scripts' digits
+                                    "+6:00-07:00", " 6:00-07:00", "0_6:00-07:00", "\u0666:00-07:00"])
 def test_bad_window_is_usage_error_before_ingest(tmp_path, window):
     with pytest.raises(SystemExit) as err:
         run("classify", "--in", str(tmp_path / "missing.tsv"), "--window", window,
             "--day-origin", "2022-04-12", "--out", str(tmp_path / "r.json"))
+    assert err.value.code == 1
+
+
+@pytest.mark.parametrize("day", ["\u0661\u0666\u0664\u0669\u0667\u0662\u0661\u0666\u0660\u0660", "+1649721600",
+                                 "2022-04-1x"])
+def test_bad_day_origin_is_usage_error_before_ingest(tmp_path, day):
+    with pytest.raises(SystemExit) as err:
+        run("classify", "--in", str(tmp_path / "missing.tsv"), "--window", "06:00-07:00",
+            "--day-origin", day, "--out", str(tmp_path / "r.json"))
     assert err.value.code == 1
 
 
@@ -271,6 +282,23 @@ def test_top_senders_empty_table(tmp_path, trace):
     assert "NS=" in lines[1]
 
 
+@pytest.mark.parametrize("bad", ["out", "truth"])
+@pytest.mark.parametrize("other", ["absent", "present"])
+def test_gen_leaves_both_files_alone_where_one_cannot_be_opened(tmp_path, capsys, bad, other):
+    paths = {"out": tmp_path / "t.tsv", "truth": tmp_path / "t.truth"}
+    paths[bad] = tmp_path / "missing_dir" / paths[bad].name
+    kept = paths["truth" if bad == "out" else "out"]
+    if other == "present":
+        kept.write_bytes(b"keep\n")
+    rc = run("gen", "--preset", "2022", "--count", "10", "--out", str(paths["out"]),
+             "--truth-out", str(paths["truth"]))
+    assert rc == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == ([kept] if other == "present" else [])
+    if other == "present":
+        assert kept.read_bytes() == b"keep\n"
+
+
 def test_gen_truth_file(tmp_path):
     trace = tmp_path / "t.tsv"
     truth = tmp_path / "t.truth"
@@ -418,15 +446,17 @@ def synth_loaded_after(code: str, *args) -> bool:
 
 
 def test_a_tsv_run_loads_no_address_library(tmp_path, trace):
-    """A TSV classify loads neither socket nor ipaddress: set-up time is
-    import time. -S, as a site-packages .pth file may import either first."""
+    """A TSV classify loads neither socket nor ipaddress, and a sampled one
+    neither random nor the generator either: set-up time is import time.
+    -S, as a site-packages .pth file may import any of them first."""
     code = ("import sys\nfrom roottrace.cli import main\nassert main(sys.argv[1:]) == 0\n"
-            "print(sorted(m for m in ('socket', 'ipaddress') if m in sys.modules))")
-    argv = ["classify", "--in", str(trace), "--out", str(tmp_path / "r.json")]
-    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv],
-                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+            "print(sorted(m for m in ('socket', 'ipaddress', 'random', 'roottrace.synth') if m in sys.modules))")
+    for options in ([], ["--sample-rate", "0.3"]):
+        argv = ["classify", *options, "--in", str(trace), "--out", str(tmp_path / "r.json")]
+        proc = subprocess.run([sys.executable, "-S", "-c", code, *argv],
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", options
 
 
 def test_only_generating_loads_the_generator(tmp_path, trace):

@@ -54,7 +54,7 @@ def pcap_trace() -> bytes:
 # sha256 of each output
 GOLDEN = {
     "pcap/classify-nosenders.json": "4d3c28fa6a8251e93b9c006d0efda45e9220b5baf48601feef762be7d9b72277",
-    "pcap/classify-sampled.json": "869aa91133468c68749c04e5c6330938366ae492ba8d3cb52eccc49365b8514e",
+    "pcap/classify-sampled.json": "c298467e4cfe015ba04acc355a35fcf78dd9dc421fdc62f4cca5eb4f9e867fe5",
     "pcap/classify-top50.json": "886ae7d27d836932a5c7f87bed7df5f45e9bfc1be34fe2dde444f02faaff7cd3",
     "pcap/classify-window.json": "07863c88b1f6ccab38e042125b1df403ec2f209eea6154f0a48359e4f1746f67",
     "pcap/classify.csv": "2fe6f91ef0d30ba75f0e506729159d4d8e9744437686a5380828d13ad379630a",
@@ -64,7 +64,7 @@ GOLDEN = {
     "pcap/top-senders.csv": "d4306e7dcaee42f62a2ccc2c6947bb2565f4b0b2138bb70e175f8a81141035d8",
     "pcap/trend.csv": "7cefc47dbf050dfff293c9d61879424807652d4a5ea3435999a982b88b83471d",
     "tsv/classify-nosenders.json": "81708dfb32924ba4a8ca0c2c55e719622f394077caba7c95bfbe8a353f42a3bc",
-    "tsv/classify-sampled.json": "e1c349ca2d31306858454525ac09fe9359c8e866a223f017d0bd0d78d5b683ca",
+    "tsv/classify-sampled.json": "546bdb8d8fe72a62be3196562a3a20273dd82874267c0059ade14c4661dec07a",
     "tsv/classify-top50.json": "e8768994a93ff40b4cc08c6e4e26ff8da0038a17d768ad062a08e39da8fecb17",
     "tsv/classify-window.json": "f15dc1e229333bbd1509e341f8bb8ae6499af9d8d4954004e43d2fcc5bc0f740",
     "tsv/classify.csv": "2fe6f91ef0d30ba75f0e506729159d4d8e9744437686a5380828d13ad379630a",
@@ -81,7 +81,7 @@ COMMANDS = {
     "classify-nosenders.json": ["classify", "--label", "golden", "--no-senders", "--out", "out"],
     "top-senders.csv": ["top-senders", "-k", "25", "--out", "out"],
     "top-senders-empty.csv": ["top-senders", "-k", "25", "--empty", "--out", "out"],
-    # the sampled positions and the window bounds depend on record order
+    # the sampled records depend on their byte offsets in the trace, the window on their times
     "classify-sampled.json": ["classify", "--label", "golden", "--sample-rate", "0.3", "--seed", "5",
                               "--out", "out"],
     "classify-window.json": ["classify", "--label", "golden", "--window", "06:00-12:00",
@@ -134,8 +134,8 @@ def test_report_bytes_match_golden_in_any_block_size(fmt, block, tmp_path, monke
 
 # forced worker counts: the trace, TSV or pcap, is cut into that many
 # ranges, each folded in a worker of its own that finds its first record;
-# a sampled file is never cut, so the sampled runs check that such an input
-# stays whole
+# a sampled trace is cut too, so the sampled runs check that each record's
+# fate does not depend on the range it is read in
 @pytest.mark.parametrize("count", [1, 2, 3, 8])
 @pytest.mark.parametrize("fmt", ["tsv", "pcap"])
 def test_report_bytes_match_golden_at_any_worker_count(fmt, count, tmp_path, monkeypatch):
@@ -157,11 +157,11 @@ def test_report_bytes_match_golden_at_any_worker_count(fmt, count, tmp_path, mon
     monkeypatch.setattr(workers, "fold_in_workers", fold_in_workers)
     test_report_bytes_match_golden(fmt, tmp_path, monkeypatch)
     size = (tmp_path / f"trace.{fmt}").stat().st_size
-    tasks = workers.plan_tasks([f"trace.{fmt}"], [size], True, count)
+    tasks = workers.plan_tasks([f"trace.{fmt}"], [size], count)
     assert len(tasks) == count
-    # every command but the sampled one was split, and its tasks met: this
-    # process folded the first task only, and no later one again
-    assert len(folded) == (0 if count == 1 else len(COMMANDS) - 1)
+    # every command was split, and its tasks met: this process folded the
+    # first task only, and no later one again
+    assert len(folded) == (0 if count == 1 else len(COMMANDS))
     assert set(folded) <= {1}
 
 

@@ -230,10 +230,14 @@ def make_records(n):
     return [QueryRecord(i + 1, "1.2.3.4", 1, 1, "a.com.") for i in range(n)]
 
 
-def in_blocks(records, size=1000):
-    """records as Blocks of up to size records each, with their sender keys."""
-    chunks = (records[i : i + size] for i in range(0, len(records), size))
-    return [Block(*zip(*chunk), [sender_key(r.source) for r in chunk]) for chunk in chunks]
+def in_blocks(records, size=1000, spacing=40):
+    """records as Blocks of up to size records each, with their sender keys
+    and their offsets, each record spacing bytes after the one before it."""
+    chunks = ((i, records[i : i + size]) for i in range(0, len(records), size))
+    return [
+        Block(*zip(*chunk), [sender_key(r.source) for r in chunk], range(i * spacing, (i + len(chunk)) * spacing, spacing))
+        for i, chunk in chunks
+    ]
 
 
 def flatten(blocks):
@@ -290,6 +294,73 @@ def test_sample_preserves_order():
 def test_sample_rejects_bad_rate_eagerly(rate):
     with pytest.raises(ValueError):
         sample([], rate, seed=0)
+
+
+def test_sample_keeps_other_records_for_a_negative_seed():
+    records = make_records(10_000)
+    assert flatten(sample(in_blocks(records), 0.25, seed=5)) != flatten(sample(in_blocks(records), 0.25, seed=-5))
+
+
+def test_sample_binomial_bound_on_file_offsets():
+    n, rate = 300_000, 0.3
+    rng = random.Random(45)
+    spacings = {
+        "a few dozen bytes apart": list(accumulate((rng.randint(20, 90) for _ in range(n)), initial=0))[:n],
+        "one byte apart": range(n),
+        "64 bytes apart": range(0, 64 * n, 64),
+    }
+    bound = 3 * math.sqrt(n * rate * (1 - rate))
+    for name, offsets in spacings.items():
+        kept = count(sample([Block(*[offsets] * len(Block._fields))], rate, seed=1001))
+        assert abs(kept - n * rate) <= bound, name
+
+
+def capture_of(records) -> bytes:
+    """A capture of the records' queries in Ethernet frames, timed as the
+    records are."""
+    frames = [(udp6 if ":" in r.source else udp4)(r.source, dns_payload(parse_presentation(r.qname_raw).labels, r.qtype, r.qclass))
+              for r in records]
+    return pcap_file(frames, times=[divmod(r.timestamp, 1_000_000) for r in records])
+
+
+def test_offsets_are_each_record_s_first_byte():
+    data = range_trace()
+    for block in decode_tsv(io.BytesIO(data)):
+        for timestamp, offset in zip(block.timestamps, block.offsets):
+            assert offset == 0 or data[offset - 1] == ord("\n")
+            assert data[offset:].startswith(b"%d\t" % timestamp)
+    frames = [udp4("10.0.0.%d" % i, dns_payload([b"x" * i], 1)) for i in range(1, 60)]
+    headers = list(accumulate((16 + len(frame) for frame in frames), initial=24))[:-1]
+    assert [offset for block in decode_pcap(io.BytesIO(pcap_file(frames))) for offset in block.offsets] == headers
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "pcap"])
+def test_a_sample_does_not_depend_on_where_the_file_is_cut(fmt, tmp_path):
+    """A file cut at random byte targets, each range read from the record
+    its finder gives and sampled on its own, keeps the whole file's sample."""
+    records = [record for record, _ in generate(year_mix(2022, seed=1001), 3000)]
+    if fmt == "tsv":
+        data, decode, find = tsv_bytes(records), decode_tsv, ingest.line_start
+    else:
+        data, decode, find = capture_of(records), decode_pcap, ingest.pcap_start
+    path = tmp_path / "trace"
+    path.write_bytes(data)
+
+    def kept(blocks):
+        return [row for block in sample(blocks, 0.3, seed=5) for row in zip(*block)]
+
+    with open(path, "rb") as fh:
+        whole = kept(decode(fh))
+    assert 0.25 < len(whole) / len(records) < 0.35
+    rng = random.Random(20)
+    for _ in range(8):
+        targets = sorted(rng.sample(range(1, len(data)), rng.randint(1, 12)))
+        cut = []
+        with open(path, "rb") as fh:
+            for target, end in zip([0, *targets], [*targets, None]):
+                start = target and find(fh.fileno(), target)
+                cut += kept(decode(fh, None, start, end))
+        assert cut == whole, targets
 
 
 DAY = 1_649_721_600_000_000  # 2022-04-12 00:00:00 UTC

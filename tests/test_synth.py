@@ -239,6 +239,9 @@ qtype.empty.DNSKEY = 0.028
 def test_parse_mixspec_epoch_day():
     spec = parse_mixspec("day = 1649721600\nweight.empty = 1.0\n")
     assert spec.day_origin_micros == 1_649_721_600_000_000
+    # ASCII decimal digits only: int() would also read other scripts' digits
+    with pytest.raises(MixSpecError, match="bad value"):
+        parse_mixspec("day = \u0661\u0666\u0664\u0669\u0667\u0662\u0661\u0666\u0660\u0660\nweight.empty = 1.0\n")
 
 
 @pytest.mark.parametrize(

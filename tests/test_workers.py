@@ -99,15 +99,15 @@ def run(argv, count, monkeypatch, capsys, out):
     return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
 
 
-def plan(paths, cuttable, count) -> list:
+def plan(paths, count) -> list:
     """The tasks of a forced worker count, as the CLI plans them."""
     paths = [str(p) for p in paths]
-    return workers.plan_tasks(paths, [cli._size(p) for p in paths], cuttable, count)
+    return workers.plan_tasks(paths, [cli._size(p) for p in paths], count)
 
 
-def task_count(paths, cuttable, count, monkeypatch):
+def task_count(paths, count, monkeypatch):
     force_workers(monkeypatch, count)
-    return len(plan(paths, cuttable, count))
+    return len(plan(paths, count))
 
 
 def pcap_of(records, endian="<", nano=False, linktype=1) -> bytes:
@@ -148,11 +148,10 @@ def test_several_files_give_one_process_bytes(fmt, command, tmp_path, monkeypatc
     assert (code, err) == (0, "")
     for count in (2, 3, 8):
         assert run(argv, count, monkeypatch, capsys, out) == (0, "", expected)
-        # a sampled file stays whole; any other is cut inside, pcap too
-        cut = command != "sampled"
-        tasks = plan(paths, cut, count)
+        # a file is cut inside, sampled or not, pcap too
+        tasks = plan(paths, count)
         assert splits.pop() == (len(tasks), []) and len(tasks) > 1
-        assert any(start for task in tasks for _, start, _ in task) == cut
+        assert any(start for task in tasks for _, start, _ in task)
 
 
 def good(i: int, end: bytes = b"\n") -> bytes:
@@ -178,7 +177,7 @@ def edge_files(tmp_path):
 def range_starts(paths, count):
     """The first line of every task range that starts inside a file."""
     starts = []
-    for task in plan(paths, True, count):
+    for task in plan(paths, count):
         for path, start, _ in task:
             if start:
                 with open(path, "rb") as fh:
@@ -211,7 +210,7 @@ def test_more_workers_than_lines(tmp_path, monkeypatch, capsys, splits):
     code, err, expected = run(argv, 1, monkeypatch, capsys, out)
     assert (code, err) == (0, "")
     # eight byte targets in three lines: most tasks find no line of their own
-    assert task_count([path], True, 8, monkeypatch) == 8
+    assert task_count([path], 8, monkeypatch) == 8
     assert run(argv, 8, monkeypatch, capsys, out) == (0, "", expected)
     assert splits == [(8, [])]
 
@@ -298,7 +297,7 @@ def test_io_error_in_a_later_range_names_the_line_one_process_names(tmp_path, mo
     assert run(argv, 1, monkeypatch, capsys, out) == (2, "roottrace: I/O error reading line 2500: disk gone\n", None)
     for count in (2, 3, 8):
         force_workers(monkeypatch, count)
-        first_task = plan([path], True, count)[0]
+        first_task = plan([path], count)[0]
         assert first_task[0][2] <= len(tsv_bytes(RECORDS[:2499]))  # line 2500 is a worker's
         assert run(argv, count, monkeypatch, capsys, out) == (2, "roottrace: I/O error reading line 2500: disk gone\n", None)
 
@@ -322,7 +321,7 @@ def test_an_io_error_in_a_range_names_its_line_in_the_file(tmp_path, monkeypatch
         with open(path, "rb") as fh:
             assert ingest.line_start(fh.fileno(), target) == begin
         tasks = [[(str(path), 0, target)], [(str(path), target, None)]]
-        monkeypatch.setattr(workers, "plan_tasks", lambda paths, sizes, cuttable, count: tasks)
+        monkeypatch.setattr(workers, "plan_tasks", lambda paths, sizes, count: tasks)
         assert run(argv, 2, monkeypatch, capsys, out) == expected
 
 
@@ -383,7 +382,7 @@ def test_the_first_error_in_input_order_wins(kinds, tmp_path, monkeypatch, capsy
     assert code == 2 and written is None
     assert ("corrupt pcap record" if kinds[first] == "corrupt" else "No such file") in err
     for count in (2, 4):
-        assert task_count(paths, True, count, monkeypatch) > 1
+        assert task_count(paths, count, monkeypatch) > 1
         assert run(argv, count, monkeypatch, capsys, out) == (2, err, None)
 
 
@@ -399,7 +398,7 @@ def test_a_cut_in_a_file_that_cannot_be_opened_fails_in_its_turn(first, tmp_path
     assert (code, written) == (2, None)
     assert ("corrupt pcap record" if first == "corrupt" else "Is a directory") in err
     tasks = [[(str(path), 0, None), (str(unreadable), 0, 2)], [(str(unreadable), 2, None)]]
-    monkeypatch.setattr(workers, "plan_tasks", lambda paths, sizes, cuttable, count: tasks)
+    monkeypatch.setattr(workers, "plan_tasks", lambda paths, sizes, count: tasks)
     assert run(argv, 2, monkeypatch, capsys, out) == (2, err, None)
 
 
@@ -585,7 +584,7 @@ def test_a_payload_that_imitates_record_headers_gives_one_process_bytes(tmp_path
     path = tmp_path / "t.pcap"
     path.write_bytes(data)
     # the second task resyncs to the imitation and fails past it
-    (_, target, _), = plan([path], True, 2)[1]
+    (_, target, _), = plan([path], 2)[1]
     with open(path, "rb") as fh:
         begin = ingest.pcap_start(fh.fileno(), target)
         assert begin == len(before) + 16 + fake_at
@@ -618,7 +617,7 @@ def test_one_cpu_or_a_small_input_is_one_task(tmp_path, monkeypatch, splits):
     assert run_with(1, 1) is None
     assert run_with(4, size) is None
     assert run_with(4, size // 2) == (2, [])
-    assert run_with(4, 1, "--sample-rate", "0.5") is None  # a file that may not be cut
+    assert run_with(4, 1, "--sample-rate", "0.5") == (4, [])  # a sampled file is cut like any other
 
 
 def test_a_process_with_other_threads_forks_no_workers():
