@@ -15,7 +15,7 @@ from .ingest import (  # noqa: F401
     decode_tsv,
     read_pcap,
     read_tsv,
-    sample,
+    sampler,
     window,
 )
 from .model import (  # noqa: F401

@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from .classify import DEFAULT_APPLETALK_TLDS, classify_block
 from .ingest import (IngestError, IngestStats, decode_pcap, decode_tsv, line_start, parse_day, pcap_start,
-                     sample, window)
+                     sampler, window)
 from .report import (
     POLICIES,
     Report,
@@ -224,6 +224,7 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
     registry = _registry_for(args)
     appletalk = _appletalk_set(args)
     decode, find = (decode_pcap, pcap_start) if args.format == "pcap" else (decode_tsv, line_start)
+    keep = sampler(args.sample_rate, args.seed) if args.sample_rate < 1 else None
 
     def fold(ranges: list) -> tuple[int, Report]:
         """The offset the last range stopped at, and the Report of the
@@ -234,21 +235,16 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
         stats = IngestStats()
         stop = 0
 
-        def read(path: str, start: int, end):
-            nonlocal stop
-            with open(path, "rb") as fh:  # open while its blocks are folded
-                yield from decode(fh, stats, start, end)
-                stop = fh.tell()
-
         def classified():
+            nonlocal stop
             for path, start, end in ranges:
-                blocks = read(path, start, end)
-                if args.sample_rate < 1:
-                    blocks = sample(blocks, args.sample_rate, args.seed)
-                if win:
-                    blocks = window(blocks, win[0], win[1], origin)
-                for block in blocks:
-                    yield classify_block(block, registry, appletalk, stats)
+                with open(path, "rb") as fh:  # open while its blocks are folded
+                    blocks = decode(fh, stats, start, end, keep)
+                    if win:
+                        blocks = window(blocks, win[0], win[1], origin)
+                    for block in blocks:
+                        yield classify_block(block, registry, appletalk, stats)
+                    stop = fh.tell()
 
         report = fold_blocks(classified(), track_senders=track_senders)
         report.dropped = stats.records_dropped_unparseable + stats.names_unparseable

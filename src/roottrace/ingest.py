@@ -7,11 +7,11 @@ counters. Both read a file in parts the same way: given two byte offsets,
 each reads the records from the one that begins at the first up to the
 first that begins at or after the second. line_start and pcap_start find,
 beside each decoder, where the first record at or after a byte target of
-a file begins, so that a file can be cut anywhere. read_tsv and read_pcap
-are QueryRecord views of the same blocks, with the same counters. sample
-and window filter blocks: sample keeps a record by its seed and its
-offset alone, so a file's sample does not depend on where it is cut;
-parse_day reads the day a window is taken in.
+a file begins, so that a file can be cut anywhere. The decoders take the
+keep rule sampler makes, and decode only the records whose first byte's
+offset it keeps. read_tsv and read_pcap are QueryRecord views of the same
+blocks, with the same counters. window filters blocks; parse_day reads
+the day a window is taken in.
 Malformed records never abort a stream; only a corrupt container
 (unreadable file, bad pcap global header, a pcap record header claiming an
 impossible length) does, before the block that holds it is yielded.
@@ -24,7 +24,7 @@ import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, compress, islice, repeat
-from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .model import (
     QCLASS_MNEMONICS,
@@ -88,8 +88,7 @@ class Block(NamedTuple):
     and each name as presentation bytes; a pcap block holds the packed 4- or
     16-byte address and the DomainName decoded off the wire. prefixes holds
     each source's sender key (model.sender_key), derived as the record is
-    read, and offsets each record's first byte in its file: a TSV line's
-    first byte, a pcap record header's first byte."""
+    read."""
 
     timestamps: Sequence[int]
     sources: Sequence
@@ -97,7 +96,6 @@ class Block(NamedTuple):
     qtypes: Sequence[int]
     names: Sequence
     prefixes: Sequence[int]
-    offsets: Sequence[int]
 
     def select(self, mask: list) -> "Block":
         """The records whose mask entry is true, in order."""
@@ -105,7 +103,8 @@ class Block(NamedTuple):
 
 
 def decode_tsv(
-    stream: IO[bytes], stats: Optional[IngestStats] = None, start: int = 0, end: Optional[int] = None
+    stream: IO[bytes], stats: Optional[IngestStats] = None, start: int = 0, end: Optional[int] = None,
+    keep: Optional[Callable[[int], bool]] = None,
 ) -> Iterator[Block]:
     """Read tab-separated query records, one per line and five fields, as
     Blocks of the lines' records.
@@ -123,7 +122,9 @@ def decode_tsv(
     that begins at or after byte end, reading at most a block of lines past
     it. Once the blocks are all read, the stream is left at that line, or
     at the end of the file. With the defaults the stream is never sought,
-    and any iterable of lines will do.
+    and any iterable of lines will do. keep, where given, is asked about
+    each line's first byte, blank and malformed lines too; a line it
+    rejects is read, and counted in bytes_read, but not decoded.
     """
     if stats is None:
         stats = IngestStats()
@@ -150,10 +151,10 @@ def decode_tsv(
             del chunk[bisect_left(begins, end) :]
             stream.seek(begins[len(chunk)])
             lines = iter(())  # nothing past it is read
-        block = Block([], [], [], [], [], [], [])
-        add_ts, add_source, add_qclass, add_qtype, add_name, add_key, add_offset = (column.append for column in block)
+        block = Block([], [], [], [], [], [])
+        add_ts, add_source, add_qclass, add_qtype, add_name, add_key = (column.append for column in block)
         dropped = 0
-        for offset, line in zip(begins, chunk):
+        for line in compress(chunk, map(keep, begins)) if keep else chunk:
             fields = line.rstrip(b"\r\n").split(b"\t")
             if len(fields) != TSV_FIELDS:
                 if fields != [b""]:
@@ -182,7 +183,6 @@ def decode_tsv(
             add_qtype(qtype)
             add_name(qname_b)
             add_key(key)
-            add_offset(offset)
         stats.bytes_read += begins[len(chunk)] - at
         at = begins[len(chunk)]
         stats.records_dropped_unparseable += dropped
@@ -310,7 +310,8 @@ def _decode_question(data: bytes, i: int, end: int):
 
 
 def decode_pcap(
-    stream: IO[bytes], stats: Optional[IngestStats] = None, start: int = 0, end: Optional[int] = None
+    stream: IO[bytes], stats: Optional[IngestStats] = None, start: int = 0, end: Optional[int] = None,
+    keep: Optional[Callable[[int], bool]] = None,
 ) -> Iterator[Block]:
     """Read the queries of a classic pcap capture as Blocks, sources as
     packed addresses and names as the DomainNames decoded off the wire.
@@ -341,7 +342,9 @@ def decode_pcap(
     the stream is left at that record, or at the end of the file. A range
     with a start reads the global header from byte 0, so ranges that meet
     may be read through one open stream, and only the range that starts at
-    byte 0 counts the header in bytes_read.
+    byte 0 counts the header in bytes_read. keep, where given, is asked
+    about each record header's offset once its caplen passes the MAX_CAPLEN
+    check; no layer of a record it rejects is read or counted.
     """
     if stats is None:
         stats = IngestStats()
@@ -356,8 +359,8 @@ def decode_pcap(
     counted = base if start else 0  # bytes_read covers the file up to here
     buf = b""
     pos = 0  # of the next record header in buf
-    block = Block([], [], [], [], [], [], [])
-    add_ts, add_source, add_qclass, add_qtype, add_name, add_key, add_offset = (column.append for column in block)
+    block = Block([], [], [], [], [], [])
+    add_ts, add_source, add_qclass, add_qtype, add_name, add_key = (column.append for column in block)
 
     while True:
         more = stream.read(CHUNK)
@@ -377,6 +380,8 @@ def decode_pcap(
             if at + caplen > size:
                 break  # the rest of the record is not read yet
             pos = stop = at + caplen
+            if keep is not None and not keep(base + at - 16):
+                continue
 
             if ethernet:
                 ip = at + 14
@@ -436,16 +441,13 @@ def decode_pcap(
             add_qtype(qtype)
             add_name(name)
             add_key(address_key(source))
-            add_offset(base + at - 16)
             if len(block.names) == block_size:
                 stats.bytes_read += base + pos - counted
                 counted = base + pos
                 stats.records_emitted += block_size
                 yield block
-                block = Block([], [], [], [], [], [], [])
-                add_ts, add_source, add_qclass, add_qtype, add_name, add_key, add_offset = (
-                    column.append for column in block
-                )
+                block = Block([], [], [], [], [], [])
+                add_ts, add_source, add_qclass, add_qtype, add_name, add_key = (column.append for column in block)
 
         if pos + 16 <= size and pos >= limit:
             stream.seek(base + pos)  # left at the record that begins at or after end
@@ -537,23 +539,21 @@ def _mix(z: int) -> int:
     return z ^ z >> 31
 
 
-def sample(blocks: Iterable[Block], rate: float, seed: int) -> Iterator[Block]:
-    """Keep each record with probability rate, by its seed and its offset.
-
-    A record is kept iff the splitmix64 finalizer of (the seed's mix plus
-    its offset times splitmix64's increment) is under rate * 2^64, as in
-    hash-based trajectory sampling (Duffield & Grossglauser, IEEE/ACM ToN
-    2001). So a record's fate depends on (rate, seed, its file offset)
-    alone: the same in any block size and wherever its file is cut, and the
-    same for records at the same offset of two files. Seeds are taken
-    modulo 2^64, so a negative seed keeps its own subset. Relative order is
-    preserved. Rejects the rate eagerly, not on first iteration.
-    """
+def sampler(rate: float, seed: int) -> Callable[[int], bool]:
+    """keep(offset), the rule the decoders take: true, with probability
+    rate, iff the splitmix64 finalizer of (the seed's mix plus the offset
+    times splitmix64's increment) is under rate * 2^64, as in hash-based
+    trajectory sampling (Duffield & Grossglauser, IEEE/ACM ToN 2001). So a
+    record's fate depends on (rate, seed, the offset of its first byte in
+    its file) alone: the same in any block size and wherever its file is
+    cut, and for records at the same offset of two files. Seeds are taken
+    modulo 2^64, so a negative seed keeps its own subset. Rejects a bad rate
+    at once."""
     if not 0 < rate <= 1:
         raise ValueError(f"sample rate must be in (0, 1], got {rate}")
     limit = int(rate * 2**64)
     key = _mix(seed & _MASK)
-    return (block.select([_mix(key + offset * _GAMMA & _MASK) < limit for offset in block.offsets]) for block in blocks)
+    return lambda offset: _mix(key + offset * _GAMMA & _MASK) < limit
 
 
 def parse_day(value: str) -> int:

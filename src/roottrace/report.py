@@ -575,9 +575,9 @@ def _member(doc, section: str, key: str):
 
 def read_report_doc(data: bytes | str) -> dict:
     """Parse a stored report document; ValueError naming the first path
-    where it departs from _DOC_SCHEMA."""
+    where it departs from _DOC_SCHEMA, or a NaN or infinity: not JSON (RFC 8259)."""
     try:
-        doc = json.loads(data)
+        doc = json.loads(data, parse_constant=_reject_constant)
     except RecursionError:
         raise ValueError("not a report document: nested too deeply to read") from None
     required = set()
@@ -588,6 +588,10 @@ def read_report_doc(data: bytes | str) -> dict:
         required.add("*")
     _check(doc, _DOC_SCHEMA, "", required)
     return doc
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"not a report document: the text holds {name}, not a JSON number")
 
 
 def trend_csv_from_docs(docs: Iterable[dict]) -> str:

@@ -16,7 +16,7 @@ from typing import IO, Iterable
 
 ENV_TLD_LIST = "ROOTTRACE_TLDS"
 
-_ENTRY_RE = re.compile(r"[a-z0-9-]{1,63}\Z")
+_ENTRY_RE = re.compile(r"[A-Za-z0-9-]{1,63}")
 
 
 class RegistryError(ValueError):
@@ -47,18 +47,18 @@ class TldRegistry:
 def load_registry(lines: Iterable[str] | IO[str], source_description: str = "<stream>") -> TldRegistry:
     """Build a registry from text lines in the IANA list format.
 
-    Rejects (with the line number) any entry that is empty, over 63 bytes,
-    or holds characters outside a-z 0-9 '-'; rejects an empty registry.
+    Strips ASCII spaces and tabs and the line end; rejects (with the line
+    number) any other line that is neither blank, a '#' comment nor 1-63
+    ASCII letters, digits and '-', and an empty registry.
     """
     entries: set[bytes] = set()
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
+        line = line.removesuffix("\n").removesuffix("\r").strip(" \t")
         if not line or line.startswith("#"):
             continue
-        entry = line.lower()
-        if not _ENTRY_RE.fullmatch(entry):
+        if not _ENTRY_RE.fullmatch(line):
             raise RegistryError(f"{source_description}:{lineno}: invalid TLD entry {line!r}")
-        entries.add(entry.encode("ascii"))
+        entries.add(line.lower().encode("ascii"))
     if not entries:
         raise RegistryError(f"{source_description}: empty registry")
     return TldRegistry(entries, source_description)
@@ -71,7 +71,7 @@ def _load_fingerprinted(data: bytes, name: str) -> TldRegistry:
     embedding it stay byte-identical across runs.
     """
     digest = hashlib.sha256(data).hexdigest()[:12]
-    entries = load_registry(data.decode("utf-8").splitlines(), source_description=name).entries
+    entries = load_registry(data.decode("utf-8").split("\n"), source_description=name).entries
     return TldRegistry(entries, f"{name} ({len(entries)} entries, sha256:{digest})")
 
 

@@ -180,8 +180,7 @@ def test_classify_block_counts_unparseable(registry):
         QueryRecord(4, "1.5.3.7", 1, 28, "bad..name."),
     ]
     prefixes = [sender_key(rec.source) for rec in records]
-    offsets = [0, 40, 80, 120]
-    block = Block(*zip(*(rec._replace(qname_raw=rec.qname_raw.encode()) for rec in records)), prefixes, offsets)
+    block = Block(*zip(*(rec._replace(qname_raw=rec.qname_raw.encode()) for rec in records)), prefixes)
     stats = IngestStats()
     prefixes, qtypes, classes = classify_block(block, registry, stats=stats)
     assert stats.names_unparseable == 2  # once per record, not per distinct name
@@ -191,8 +190,7 @@ def test_classify_block_counts_unparseable(registry):
 
 def test_classify_block_classifies_decoded_names(registry):
     names = [parse_presentation(raw) for raw in ("good.com.", ".", "daozjwend.")]
-    block = Block((1, 2, 3), (b"\x01\x02\x03\x04",) * 3, (1, 1, 1), (1, 2, 1), tuple(names), (sender_key("1.2.3.4"),) * 3,
-                  (24, 95, 166))
+    block = Block((1, 2, 3), (b"\x01\x02\x03\x04",) * 3, (1, 1, 1), (1, 2, 1), tuple(names), (sender_key("1.2.3.4"),) * 3)
     stats = IngestStats()
     prefixes, qtypes, classes = classify_block(block, registry, stats=stats)
     assert list(classes) == [classify(name, registry) for name in names]

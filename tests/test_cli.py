@@ -1,13 +1,17 @@
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
 from roottrace.cli import main
+from roottrace.ingest import sampler
+from test_ingest import dns_payload, pcap_file, udp4
 from test_report import parent_and_key
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -158,6 +162,42 @@ def test_classify_sample_seed_recorded(tmp_path, trace):
     assert doc["meta"]["seed"] == 9
     assert 1000 < doc["totals"]["records"] < 1500
     assert "registry" in doc["meta"]
+
+
+def test_a_sampled_classify_counts_the_drops_of_the_sample(tmp_path):
+    """dropped_unparseable counts the malformed lines, names that fail to
+    parse and undecodable pcap queries at kept offsets only; the others are
+    never decoded."""
+    rng = random.Random(3)
+    kinds = [rng.choice(["good", "good", "junk", "bad name", "blank"]) for _ in range(600)]
+    text = {"good": b"1649721600000000\t44.242.1.%d\tIN\tA\tex%d.com.\n", "junk": b"junk line %d %d\n",
+            "bad name": b"1649721600000000\t44.242.1.%d\tIN\tA\tbad..name%d.\n"}
+    lines = [b"\n" if kind == "blank" else text[kind] % (i % 250, i) for i, kind in enumerate(kinds)]
+    frames = {"good": udp4("10.0.0.1", dns_payload([b"com"], 1)),
+              "junk": udp4("10.0.0.1", dns_payload([], 1, name_override=b"\xc0\x0c\x00")),  # a compressed name
+              "bad name": udp4("10.0.0.1", dns_payload([], 1, qdcount=0)),  # no question
+              "blank": udp4("10.0.0.1", dns_payload([b"com"], 2, qr=1))}  # a response, skipped
+    inputs = {
+        "tsv": (b"".join(lines), accumulate(map(len, lines), initial=0)),
+        "pcap": (pcap_file([frames[kind] for kind in kinds]),
+                 accumulate((16 + len(frames[kind]) for kind in kinds), initial=24)),
+    }
+    keep = sampler(0.3, 5)
+    for fmt, (data, starts) in inputs.items():
+        path, out = tmp_path / f"t.{fmt}", tmp_path / f"{fmt}.json"
+        path.write_bytes(data)
+        sampled = [kind for kind, start in zip(kinds, starts) if keep(start)]
+
+        def totals(*options):
+            assert run("classify", "--in", str(path), "--format", fmt, *options, "--out", str(out)) == 0
+            return json.loads(out.read_text())["totals"]
+
+        whole = totals()
+        assert whole["dropped_unparseable"] == kinds.count("junk") + kinds.count("bad name"), fmt
+        got = totals("--sample-rate", "0.3", "--seed", "5")
+        assert got["records"] == sampled.count("good"), fmt
+        assert got["dropped_unparseable"] == sampled.count("junk") + sampled.count("bad name"), fmt
+        assert 0 < got["dropped_unparseable"] < whole["dropped_unparseable"], fmt
 
 
 def test_report_reformat_csv_and_plotdata(tmp_path, trace):

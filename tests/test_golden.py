@@ -54,7 +54,7 @@ def pcap_trace() -> bytes:
 # sha256 of each output
 GOLDEN = {
     "pcap/classify-nosenders.json": "4d3c28fa6a8251e93b9c006d0efda45e9220b5baf48601feef762be7d9b72277",
-    "pcap/classify-sampled.json": "c298467e4cfe015ba04acc355a35fcf78dd9dc421fdc62f4cca5eb4f9e867fe5",
+    "pcap/classify-sampled.json": "8c446ae19301ea8ec2a2ac5e544907331a907b1c495ca9ae71e550f93e9a97f7",
     "pcap/classify-top50.json": "886ae7d27d836932a5c7f87bed7df5f45e9bfc1be34fe2dde444f02faaff7cd3",
     "pcap/classify-window.json": "07863c88b1f6ccab38e042125b1df403ec2f209eea6154f0a48359e4f1746f67",
     "pcap/classify.csv": "2fe6f91ef0d30ba75f0e506729159d4d8e9744437686a5380828d13ad379630a",
@@ -64,7 +64,7 @@ GOLDEN = {
     "pcap/top-senders.csv": "d4306e7dcaee42f62a2ccc2c6947bb2565f4b0b2138bb70e175f8a81141035d8",
     "pcap/trend.csv": "7cefc47dbf050dfff293c9d61879424807652d4a5ea3435999a982b88b83471d",
     "tsv/classify-nosenders.json": "81708dfb32924ba4a8ca0c2c55e719622f394077caba7c95bfbe8a353f42a3bc",
-    "tsv/classify-sampled.json": "546bdb8d8fe72a62be3196562a3a20273dd82874267c0059ade14c4661dec07a",
+    "tsv/classify-sampled.json": "79def30a905641ffe90637a34a023fd5bca0ead467ab48468bb808270e0c9c2c",
     "tsv/classify-top50.json": "e8768994a93ff40b4cc08c6e4e26ff8da0038a17d768ad062a08e39da8fecb17",
     "tsv/classify-window.json": "f15dc1e229333bbd1509e341f8bb8ae6499af9d8d4954004e43d2fcc5bc0f740",
     "tsv/classify.csv": "2fe6f91ef0d30ba75f0e506729159d4d8e9744437686a5380828d13ad379630a",

@@ -7,7 +7,7 @@ import random
 import socket
 import struct
 import tracemalloc
-from itertools import accumulate
+from itertools import accumulate, compress
 
 import pytest
 
@@ -25,7 +25,7 @@ from roottrace.ingest import (
     decode_tsv,
     read_pcap,
     read_tsv,
-    sample,
+    sampler,
     window,
 )
 from roottrace.model import DomainName, QueryRecord, prefix_text, sender_key
@@ -230,75 +230,90 @@ def make_records(n):
     return [QueryRecord(i + 1, "1.2.3.4", 1, 1, "a.com.") for i in range(n)]
 
 
-def in_blocks(records, size=1000, spacing=40):
-    """records as Blocks of up to size records each, with their sender keys
-    and their offsets, each record spacing bytes after the one before it."""
-    chunks = ((i, records[i : i + size]) for i in range(0, len(records), size))
-    return [
-        Block(*zip(*chunk), [sender_key(r.source) for r in chunk], range(i * spacing, (i + len(chunk)) * spacing, spacing))
-        for i, chunk in chunks
-    ]
+def in_blocks(records, size=1000):
+    """records as Blocks of up to size records each, with their sender keys."""
+    chunks = (records[i : i + size] for i in range(0, len(records), size))
+    return [Block(*zip(*chunk), [sender_key(r.source) for r in chunk]) for chunk in chunks]
 
 
 def flatten(blocks):
     return [QueryRecord(*row[:5]) for block in blocks for row in zip(*block)]
 
 
-def count(blocks):
-    return sum(len(block.timestamps) for block in blocks)
+def rows(blocks):
+    """Every record of the blocks as a tuple of its columns."""
+    return [row for block in blocks for row in zip(*block)]
+
+
+def kept_offsets(offsets, rate, seed):
+    return list(compress(offsets, map(sampler(rate, seed), offsets)))
+
+
+OFFSETS = range(0, 400_000, 40)  # 10,000 records 40 bytes apart
 
 
 def test_sample_rate_one_is_identity():
-    records = make_records(1000)
-    assert flatten(sample(in_blocks(records), 1.0, seed=7)) == records
+    assert kept_offsets(OFFSETS, 1.0, seed=7) == list(OFFSETS)
+    data = range_trace()
+    assert rows(decode_tsv(io.BytesIO(data), keep=sampler(1.0, 7))) == rows(decode_tsv(io.BytesIO(data)))
 
 
 def test_sample_determinism():
-    records = make_records(10_000)
-    first = flatten(sample(in_blocks(records), 0.25, seed=42))
-    second = flatten(sample(in_blocks(records), 0.25, seed=42))
+    first = kept_offsets(OFFSETS, 0.25, seed=42)
+    second = kept_offsets(OFFSETS, 0.25, seed=42)
     assert first == second
-    assert first != flatten(sample(in_blocks(records), 0.25, seed=43))
+    assert first != kept_offsets(OFFSETS, 0.25, seed=43)
 
 
-@pytest.mark.parametrize("size", [1, 7, 4096])
-def test_sample_keeps_the_same_records_in_any_block_size(size):
-    records = make_records(10_000)
-    assert flatten(sample(in_blocks(records, size), 0.25, seed=42)) == flatten(
-        sample(in_blocks(records, 10_000), 0.25, seed=42)
-    )
+@pytest.mark.parametrize("size", [1, 7, 512, 4096])
+def test_sample_keeps_the_same_records_in_any_block_size(size, monkeypatch):
+    """A sampled decode at a block size keeps the rows, and counts what a
+    decode in one block does."""
+    records = make_records(3000)
+    inputs = {decode_tsv: range_trace(), decode_pcap: capture_of(records)}
+
+    def decoded(decode, data):
+        stats = IngestStats()
+        return rows(decode(io.BytesIO(data), stats, keep=sampler(0.25, 42))), stats
+
+    for decode, data in inputs.items():
+        monkeypatch.setattr(ingest, "BLOCK", 100_000)
+        whole, whole_stats = decoded(decode, data)
+        monkeypatch.setattr(ingest, "BLOCK", size)
+        assert decoded(decode, data) == (whole, whole_stats), decode.__name__
+        assert 0 < len(whole) < len(rows(decode(io.BytesIO(data)))), decode.__name__
 
 
 def test_sample_binomial_bound():
-    records = make_records(1_000_000)
-    kept = count(sample(in_blocks(records), 0.1, seed=42))
+    keep = sampler(0.1, seed=42)
+    kept = sum(map(keep, range(0, 40_000_000, 40)))
     assert 99_000 <= kept <= 101_000  # 3-sigma is ~900; spec bound is wider
 
 
 def test_sample_composition():
     n = 1_000_000
-    records = make_records(n)
-    kept = count(sample(sample(in_blocks(records), 0.5, seed=1), 0.4, seed=2))
+    keep_a, keep_b = sampler(0.5, seed=1), sampler(0.4, seed=2)
+    kept = sum(keep_a(o) and keep_b(o) for o in range(0, 40 * n, 40))
     expected = n * 0.2
     bound = 3 * math.sqrt(n * 0.2 * 0.8)
     assert abs(kept - expected) <= bound
 
 
 def test_sample_preserves_order():
-    records = make_records(10_000)
-    out = flatten(sample(in_blocks(records), 0.5, seed=3))
-    assert out == sorted(out, key=lambda r: r.timestamp)
+    data = tsv_bytes(make_records(10_000))
+    out = [timestamp for block in decode_tsv(io.BytesIO(data), keep=sampler(0.5, 3)) for timestamp in block.timestamps]
+    assert 0 < len(out) < 10_000
+    assert out == sorted(out)
 
 
 @pytest.mark.parametrize("rate", [0.0, -0.1, 1.0001])
 def test_sample_rejects_bad_rate_eagerly(rate):
     with pytest.raises(ValueError):
-        sample([], rate, seed=0)
+        sampler(rate, seed=0)
 
 
 def test_sample_keeps_other_records_for_a_negative_seed():
-    records = make_records(10_000)
-    assert flatten(sample(in_blocks(records), 0.25, seed=5)) != flatten(sample(in_blocks(records), 0.25, seed=-5))
+    assert kept_offsets(OFFSETS, 0.25, seed=5) != kept_offsets(OFFSETS, 0.25, seed=-5)
 
 
 def test_sample_binomial_bound_on_file_offsets():
@@ -311,7 +326,7 @@ def test_sample_binomial_bound_on_file_offsets():
     }
     bound = 3 * math.sqrt(n * rate * (1 - rate))
     for name, offsets in spacings.items():
-        kept = count(sample([Block(*[offsets] * len(Block._fields))], rate, seed=1001))
+        kept = sum(map(sampler(rate, seed=1001), offsets))
         assert abs(kept - n * rate) <= bound, name
 
 
@@ -324,14 +339,26 @@ def capture_of(records) -> bytes:
 
 
 def test_offsets_are_each_record_s_first_byte():
+    """keep is asked once about each record, in order, by its first byte:
+    each TSV line's, blank and malformed ones among them, and each pcap
+    record header's, whether or not the record holds a query."""
+    seen = []
+
+    def keep(offset):
+        seen.append(offset)
+        return True
+
     data = range_trace()
-    for block in decode_tsv(io.BytesIO(data)):
-        for timestamp, offset in zip(block.timestamps, block.offsets):
-            assert offset == 0 or data[offset - 1] == ord("\n")
-            assert data[offset:].startswith(b"%d\t" % timestamp)
-    frames = [udp4("10.0.0.%d" % i, dns_payload([b"x" * i], 1)) for i in range(1, 60)]
+    starts = [0] + [at + 1 for at, byte in enumerate(data[:-1]) if byte == ord("\n")]
+    assert rows(decode_tsv(io.BytesIO(data), keep=keep)) == rows(decode_tsv(io.BytesIO(data)))
+    assert seen == starts
+    frames = [udp4("10.0.0.%d" % i, dns_payload([b"x" * i], 1, qr=i % 7 == 0), dport=53 if i % 5 else 54)
+              for i in range(1, 60)]
     headers = list(accumulate((16 + len(frame) for frame in frames), initial=24))[:-1]
-    assert [offset for block in decode_pcap(io.BytesIO(pcap_file(frames))) for offset in block.offsets] == headers
+    data = pcap_file(frames)
+    seen.clear()
+    assert rows(decode_pcap(io.BytesIO(data), keep=keep)) == rows(decode_pcap(io.BytesIO(data)))
+    assert seen == headers
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "pcap"])
@@ -345,12 +372,10 @@ def test_a_sample_does_not_depend_on_where_the_file_is_cut(fmt, tmp_path):
         data, decode, find = capture_of(records), decode_pcap, ingest.pcap_start
     path = tmp_path / "trace"
     path.write_bytes(data)
-
-    def kept(blocks):
-        return [row for block in sample(blocks, 0.3, seed=5) for row in zip(*block)]
+    keep = sampler(0.3, seed=5)
 
     with open(path, "rb") as fh:
-        whole = kept(decode(fh))
+        whole = rows(decode(fh, keep=keep))
     assert 0.25 < len(whole) / len(records) < 0.35
     rng = random.Random(20)
     for _ in range(8):
@@ -359,8 +384,32 @@ def test_a_sample_does_not_depend_on_where_the_file_is_cut(fmt, tmp_path):
         with open(path, "rb") as fh:
             for target, end in zip([0, *targets], [*targets, None]):
                 start = target and find(fh.fileno(), target)
-                cut += kept(decode(fh, None, start, end))
+                cut += rows(decode(fh, None, start, end, keep))
         assert cut == whole, targets
+
+
+def test_a_corrupt_record_header_raises_where_it_lies_sampled_or_not():
+    """A caplen over MAX_CAPLEN raises the same PcapError, having counted
+    the same bytes, whether or not keep would keep the record it heads."""
+    frames = [udp4("10.0.0.%d" % i, dns_payload([b"x" * i], 1)) for i in range(1, 30)]
+    good = pcap_file(frames)
+    at = len(good)
+    data = good + struct.pack("<IIII", 1_649_721_700, 0, MAX_CAPLEN + 1, MAX_CAPLEN + 1) + b"\0" * 64
+
+    def error(keep):
+        stats = IngestStats()
+        with pytest.raises(PcapError) as caught:
+            list(decode_pcap(io.BytesIO(data), stats, keep=keep))
+        return str(caught.value), stats.bytes_read
+
+    expected = error(None)
+    assert expected == (f"corrupt pcap record at byte {at}: caplen {MAX_CAPLEN + 1} over {MAX_CAPLEN}", at)
+    seeds = range(40)
+    kept = [seed for seed in seeds if sampler(0.3, seed)(at)]
+    rejected = [seed for seed in seeds if not sampler(0.3, seed)(at)]
+    assert kept and rejected
+    for seed in kept[:3] + rejected[:3]:
+        assert error(sampler(0.3, seed)) == expected, seed
 
 
 DAY = 1_649_721_600_000_000  # 2022-04-12 00:00:00 UTC

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import ipaddress
 import json
+import math
 import pickle
 import random
 import re
@@ -597,7 +598,14 @@ def test_read_report_doc_names_the_missing_key(path):
                   id="totals.records"),
      pytest.param(edited_doc_text("senders.top", 5), "'senders.top'", "5, not a JSON array", id="senders.top"),
      pytest.param(edited_doc_text("senders.top[0].total", True), "'senders.top[0].total'", "true, not a count",
-                  id="senders.top[0].total")],
+                  id="senders.top[0].total"),
+     # JSON has no number for these (RFC 8259), though json.loads reads them
+     pytest.param(edited_doc_text("totals.fractions.empty", math.nan), "the text", "NaN, not a JSON number",
+                  id="totals.fractions.empty-NaN"),
+     pytest.param(edited_doc_text("policy.unexpected_fraction", math.inf), "the text", "Infinity, not a JSON number",
+                  id="policy.unexpected_fraction-Infinity"),
+     pytest.param(edited_doc_text("meta.harness", -math.inf), "the text", "-Infinity, not a JSON number",
+                  id="meta.harness--Infinity")],
 )
 def test_read_report_doc_rejects_non_objects(text, where, held):
     with pytest.raises(ValueError, match=re.escape(f"not a report document: {where} holds {held}")):

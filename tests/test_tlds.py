@@ -21,10 +21,24 @@ def test_empty_registry_rejected():
         load_registry(["# only comments"])
 
 
-def test_bad_entry_reports_line_number():
+def test_bad_entry_reports_line_number(tmp_path):
     with pytest.raises(RegistryError) as err:
         load_registry(["COM", "not a tld"], source_description="f.txt")
     assert "f.txt:2" in str(err.value)
+    # only ASCII letters, digits and '-' make an entry, and only ASCII
+    # spaces, tabs and a line end are stripped: not a KELVIN SIGN, which
+    # str.lower() folds to "k", nor other Unicode spaces and separators
+    for bad in ["\u212a", "com\u00a0", "\x1ccom", "com\x1cnet", "com\u2028net", "\u0441om"]:
+        with pytest.raises(RegistryError, match="f.txt:3: invalid TLD entry"):
+            load_registry(["# list", "NET", bad, "ORG"], source_description="f.txt")
+    # a file is split at "\n" alone, so a separator does not shift the
+    # line numbers of later errors
+    path = tmp_path / "tlds.txt"
+    path.write_bytes("# list\r\nCOM\r\n \tNET\t \r\nCOM\x1cNET\nORG\n".encode())
+    with pytest.raises(RegistryError, match=r"tlds.txt:4: invalid TLD entry 'COM\\x1cNET'"):
+        load_registry_path(path)
+    path.write_bytes(b"# list\r\nCOM\r\n \tNET\t \r\nORG\n")
+    assert load_registry_path(path).entries == {b"com", b"net", b"org"}
 
 
 def test_duplicates_collapse():

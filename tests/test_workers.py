@@ -281,8 +281,8 @@ def fail_at_line(monkeypatch, data: bytes, number: int, error) -> None:
                 raise error()
             return text
 
-    def decode_tsv(stream, stats=None, start=0, end=None):
-        return real(Failing(stream), stats, start, end)
+    def decode_tsv(stream, stats=None, start=0, end=None, keep=None):
+        return real(Failing(stream), stats, start, end, keep)
 
     monkeypatch.setattr(cli, "decode_tsv", decode_tsv)
 
@@ -291,15 +291,20 @@ def test_io_error_in_a_later_range_names_the_line_one_process_names(tmp_path, mo
     path = tmp_path / "t.tsv"
     path.write_bytes(tsv_bytes(RECORDS))
     fail_at_line(monkeypatch, path.read_bytes(), 2500, lambda: OSError("disk gone"))
-    argv = ["classify", "--in", str(path)]
-    out = tmp_path / "out"
-    # the line whose read failed, whichever block or range holds it
-    assert run(argv, 1, monkeypatch, capsys, out) == (2, "roottrace: I/O error reading line 2500: disk gone\n", None)
-    for count in (2, 3, 8):
-        force_workers(monkeypatch, count)
-        first_task = plan([path], count)[0]
-        assert first_task[0][2] <= len(tsv_bytes(RECORDS[:2499]))  # line 2500 is a worker's
-        assert run(argv, count, monkeypatch, capsys, out) == (2, "roottrace: I/O error reading line 2500: disk gone\n", None)
+    at = len(tsv_bytes(RECORDS[:2499]))  # where line 2500 begins
+    # sampled too, with a seed that keeps line 2500 and one that does not:
+    # every line is read, kept or not
+    seeds = [next(seed for seed in range(100) if ingest.sampler(0.3, seed)(at) is kept) for kept in (True, False)]
+    for options in ([], *(["--sample-rate", "0.3", "--seed", str(seed)] for seed in seeds)):
+        argv = ["classify", *options, "--in", str(path)]
+        out = tmp_path / "out"
+        # the line whose read failed, whichever block or range holds it
+        assert run(argv, 1, monkeypatch, capsys, out) == (2, "roottrace: I/O error reading line 2500: disk gone\n", None)
+        for count in (2, 3, 8):
+            force_workers(monkeypatch, count)
+            first_task = plan([path], count)[0]
+            assert first_task[0][2] <= at  # line 2500 is a worker's
+            assert run(argv, count, monkeypatch, capsys, out) == (2, "roottrace: I/O error reading line 2500: disk gone\n", None)
 
 
 def test_an_io_error_in_a_range_names_its_line_in_the_file(tmp_path, monkeypatch, capsys):
@@ -531,8 +536,8 @@ def decoded_here(monkeypatch) -> list:
     real = cli.decode_pcap
     spans = []
 
-    def decode_pcap(stream, stats=None, start=0, end=None):
-        yield from real(stream, stats, start, end)
+    def decode_pcap(stream, stats=None, start=0, end=None, keep=None):
+        yield from real(stream, stats, start, end, keep)
         if os.getpid() == parent:
             spans.append((start, stream.tell()))
 
