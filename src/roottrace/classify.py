@@ -40,6 +40,15 @@ def is_chromium_label(label: bytes) -> bool:
     return 7 <= len(label) <= 15 and label.isalpha() and label.islower()
 
 
+def _one_word(label: bytes, entries: frozenset) -> Classification:
+    folded = label.lower()
+    if folded in entries:
+        return Classification(Leaf.ONE_WORD_MINIMIZED, folded.decode("ascii"))
+    if is_chromium_label(label):
+        return CLS_ONE_WORD_CHROMIUM
+    return CLS_ONE_WORD_OTHER
+
+
 def classify(
     name: DomainName,
     registry: TldRegistry,
@@ -56,19 +65,12 @@ def classify(
     if not labels:
         return CLS_EMPTY
 
-    entries = registry.entries
     if len(labels) == 1:
-        label = labels[0]
-        folded = label.lower()
-        if folded in entries:
-            return Classification(Leaf.ONE_WORD_MINIMIZED, folded.decode("ascii"))
-        if is_chromium_label(label):
-            return CLS_ONE_WORD_CHROMIUM
-        return CLS_ONE_WORD_OTHER
+        return _one_word(labels[0], registry.entries)
 
     tld = labels[-1]
     folded = tld.lower()
-    if folded in entries:
+    if folded in registry.entries:
         chromium_like = len(labels) == 2 and is_chromium_label(labels[0])
         return Classification(Leaf.VALID_TLD, folded.decode("ascii"), chromium_like)
 
@@ -84,6 +86,16 @@ def classify(
     return Classification(Leaf.INVALID_OTHER, folded.decode("ascii"))
 
 
+# A name of two or more labels takes its leaf from its TLD and from whether
+# it is two labels with a probe-shaped first one: classify's answers are kept
+# for the run in two tables by raw TLD, one per value of that flag, beside
+# the registry and appletalk set they hold for (one tuple, read at once). A
+# table is cleared at TABLE_CAP entries (~100 B each), as invalid TLDs are
+# open-ended; one-word names, Chromium probes among them, never enter.
+TABLE_CAP = 1 << 13
+_table: tuple = (None, frozenset(), ({}, {}))
+
+
 def classify_block(
     block: Block,
     registry: TldRegistry,
@@ -93,25 +105,42 @@ def classify_block(
     """The (sender keys, qtypes, classifications) columns of a block's records
     whose names classify, in order: what report.fold_blocks counts.
 
-    Decoded names (a pcap block's DomainNames) are all valid and are
-    classified one by one. Presentation names (a TSV block's bytes) are
-    parsed and classified once per distinct text; a record whose name
-    fails to parse is left out and bumps stats.names_unparseable.
+    A pcap block's names are decoded DomainNames; a TSV block's are
+    presentation bytes, each parsed here, and a record whose name fails to
+    parse is left out and bumps stats.names_unparseable.
     """
+    global _table
+    owner, appletalk, tables = _table
+    if owner is not registry or appletalk != appletalk_tlds:
+        _table = registry, frozenset(appletalk_tlds), (tables := ({}, {}))
+    entries, classes, failed = registry.entries, [], 0
     names = block.names
-    if not names or isinstance(names[0], DomainName):
-        return block.prefixes, block.qtypes, [classify(name, registry, appletalk_tlds) for name in names]
-    memo = dict.fromkeys(names)
-    failed = False
-    for raw in memo:
-        try:
-            memo[raw] = classify(parse_presentation(raw), registry, appletalk_tlds)
-        except NameParseError:
-            failed = True
-    classes = list(map(memo.__getitem__, names))
+    if names and not isinstance(names[0], DomainName):
+        names = map(_parsed, names)
+    for name in names:
+        if name is None:
+            cls = None
+            failed += 1
+        elif len(labels := name.labels) > 1:
+            by_tld = tables[len(labels) == 2 and is_chromium_label(labels[0])]
+            cls = by_tld.get(tld := labels[-1])
+            if cls is None:
+                if len(by_tld) >= TABLE_CAP:
+                    by_tld.clear()
+                cls = by_tld[tld] = classify(name, registry, appletalk_tlds)
+        else:
+            cls = _one_word(labels[0], entries) if labels else CLS_EMPTY
+        classes.append(cls)
     if not failed:
         return block.prefixes, block.qtypes, classes
-    keep = [cls is not None for cls in classes]
     if stats is not None:
-        stats.names_unparseable += keep.count(False)
+        stats.names_unparseable += failed
+    keep = [cls is not None for cls in classes]
     return list(compress(block.prefixes, keep)), list(compress(block.qtypes, keep)), list(compress(classes, keep))
+
+
+def _parsed(raw: bytes) -> Optional[DomainName]:
+    try:
+        return parse_presentation(raw)
+    except NameParseError:
+        return None

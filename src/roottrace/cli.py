@@ -147,9 +147,15 @@ def _registry_for(args) -> "TldRegistry":
     return default_registry()
 
 
-def _appletalk_set(args) -> frozenset:
-    tlds = frozenset(t.strip().lower() for t in args.appletalk.split(",") if t.strip())
-    return tlds or DEFAULT_APPLETALK_TLDS
+def _appletalk_set(args, parser) -> frozenset:
+    """--appletalk's TLDs, lowered as a wire label is: ASCII letters only.
+    str.lower() would fold other scripts too (KELVIN SIGN to 'k'), so an
+    entry holding a non-ASCII character is a usage error."""
+    entries = args.appletalk.split(",")
+    for entry in entries:
+        if not entry.isascii():
+            parser.error(f"--appletalk entry {entry!r} is not ASCII")
+    return frozenset(t.strip().lower() for t in entries if t.strip()) or DEFAULT_APPLETALK_TLDS
 
 
 def _cpu_quota(root: str = "/sys/fs/cgroup", cgroup: str = "/proc/self/cgroup") -> int | None:
@@ -221,8 +227,8 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
         origin = parse_day(args.day_origin) if args.day_origin else None
     except ValueError as exc:
         parser.error(str(exc))
+    appletalk = _appletalk_set(args, parser)
     registry = _registry_for(args)
-    appletalk = _appletalk_set(args)
     decode, find = (decode_pcap, pcap_start) if args.format == "pcap" else (decode_tsv, line_start)
     keep = sampler(args.sample_rate, args.seed) if args.sample_rate < 1 else None
 
@@ -328,8 +334,8 @@ def _cmd_gen(args, parser) -> int:
     spec = load_mixspec(args.spec) if args.spec else year_mix(args.preset)
     if args.seed is not None:
         spec.seed = args.seed
+    appletalk = _appletalk_set(args, parser)
     registry = _registry_for(args)
-    appletalk = _appletalk_set(args)
     pairs = generate(spec, args.count, registry, appletalk)
 
     out, *truth = files = _open_outputs([args.out, *filter(None, [args.truth_out])])

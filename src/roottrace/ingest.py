@@ -36,7 +36,7 @@ from .model import (
     qtype_code,
     sender_key,
 )
-from .names import MAX_NAME, to_presentation
+from .names import MAX_NAME, _new_tuple, to_presentation
 
 TSV_FIELDS = 5  # epoch_micros, source_ip, qclass, qtype, qname
 
@@ -256,7 +256,6 @@ _UDP = struct.Struct(">2xHH").unpack_from  # destination port, UDP length
 _DNS = struct.Struct(">2xBxH").unpack_from  # flags byte, qdcount
 _QUESTION = struct.Struct(">HH").unpack_from  # qtype, qclass
 _ETHERTYPES = {b"\x08\x00": 4, b"\x86\xdd": 6}
-_new_tuple = tuple.__new__  # makes a DomainName without its Python-level __new__
 
 
 def _pcap_header(header: bytes):

@@ -17,6 +17,8 @@ MAX_NAME = 255  # encoded length: sum(len(label) + 1) + 1 root byte
 _DOT = 0x2E
 _BACKSLASH = 0x5C
 
+_new_tuple = tuple.__new__  # makes a DomainName without its Python-level __new__
+
 # bytes a text dump renders without a \DDD escape
 _BAD_ENCODING_RE = re.compile(rb"[^0-9A-Za-z_-]")
 
@@ -61,12 +63,11 @@ def parse_presentation(raw: str | bytes) -> DomainName:
         if len(body) + 2 > MAX_NAME:
             raise NameParseError("name-too-long", f"encoded name over {MAX_NAME} bytes: {raw!r}")
         parts = body.split(b".")
-        lens = [len(part) for part in parts]
-        if min(lens) == 0:
+        if b"" in parts:
             raise NameParseError("empty-label", f"empty label in {raw!r}")
-        if max(lens) > MAX_LABEL:
+        if len(body) > MAX_LABEL and max(map(len, parts)) > MAX_LABEL:  # no label outgrows the body
             raise NameParseError("label-too-long", f"label over {MAX_LABEL} bytes in {raw!r}")
-        return DomainName(tuple(parts))
+        return _new_tuple(DomainName, (tuple(parts),))
 
     labels: list[bytes] = []
     current = bytearray()

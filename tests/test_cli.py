@@ -433,6 +433,30 @@ def test_appletalk_flag(tmp_path):
     assert doc["leaves"]["has_tld"]["invalid"]["appletalk"] == 1
 
 
+def test_appletalk_flag_folds_ascii_only(tmp_path):
+    trace = tmp_path / "t.tsv"
+    trace.write_bytes(b"1\t1.2.3.4\tIN\tA\tbox.printerzone.\n")
+    out = tmp_path / "r.json"
+    assert run("classify", "--in", str(trace), "--appletalk", " PrinterZone ,APPLETALK",
+               "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["meta"]["appletalk"] == ["appletalk", "printerzone"]
+    assert doc["leaves"]["has_tld"]["invalid"]["appletalk"] == 1
+
+
+@pytest.mark.parametrize("entry", ["\u212a", "\u00c0PPLETALK", "appletalk\u00a0"])
+def test_appletalk_flag_rejects_non_ascii_entry(tmp_path, capsys, entry):
+    # KELVIN SIGN lowers to ASCII 'k', and no wire label matches 'àppletalk'
+    trace = tmp_path / "t.tsv"
+    trace.write_bytes(b"1\t1.2.3.4\tIN\tA\tbox.k.\n")
+    for command in (["classify", "--in", str(trace)], ["gen", "--preset", "2022", "--count", "1"]):
+        with pytest.raises(SystemExit) as err:
+            run(*command, "--appletalk", f"printerzone,{entry}", "--out", str(tmp_path / "r"))
+        assert err.value.code == 1
+        assert f"--appletalk entry {entry!r} is not ASCII" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_pcap_classify_end_to_end(tmp_path):
     from test_ingest import dns_payload, pcap_file, udp4
 

@@ -47,6 +47,8 @@ def test_bytes_input():
         (".foo", "empty-label"),
         ("foo..", "empty-label"),
         ("x" * 64 + ".com", "label-too-long"),
+        ("x" * 64, "label-too-long"),
+        ("com." + "x" * 64 + ".", "label-too-long"),
         (".".join("abcdefgh" for _ in range(30)), "name-too-long"),
         ("foo\\2", "bad-escape"),
         ("foo\\", "bad-escape"),
@@ -59,6 +61,27 @@ def test_parse_failures(raw, reason):
     with pytest.raises(NameParseError) as err:
         parse_presentation(raw)
     assert err.value.reason == reason
+
+
+def test_unescaped_and_escaped_text_parse_alike():
+    """Text with no backslash takes parse_presentation's quick path; the same
+    text with one letter written as a \\DDD escape takes the byte walk. Both
+    give the same DomainName, or both fail (the walk may name another of
+    several faults first)."""
+    rng = random.Random(0x5EED)
+    for _ in range(20_000):
+        labels = [b"a" * rng.choice([0, 1, 2, 30, 62, 63, 64, 65]) for _ in range(rng.randint(1, 6))]
+        raw = b".".join(labels) + b"." * rng.randint(0, 1)
+        if b"a" not in raw:
+            continue
+        outcomes = []
+        for text in (raw, raw.replace(b"a", b"\\097", 1)):
+            try:
+                outcomes.append(parse_presentation(text))
+            except NameParseError:
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] is None or type(outcomes[0]) is DomainName
 
 
 def test_escaped_label_too_long():
