@@ -255,7 +255,7 @@ _IPV6 = struct.Struct(">4xHBx16s").unpack_from  # payload length, next header, s
 _UDP = struct.Struct(">2xHH").unpack_from  # destination port, UDP length
 _DNS = struct.Struct(">2xBxH").unpack_from  # flags byte, qdcount
 _QUESTION = struct.Struct(">HH").unpack_from  # qtype, qclass
-_ETHERTYPES = {b"\x08\x00": 4, b"\x86\xdd": 6}
+_ETHERTYPES = {4: b"\x08\x00", 6: b"\x86\xdd"}  # the ethertype that carries each IP version
 
 
 def _pcap_header(header: bytes):
@@ -350,6 +350,7 @@ def decode_pcap(
     if start:
         stream.seek(0)
     unpack_rec, nano, ethernet, _ = _pcap_header(stream.read(24))
+    subsecond = 1_000_000_000 if nano else 1_000_000
     block_size = BLOCK
     base = 24  # the file offset of buf[0]
     if start > base:
@@ -384,7 +385,7 @@ def decode_pcap(
 
             if ethernet:
                 ip = at + 14
-                version = _ETHERTYPES.get(buf[at + 12 : ip], 0) if caplen >= 15 else 0
+                version = buf[ip] >> 4 if caplen >= 15 and buf[at + 12 : ip] == _ETHERTYPES.get(buf[ip] >> 4) else 0
             else:
                 ip = at
                 version = buf[at] >> 4 if caplen else 0
@@ -431,7 +432,7 @@ def decode_pcap(
                 continue
             name, qtype, qclass = question
             timestamp = ts_sec * 1_000_000 + (ts_sub // 1000 if nano else ts_sub)
-            if timestamp <= 0:
+            if timestamp <= 0 or ts_sub >= subsecond:
                 stats.records_dropped_unparseable += 1
                 continue
             add_ts(timestamp)

@@ -59,14 +59,17 @@ def parse_presentation(raw: str | bytes) -> DomainName:
 
     if _BACKSLASH not in data:
         body = data[:-1] if data[-1] == _DOT else data
-        # with no escapes the encoded length is just len(body) + 2
-        if len(body) + 2 > MAX_NAME:
-            raise NameParseError("name-too-long", f"encoded name over {MAX_NAME} bytes: {raw!r}")
         parts = body.split(b".")
-        if b"" in parts:
-            raise NameParseError("empty-label", f"empty label in {raw!r}")
-        if len(body) > MAX_LABEL and max(map(len, parts)) > MAX_LABEL:  # no label outgrows the body
-            raise NameParseError("label-too-long", f"label over {MAX_LABEL} bytes in {raw!r}")
+        # with no escapes the encoded length is just len(body) + 2, and no
+        # label outgrows the body
+        if len(body) + 2 > MAX_NAME or b"" in parts or len(body) > MAX_LABEL and max(map(len, parts)) > MAX_LABEL:
+            # name the fault the escape path's walk meets first
+            for part in parts:
+                if not part:
+                    raise NameParseError("empty-label", f"empty label in {raw!r}")
+                if len(part) > MAX_LABEL:
+                    raise NameParseError("label-too-long", f"label over {MAX_LABEL} bytes in {raw!r}")
+            raise NameParseError("name-too-long", f"encoded name over {MAX_NAME} bytes: {raw!r}")
         return _new_tuple(DomainName, (tuple(parts),))
 
     labels: list[bytes] = []

@@ -478,7 +478,7 @@ def pcap_file(frames, endian="<", nano=False, linktype=1, times=None):
     out = [struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 0xFFFF, linktype)]
     for i, frame in enumerate(frames):
         sec = 1_649_721_600 + i
-        sub = (i * 1000 + 7) if not nano else (i * 1_000_000 + 7_000)
+        sub = (i * 1000 + 7) % 1_000_000 if not nano else (i * 1_000_000 + 7_000) % 1_000_000_000
         if times:
             sec, sub = times[i]
         out += struct.pack(endian + "IIII", sec, sub, len(frame), len(frame)), frame
@@ -667,6 +667,35 @@ def test_pcap_nanosecond_truncation():
     data = pcap_file([frame], nano=True, times=[(10, 123_456_789)])
     records, _ = run_pcap(data)
     assert records[0].timestamp == 10 * 1_000_000 + 123_456
+
+
+@pytest.mark.parametrize("nano", [False, True])
+def test_pcap_subsecond_field_of_a_second_or_more_dropped(nano):
+    # a sub-second field of 10^6 (10^9 in a nanosecond capture) or more is
+    # no timestamp, as pcap_start holds too: the query is dropped, not
+    # emitted a second to ~4,295 s late; a response so stamped is still skipped
+    limit = 10**9 if nano else 10**6
+    query = udp4("1.2.3.4", dns_payload([b"net"], 1))
+    response = udp4("1.2.3.4", dns_payload([b"net"], 1, qr=1))
+    second = 1_600_000_000
+    times = [(second, limit - 1), (second, limit), (second, 4_000_000_000), (second, limit)]
+    records, stats = run_pcap(pcap_file([query, query, query, response], nano=nano, times=times))
+    assert [record.timestamp for record in records] == [second * 1_000_000 + 999_999]
+    assert (stats.records_emitted, stats.records_dropped_unparseable, stats.packets_skipped) == (1, 2, 1)
+
+
+@pytest.mark.parametrize("ethertype, version", [(b"\x86\xdd", 4), (b"\x86\xdd", 2), (b"\x08\x00", 6)])
+def test_pcap_ethernet_frame_whose_ip_version_is_not_its_ethertype_s_skipped(ethertype, version):
+    # the IP header's version must be the one its ethertype names (RFC 791,
+    # RFC 8200); the frame with its own version decodes
+    build, source = (udp6, "2001:db8::1") if ethertype == b"\x86\xdd" else (udp4, "10.0.0.1")
+    frame = bytearray(build(source, dns_payload([b"com"], 2)))
+    frame[14] = version << 4 | frame[14] & 0x0F
+    records, stats = run_pcap(pcap_file([bytes(frame)]))
+    assert records == []
+    assert (stats.records_emitted, stats.records_dropped_unparseable, stats.packets_skipped) == (0, 0, 1)
+    assert frame[12:14] == ethertype
+    assert run_pcap(pcap_file([bytes(build(source, dns_payload([b"com"], 2)))]))[1].records_emitted == 1
 
 
 def test_pcap_bad_magic_aborts():

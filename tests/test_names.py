@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fuzznames import random_name
 from roottrace.model import DomainName
 from roottrace.names import (
     NameParseError,
@@ -66,22 +67,69 @@ def test_parse_failures(raw, reason):
 def test_unescaped_and_escaped_text_parse_alike():
     """Text with no backslash takes parse_presentation's quick path; the same
     text with one letter written as a \\DDD escape takes the byte walk. Both
-    give the same DomainName, or both fail (the walk may name another of
-    several faults first)."""
+    give the same DomainName, or both fail for the same reason."""
     rng = random.Random(0x5EED)
     for _ in range(20_000):
         labels = [b"a" * rng.choice([0, 1, 2, 30, 62, 63, 64, 65]) for _ in range(rng.randint(1, 6))]
         raw = b".".join(labels) + b"." * rng.randint(0, 1)
         if b"a" not in raw:
             continue
-        outcomes = []
-        for text in (raw, raw.replace(b"a", b"\\097", 1)):
-            try:
-                outcomes.append(parse_presentation(text))
-            except NameParseError:
-                outcomes.append(None)
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0] is None or type(outcomes[0]) is DomainName
+        outcome = parse_outcome(raw)
+        assert outcome == parse_outcome(raw.replace(b"a", b"\\097", 1))
+        assert type(outcome) in (str, DomainName)
+
+
+def parse_outcome(text: bytes):
+    """parse_presentation's DomainName, or the reason it failed."""
+    try:
+        return parse_presentation(text)
+    except NameParseError as exc:
+        return exc.reason
+
+
+def escaped(text: bytes) -> bytes:
+    """text with every byte but its dots written as a \\DDD escape."""
+    return b"".join(b"." if byte == 0x2E else b"\\%03d" % byte for byte in text)
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (b"a" * 64 + b"..x", "label-too-long"),  # the long label comes first
+        (b"a..x" + b".a" * 64, "empty-label"),
+        (b"a" * 300, "label-too-long"),  # a long label, then a long name
+        (b"a." * 127 + b"a", "name-too-long"),
+        (b"abc" + b".a" * 130 + b"..", "empty-label"),
+    ],
+    ids=["long-label-first", "empty-label-first", "long-label-long-name", "long-name", "long-name-empty-label"],
+)
+def test_a_name_s_first_fault_does_not_depend_on_its_escapes(text, reason):
+    assert parse_outcome(text) == reason
+    assert parse_outcome(escaped(text)) == reason
+    assert parse_outcome(b"\\097" + text[1:]) == reason
+
+
+def test_unescaped_names_parse_as_their_escaped_forms():
+    """Seeded names, valid and mutated to hold an empty label, a label over
+    63 bytes or over 255 bytes in all, parse alike with no escape and with
+    every byte escaped: to the same DomainName, or failing for the same
+    reason."""
+    rng = random.Random(0xE5C)
+    reasons = set()
+    for _ in range(4_000):
+        labels = [label for label in random_name(rng, [b"com", b"net"]).labels if b"." not in label and b"\\" not in label]
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randint(0, len(labels))
+            labels[at:at] = [rng.choice([b"", b"x" * rng.randint(60, 70), b"y" * rng.randint(1, 63)])]
+        if rng.random() < 0.2:
+            labels += [b"z" * 63] * rng.randint(1, 4)
+        text = b".".join(labels) + b"." * rng.randint(0, 1)
+        if not text or text == b".":
+            continue
+        outcome = parse_outcome(text)
+        assert outcome == parse_outcome(escaped(text)), text
+        reasons.add(outcome if type(outcome) is str else "parsed")
+    assert reasons == {"parsed", "empty-label", "label-too-long", "name-too-long"}
 
 
 def test_escaped_label_too_long():
