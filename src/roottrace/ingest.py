@@ -254,6 +254,10 @@ _IPV4 = struct.Struct(">BxH2xHxB2x4s").unpack_from  # version/IHL, total length,
 _IPV6 = struct.Struct(">4xHBx16s").unpack_from  # payload length, next header, source
 _UDP = struct.Struct(">2xHH").unpack_from  # destination port, UDP length
 _DNS = struct.Struct(">2xBxH").unpack_from  # flags byte, qdcount
+# an Ethernet frame's IPv4 total length, fragment word, protocol and source,
+# its UDP destination port and length, and its DNS flags byte and qdcount,
+# where the IPv4 header is 20 bytes
+_FRAME = struct.Struct(">16xH2xHxB2x4s6xHH4xBxH").unpack_from
 _QUESTION = struct.Struct(">HH").unpack_from  # qtype, qclass
 _ETHERTYPES = {4: b"\x08\x00", 6: b"\x86\xdd"}  # the ethertype that carries each IP version
 
@@ -278,34 +282,6 @@ def _pcap_header(header: bytes):
     if not 0 < snaplen <= MAX_CAPLEN:
         snaplen = MAX_CAPLEN
     return struct.Struct(endian + "IIII").unpack_from, nano, linktype == LINKTYPE_ETHERNET, snaplen
-
-
-def _decode_question(data: bytes, i: int, end: int):
-    """Decode in place the question at data[i] of a DNS query that ends at
-    data[end]: (name, qtype, qclass), or the text of why it cannot."""
-    labels = []
-    # the labels and their length bytes take at most MAX_NAME - 1 bytes
-    last = i + MAX_NAME - 1
-    if last > end:
-        last = end
-    while True:
-        if i >= end:
-            return "truncated name"
-        length = data[i]
-        if length == 0:
-            break
-        if length & 0xC0:
-            # compression pointers (and reserved forms) are illegal in
-            # queries; a length under 0x40 is at most MAX_LABEL
-            return "compressed name"
-        i += 1 + length
-        if i > last:
-            return "truncated name" if i > end else "oversize name"
-        labels.append(data[i - length : i])
-    if i + 5 > end:
-        return "truncated question"
-    qtype, qclass = _QUESTION(data, i + 1)
-    return _new_tuple(DomainName, (tuple(labels),)), qtype, qclass
 
 
 def decode_pcap(
@@ -383,37 +359,49 @@ def decode_pcap(
             if keep is not None and not keep(base + at - 16):
                 continue
 
-            if ethernet:
-                ip = at + 14
-                version = buf[ip] >> 4 if caplen >= 15 and buf[at + 12 : ip] == _ETHERTYPES.get(buf[ip] >> 4) else 0
+            if ethernet and caplen >= 54 and buf[at + 12 : at + 15] == b"\x08\x00\x45":
+                # Ethernet + IPv4 with a 20-byte header, the common frame: its
+                # fields up to the qdcount in one unpack
+                total, fragment, protocol, source, port, length, flags, qdcount = _FRAME(buf, at)
+                udp = at + 34
+                if at + 14 + total < stop:
+                    stop = at + 14 + total  # the datagram ends before its captured frame does
+                if protocol != 17 or fragment & 0x1FFF or stop - udp < 8:
+                    stats.packets_skipped += 1  # as below, a short UDP header among them
+                    continue
             else:
-                ip = at
-                version = buf[at] >> 4 if caplen else 0
-            if version == 4 and stop - ip >= 20:
-                # version 4 with a header of at least five words (IHL >= 5)
-                vihl, total, fragment, protocol, source = _IPV4(buf, ip)
-                udp = ip + (vihl & 0x0F) * 4
-                if ip + total < stop:
-                    stop = ip + total  # the datagram ends before its captured frame does
-                if not 0x45 <= vihl <= 0x4F or protocol != 17 or fragment & 0x1FFF or udp > stop:
+                if ethernet:
+                    ip = at + 14
+                    version = buf[ip] >> 4 if caplen >= 15 and buf[at + 12 : ip] == _ETHERTYPES.get(buf[ip] >> 4) else 0
+                else:
+                    ip = at
+                    version = buf[at] >> 4 if caplen else 0
+                if version == 4 and stop - ip >= 20:
+                    # version 4 with a header of at least five words (IHL >= 5)
+                    vihl, total, fragment, protocol, source = _IPV4(buf, ip)
+                    udp = ip + (vihl & 0x0F) * 4
+                    if ip + total < stop:
+                        stop = ip + total  # the datagram ends before its captured frame does
+                    if not 0x45 <= vihl <= 0x4F or protocol != 17 or fragment & 0x1FFF or udp > stop:
+                        stats.packets_skipped += 1
+                        continue
+                elif version == 6 and stop - ip >= 40:
+                    payload, protocol, source = _IPV6(buf, ip)
+                    if protocol != 17:
+                        stats.packets_skipped += 1
+                        continue
+                    udp = ip + 40
+                    if udp + payload < stop:
+                        stop = udp + payload  # the datagram ends before its captured frame does
+                else:  # not IP, or an IP header cut short
                     stats.packets_skipped += 1
                     continue
-            elif version == 6 and stop - ip >= 40:
-                payload, protocol, source = _IPV6(buf, ip)
-                if protocol != 17:
-                    stats.packets_skipped += 1
+                if stop - udp < 8:
+                    stats.packets_skipped += 1  # a short UDP header
                     continue
-                udp = ip + 40
-                if udp + payload < stop:
-                    stop = udp + payload  # the datagram ends before its captured frame does
-            else:  # not IP, or an IP header cut short
-                stats.packets_skipped += 1
-                continue
+                port, length = _UDP(buf, udp)
+                flags = -1  # the DNS header is read once it is known to be whole
 
-            if stop - udp < 8:
-                stats.packets_skipped += 1  # a short UDP header
-                continue
-            port, length = _UDP(buf, udp)
             if port != 53 or length < 8:
                 stats.packets_skipped += 1  # another port, or a short UDP length
                 continue
@@ -422,15 +410,39 @@ def decode_pcap(
             if stop - udp < 20:
                 stats.records_dropped_unparseable += 1  # a short DNS header
                 continue
-            flags, qdcount = _DNS(buf, udp + 8)
+            if flags < 0:
+                flags, qdcount = _DNS(buf, udp + 8)
             if flags & 0x80:  # a response
                 stats.packets_skipped += 1
                 continue
-            question = _decode_question(buf, udp + 20, stop) if qdcount else "no question"
-            if question.__class__ is str:
-                stats.records_dropped_unparseable += 1
+            if not qdcount:
+                stats.records_dropped_unparseable += 1  # no question
                 continue
-            name, qtype, qclass = question
+            # the question (RFC 1035 §4.1.2), walked in place: each label's
+            # length byte is under 0x40 (0xC0 starts a compression pointer,
+            # illegal in a query, and 0x40 and 0x80 reserved forms), and the
+            # labels and their length bytes take at most MAX_NAME - 1 bytes
+            i = udp + 20
+            last = i + MAX_NAME - 1
+            labels = []
+            while i < stop and 0 < (length := buf[i]) < 0x40:
+                i += 1 + length
+                if i > last:
+                    break
+                labels.append(buf[i - length : i])
+            if last < i <= stop:
+                stats.records_dropped_unparseable += 1  # an oversize name
+                continue
+            if i >= stop:
+                stats.records_dropped_unparseable += 1  # a truncated name
+                continue
+            if buf[i]:
+                stats.records_dropped_unparseable += 1  # a compressed name
+                continue
+            if i + 5 > stop:
+                stats.records_dropped_unparseable += 1  # a truncated question
+                continue
+            qtype, qclass = _QUESTION(buf, i + 1)
             timestamp = ts_sec * 1_000_000 + (ts_sub // 1000 if nano else ts_sub)
             if timestamp <= 0 or ts_sub >= subsecond:
                 stats.records_dropped_unparseable += 1
@@ -439,7 +451,7 @@ def decode_pcap(
             add_source(source)
             add_qclass(qclass)
             add_qtype(qtype)
-            add_name(name)
+            add_name(_new_tuple(DomainName, (tuple(labels),)))
             add_key(address_key(source))
             if len(block.names) == block_size:
                 stats.bytes_read += base + pos - counted

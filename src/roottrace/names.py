@@ -49,7 +49,10 @@ def parse_presentation(raw: str | bytes) -> DomainName:
 
     "." is the root. A single trailing dot is the root terminator, not an
     empty label. Raises NameParseError for structural violations; callers
-    that process streams catch it and count the record as unparseable.
+    that process streams catch it and count the record as unparseable. A
+    name with several faults fails for the first met walking its labels
+    left to right (an empty or over-long label), else for its length,
+    whether or not it holds escapes.
     """
     data = _as_bytes(raw)
     if not data:

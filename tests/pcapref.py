@@ -100,7 +100,7 @@ def decode(data: bytes) -> Decoded:
             out.dropped += 1
             continue
         if subsecond >= (10**9 if nano else 10**6):
-            out.dropped += 1  # the sub-second field says more than a second
+            out.dropped += 1  # the sub-second field says a second or more
             continue
         timestamp = seconds * 10**6 + (subsecond // 1000 if nano else subsecond)
         if timestamp <= 0:
@@ -113,7 +113,8 @@ def decode(data: bytes) -> Decoded:
 
 
 def frame_outcome(frame: bytes, ethernet: bool):
-    """"skip", "drop" or the query's (source, qtype, qclass, labels)."""
+    """The frame's outcome: "skip", "drop", or the query's (source, qtype,
+    qclass, labels)."""
     if ethernet:
         if len(frame) < 14:
             return "skip"

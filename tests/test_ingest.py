@@ -580,8 +580,15 @@ def test_pcap_question_ends_at_the_udp_length():
     records, stats = run_pcap(pcap_file([padded]))
     assert records == []
     assert stats.records_dropped_unparseable == 1
-    question = 14 + 20 + 8 + 12  # Ethernet, IPv4, UDP and DNS headers
-    assert ingest._decode_question(padded, question, len(short)) == "truncated question"
+    # where the datagram and its UDP length take in the whole question, the
+    # record decodes, and one byte short of it, it is dropped
+    for grow, emitted in ((3, 0), (4, 1)):
+        longer = bytearray(padded)
+        for at in (14 + 2, 14 + 20 + 4):  # the IPv4 total length, the UDP length
+            struct.pack_into(">H", longer, at, struct.unpack_from(">H", longer, at)[0] + grow)
+        records, stats = run_pcap(pcap_file([bytes(longer)]))
+        assert (stats.records_emitted, stats.records_dropped_unparseable) == (emitted, 1 - emitted)
+    assert (records[0].qname_raw, records[0].qtype, records[0].qclass) == ("com.", 0, 0)
     # a valid query in a padded frame gives the record it gives unpadded
     frame = udp4("10.0.0.1", dns_payload([], 2))
     records, _ = run_pcap(pcap_file([frame]))

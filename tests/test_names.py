@@ -117,7 +117,8 @@ def test_unescaped_names_parse_as_their_escaped_forms():
     rng = random.Random(0xE5C)
     reasons = set()
     for _ in range(4_000):
-        labels = [label for label in random_name(rng, [b"com", b"net"]).labels if b"." not in label and b"\\" not in label]
+        labels = [label for label in random_name(rng, [b"com", b"net"]).labels
+                  if b"." not in label and b"\\" not in label]  # text with no escape
         for _ in range(rng.randint(0, 3)):
             at = rng.randint(0, len(labels))
             labels[at:at] = [rng.choice([b"", b"x" * rng.randint(60, 70), b"y" * rng.randint(1, 63)])]

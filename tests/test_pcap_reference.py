@@ -98,7 +98,8 @@ def mutate_datagram(rng: random.Random, d: bytearray) -> bytearray:
         lengths.append(at)
         at = rng.choice(lengths)
         if at < len(d):
-            d[at] = rng.choice((0, 1, 63, 64, 0x80, 0xC0, 0xFF, (d[at] + 1) % 256, (d[at] - 1) % 256, rng.randrange(256)))
+            near = ((d[at] + 1) % 256, (d[at] - 1) % 256, rng.randrange(256))
+            d[at] = rng.choice((0, 1, 63, 64, 0x80, 0xC0, 0xFF) + near)
     elif edit == "extension" and not v4:
         # an 8-byte extension header (RFC 8200 §4) before the UDP header
         d[6:7], d[40:40] = bytes([rng.choice((0, 43, 44, 60))]), bytes([17, 0]) + bytes(6)
@@ -245,6 +246,8 @@ TWINS = {
     "truncated name": (edited(BASE, caplen=QUESTION_END - 3), 0, 1, 0),
     "truncated name at its root byte": (edited(BASE, total=QUESTION_END - 1, udp_length=QUESTION_END - 21), 0, 1, 0),
     "compressed name": (bytes(datagram(name=b"\x07example\xc0\x0c")), 0, 1, 0),
+    "label type 0x40": (bytes(datagram(name=b"\x40" + b"x" * 64 + b"\x00")), 0, 1, 0),
+    "label type 0x80": (bytes(datagram(name=b"\x03com\x80" + b"x" * 128 + b"\x00")), 0, 1, 0),
     "oversize name": (bytes(datagram(LONG_NAME)), 0, 1, 0),
     "name of 255 bytes": (bytes(datagram(LONG_NAME[:3] + [b"y" * 61])), 1, 0, 0),
     "truncated question": (edited(BASE, grow=-1), 0, 1, 0),
