@@ -367,7 +367,7 @@ def decode_pcap(
                 if at + 14 + total < stop:
                     stop = at + 14 + total  # the datagram ends before its captured frame does
                 if protocol != 17 or fragment & 0x1FFF or stop - udp < 8:
-                    stats.packets_skipped += 1  # as below, a short UDP header among them
+                    stats.packets_skipped += 1  # another protocol, a fragment, or a short UDP header
                     continue
             else:
                 if ethernet:
