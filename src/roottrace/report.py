@@ -12,10 +12,10 @@ from __future__ import annotations
 import heapq
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from operator import attrgetter, ge, is_, lshift, or_
-from typing import Iterable, Optional, Sequence
+from types import SimpleNamespace
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import ingest
 from .model import (
@@ -47,19 +47,25 @@ _index_of = LEAF_INDEX.__getitem__
 _CATEGORIES = tuple(cat.value for cat in TopCategory)
 
 
-@dataclass
-class Report:
+class Report(SimpleNamespace):
     """Aggregate counts for one labelled slice of traffic (e.g. a year).
     Each count is kept once: total is derived from leaf_counts, and
-    merge_into is the one place every field is added."""
+    merge_into is the one place every field is added. A counter not given
+    starts empty. SimpleNamespace gives ==, repr and pickling in C, and
+    vars(report) lists the fields in this order."""
 
-    label: str = ""
-    leaf_counts: Counter = field(default_factory=Counter)  # Classification -> n
-    qtype_counts: Counter = field(default_factory=Counter)  # qtype code -> n
-    sender_counts: Counter = field(default_factory=Counter)  # key << LEAF_BITS | LEAVES index -> n
-    empty_by_sender: Counter = field(default_factory=Counter)  # key << QTYPE_BITS | qtype code -> n
-    dropped: int = 0
-    senders_tracked: bool = True
+    def __init__(
+        self, label: str = "", leaf_counts: Optional[Counter] = None, qtype_counts: Optional[Counter] = None,
+        sender_counts: Optional[Counter] = None, empty_by_sender: Optional[Counter] = None, dropped: int = 0,
+        senders_tracked: bool = True,
+    ):
+        self.label = label
+        self.leaf_counts = Counter() if leaf_counts is None else leaf_counts  # Classification -> n
+        self.qtype_counts = Counter() if qtype_counts is None else qtype_counts  # qtype code -> n
+        self.sender_counts = Counter() if sender_counts is None else sender_counts  # key << LEAF_BITS | LEAVES index
+        self.empty_by_sender = Counter() if empty_by_sender is None else empty_by_sender  # key << QTYPE_BITS | qtype
+        self.dropped = dropped
+        self.senders_tracked = senders_tracked
 
     @property
     def total(self) -> int:
@@ -235,8 +241,7 @@ def empty_query_stats(report: Report, k: int = 10) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class UnexpectedPolicy:
+class UnexpectedPolicy(NamedTuple):
     """A named predicate over leaves defining 'unexpected' traffic."""
 
     name: str

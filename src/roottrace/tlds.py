@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pkgutil
 import re
 from typing import IO, Iterable
 
@@ -91,6 +90,9 @@ def default_registry() -> TldRegistry:
     if override:
         return load_registry_path(override)
     if _default is None:
-        data = pkgutil.get_data("roottrace", "data/tlds.txt")
+        # the package's own loader, which is what pkgutil.get_data calls, so a
+        # zip import reads the archive's snapshot; pkgutil itself would load
+        # importlib.util at start-up
+        data = __spec__.loader.get_data(os.path.join(os.path.dirname(__file__), "data", "tlds.txt"))
         _default = _load_fingerprinted(data, "builtin:data/tlds.txt")
     return _default

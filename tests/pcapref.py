@@ -74,8 +74,12 @@ def decode(data: bytes) -> Decoded:
     def u32(at: int) -> int:
         return int.from_bytes(data[at : at + 4], order)
 
-    # the top four bits of the link type field hold the FCS length
-    linktype = u32(20) & 0x0FFFFFFF
+    # the draft's LinkType and additional information field: the link type
+    # is its low 16 bits. Above them, from the top, the FCS length, the R bit,
+    # the P bit (an FCS length is present) and 10 reserved bits: R and the
+    # reserved bits a reader ignores, and an FCS appended to a frame lies
+    # past its IP datagram, where README's rule already ends the message
+    linktype = u32(20) & 0xFFFF
     if linktype != ETHERNET and linktype not in RAW:
         raise Corrupt("unsupported link type")
     out = Decoded(bytes_read=len(data))

@@ -669,6 +669,27 @@ def test_pcap_raw_ip_linktype():
     assert records[0].qname_raw == "net."
 
 
+@pytest.mark.parametrize("endian", "<>")
+@pytest.mark.parametrize("build, source", [(udp4, "10.0.0.1"), (udp6, "2001:db8::1")])
+def test_pcap_fcs_bits_and_a_trailing_fcs_decode(endian, build, source):
+    # draft-ietf-opsawg-pcap §4: the link type is the field's low 16 bits;
+    # above it an FCS length of two 16-bit words and the P bit, then the
+    # same with the R and reserved bits set too, which a reader ignores
+    frame = build(source, dns_payload([b"com"], 2))
+
+    def decoded(data: bytes):
+        stats = IngestStats()
+        return rows(decode_pcap(io.BytesIO(data), stats)), stats
+
+    plain_rows, plain = decoded(pcap_file([frame], endian=endian))
+    assert plain.records_emitted == 1
+    for field in ((2 << 28) | (1 << 26) | 1, (2 << 28) | (1 << 27) | (1 << 26) | (0x3FF << 16) | 1):
+        fcs_rows, fcs = decoded(pcap_file([frame + b"\xde\xad\xbe\xef"], endian=endian, linktype=field))
+        assert fcs_rows == plain_rows
+        assert fcs.bytes_read == plain.bytes_read + 4
+        assert vars(fcs) == dict(vars(plain), bytes_read=fcs.bytes_read)
+
+
 def test_pcap_nanosecond_truncation():
     frame = udp4("1.2.3.4", dns_payload([b"net"], 1))
     data = pcap_file([frame], nano=True, times=[(10, 123_456_789)])

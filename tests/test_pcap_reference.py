@@ -121,7 +121,7 @@ def random_capture(rng: random.Random, mutations: int) -> bytes:
     datagrams = [random_datagram(rng) for _ in range(rng.randint(1, 12))]
     limit = 10**9 if nano else 10**6
     times = [(1_600_000_000 + i, rng.randrange(limit)) for i in range(len(datagrams))]
-    edits = [rng.choice(["datagram", "vlan", "flip", "cut", "padding", "subsecond", "caplen", "file"])
+    edits = [rng.choice(["datagram", "vlan", "flip", "cut", "padding", "subsecond", "caplen", "file", "link"])
              for _ in range(mutations)]
     for edit in edits:
         if edit == "datagram":
@@ -147,6 +147,8 @@ def random_capture(rng: random.Random, mutations: int) -> bytes:
             sub = rng.choice((limit - 1, limit, rng.randrange(limit, 1 << 32), 0))
             times[j] = (times[j][0] if sub else 0, sub)
     data = bytearray(pcap_file([bytes(f) for f in frames], endian=endian, nano=nano, linktype=linktype, times=times))
+    if "link" in edits:  # the FCS length, R, P and reserved bits above the link type
+        struct.pack_into(endian + "I", data, 20, rng.getrandbits(16) << 16 | linktype)
     for edit in sorted(edits):  # caplen edits, then edits to the file as a whole
         if edit == "caplen":
             at, j = 24, rng.randrange(len(frames))

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
+
 import pytest
 
+import roottrace
 from roottrace.tlds import RegistryError, default_registry, load_registry, load_registry_path
 
 
@@ -75,6 +82,24 @@ def test_default_registry_contents():
     assert reg.is_valid_tld(b"networks")
     assert not reg.is_valid_tld(b"internal")
     assert not reg.is_valid_tld(b"appletalk")
+
+
+def test_default_registry_reads_the_snapshot_from_a_zip_import(tmp_path):
+    # the description fingerprints the snapshot's bytes
+    package = Path(roottrace.__file__).parent
+    archive = tmp_path / "roottrace.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in package.rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(package.parent).as_posix())
+    code = "import roottrace\nprint(roottrace.__file__)\nprint(roottrace.default_registry().source_description)"
+    env = {k: v for k, v in os.environ.items() if k != "ROOTTRACE_TLDS"}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(env, PYTHONPATH=str(archive)))
+    assert proc.returncode == 0, proc.stderr
+    first_file, description = proc.stdout.splitlines()
+    assert first_file == str(archive / "roottrace" / "__init__.py")
+    assert description == default_registry().source_description
 
 
 def test_load_registry_path_description_is_deterministic(tmp_path):

@@ -710,3 +710,28 @@ def test_importing_the_cli_loads_no_process_machinery(tmp_path):
         pytest.skip("needs a process that may run on two CPUs")
     assert loaded_by(classify, "one-cpu", big, tmp_path / "out") == "[]"
     assert "roottrace.workers" in loaded_by(classify, "all", big, tmp_path / "out")
+
+
+def test_start_up_loads_no_introspection_and_a_split_run_no_signal(tmp_path):
+    """Set-up time is import time. Start-up loads none of dataclasses,
+    inspect (which dataclasses loads) or pkgutil, and a run split across
+    CPUs kills its workers with _signal's SIGKILL, so signal, which builds
+    its IntEnums on import, stays unloaded. -S, as a site-packages .pth file
+    may import any of them first."""
+
+    def loaded(code: str, *args) -> str:
+        shown = "print(sorted(m for m in ('dataclasses', 'inspect', 'pkgutil', 'signal') if m in sys.modules))"
+        proc = subprocess.run([sys.executable, "-S", "-c", f"import sys\n{code}\n{shown}", *map(str, args)],
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    assert loaded("import roottrace.cli\nroottrace.cli.build_parser()\nroottrace.default_registry()") == "[]"
+    if not hasattr(os, "sched_getaffinity") or cli._usable_cpus() < 2:
+        pytest.skip("needs a process that may run on two CPUs")
+    big = tmp_path / "big.pcap"
+    big.write_bytes(pcap_of(RECORDS * 2))
+    classify = ("from roottrace.cli import main\n"
+                "assert main(['classify', '--format', 'pcap', '--in', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+                "assert 'roottrace.workers' in sys.modules")
+    assert loaded(classify, big, tmp_path / "out") == "[]"
