@@ -12,6 +12,7 @@ import argparse
 import os
 import stat
 import sys
+from itertools import combinations
 
 from . import __version__
 from .classify import DEFAULT_APPLETALK_TLDS, classify_block
@@ -354,8 +355,9 @@ def _cmd_gen(args, parser) -> int:
 
 def _open_outputs(paths: list) -> list:
     """Each path open to be written from its first byte, or the OSError of
-    one that cannot be opened, with every path left as it was: no file is
-    truncated until all are open, and a file this created is removed."""
+    one that cannot be opened, or a ValueError where two paths name one
+    regular file, with every path left as it was: no file is truncated
+    until all are open, and a file this created is removed."""
     files, created = [], []
     try:
         for path in paths:
@@ -365,15 +367,20 @@ def _open_outputs(paths: list) -> list:
                 fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                 created.append(path)
             files.append(open(fd, "wb"))
-    except OSError:
+        # a pipe or a terminal holds nothing to cut or to write over
+        stats = [os.fstat(fh.fileno()) for fh in files]
+        regular = [(path, fh, st) for path, fh, st in zip(paths, files, stats) if stat.S_ISREG(st.st_mode)]
+        for (first, _, a), (second, _, b) in combinations(regular, 2):
+            if os.path.samestat(a, b):  # two handles would write over each other
+                raise ValueError(f"{first} and {second} name one file")
+    except (OSError, ValueError):
         for fh in files:
             fh.close()
         for path in created:
             os.remove(path)
         raise
-    for fh in files:
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe or a terminal holds nothing to cut
-            fh.truncate()
+    for _, fh, _ in regular:
+        fh.truncate()
     return files
 
 

@@ -10,12 +10,16 @@ a pcap capture). It folds the first task in this process and each other
 one in a forked worker, with the CLI's fold, which reads each range from
 its first record up to the first record that begins at or after its end
 target and returns that offset, where the task stopped, with its Report.
-A worker pickles the two, as they are, down a pipe, and the results are
-merged in input order. A task must begin where the one before it stopped;
-where one does not, that task alone is folded again in this process, from
-where the one before it stopped, so the output never depends on a
-resync. The CLI imports this module only where it may fork, so a one-CPU
-run, or an input too small to split, neither loads nor compiles it.
+A worker pickles the two, as they are, down a pipe, or sends nothing, and
+the results are merged in input order. One rule recovers from every
+fault: a task that did not begin where the one before it stopped, or
+whose worker delivered no whole result, is folded again in this process,
+from where the one before it stopped. So the output never depends on a
+resync or on a worker, and an error is raised as one process raises it;
+a failing task is decoded twice, once in its worker and once here, before
+its error is raised. The CLI imports this module only where it may fork,
+so a one-CPU run, or an input too small to split, neither loads nor
+compiles it.
 """
 
 from __future__ import annotations
@@ -54,21 +58,6 @@ def plan_tasks(paths: list, sizes: list, count: int) -> list:
     return tasks
 
 
-def _portable(exc: Exception) -> Exception:
-    """exc if it survives pickling, else its message in the nearest of its
-    base classes that does: one whose arguments differ from its
-    constructor's, such as NameParseError, or that holds what cannot be
-    pickled, is still reported as one process would report it."""
-    for cls in type(exc).__mro__:
-        try:
-            stand_in = exc if cls is type(exc) else cls(str(exc))
-            pickle.loads(pickle.dumps(stand_in, pickle.HIGHEST_PROTOCOL))
-            return stand_in
-        except Exception:
-            continue
-    return Exception(str(exc))
-
-
 def _begin(find, path: str, target: int):
     """find(fd, target) at byte target of a file; None
     where the file cannot be read, so that the task is refolded in its
@@ -81,36 +70,29 @@ def _begin(find, path: str, target: int):
 
 
 def _work(fd: int, task: list, fold) -> None:
-    """A forked worker: fold the task, send what fold returns (or the
-    exception it raised) down the pipe, and leave through os._exit, never
-    returning into the code that forked it."""
+    """A forked worker: fold the task, send what fold returns down the pipe,
+    and leave through os._exit, never returning into the code that forked
+    it. A task that raises sends nothing: the command folds it again."""
     status = 1
     try:
         with open(fd, "wb") as pipe:
-            try:
-                result = fold(task)
-            except Exception as exc:
-                result = _portable(exc)
-            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(fold(task), pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
 
 
 def _receive(running: dict, i: int):
-    """What the worker of task i sent, once it is reaped; a worker that ends
-    without a result raises ChildProcessError."""
+    """What the worker of task i sent, once it is reaped; None where it
+    sent no whole result."""
     pid, pipe = running[i]
     with pipe:
         try:
             sent = pickle.load(pipe)
         except (EOFError, pickle.UnpicklingError):
             sent = None
-    status = os.waitpid(pid, 0)[1]
+    os.waitpid(pid, 0)
     del running[i]
-    if sent is None:
-        code = os.waitstatus_to_exitcode(status)
-        raise ChildProcessError(f"a worker process ended without a result (exit status {code})")
     return sent
 
 
@@ -120,16 +102,16 @@ def fold_in_workers(tasks: list, find, fold) -> Report:
     open file (None where it finds none), and fold(ranges) folds (path,
     start, end) ranges whose start is a record's first byte, and returns
     (the offset the last one stopped at, their Report). The first
-    task is folded here, each other one in a forked worker, and the tasks
-    no worker could be forked for here in their turn.
+    task is folded here, each other one in a forked worker.
 
     A task that starts inside a file must begin where the one before it
-    stopped. Where one does not, or no record was found at its cut, what
-    its worker sent, a Report or an exception, is dropped, and the task is
-    folded again here from where the one before it stopped. Otherwise a
-    task's exception is raised here in its turn, and a worker that ends
-    without a result raises ChildProcessError. Every worker is ended and
-    reaped before this returns.
+    stopped. Where one does not, no record was found at its cut, or no
+    worker delivered its whole result (none could be forked for it, or its
+    fold raised, or it died), the task is folded here in its turn: from
+    where the one before it stopped, or from its start where it begins a
+    file. So an error is raised here, as itself, by the first task in input
+    order that raises it. Every worker is ended and reaped before this
+    returns.
     """
     tasks = [[(path, start and _begin(find, path, start), end), *rest] for (path, start, end), *rest in tasks]
     running = {}  # task index: (pid, pipe) of each unreaped worker
@@ -155,12 +137,8 @@ def fold_in_workers(tasks: list, find, fold) -> Report:
         for i, task in enumerate(tasks[1:], 1):
             result = _receive(running, i) if i in running else None
             (path, begin, end), *rest = task
-            if begin not in (0, stop):  # a missed resync: refolded from the verified stop
-                result = fold([(path, stop, end), *rest])
-            elif result is None:
-                result = fold(task)
-            elif isinstance(result, Exception):
-                raise result
+            if result is None or begin not in (0, stop):  # not delivered, or a missed resync
+                result = fold(task if begin == 0 else [(path, stop, end), *rest])
             stop, part = result
             merge_into(report, part)
             del result, part  # freed before the next one is read

@@ -339,6 +339,28 @@ def test_gen_leaves_both_files_alone_where_one_cannot_be_opened(tmp_path, capsys
         assert kept.read_bytes() == b"keep\n"
 
 
+@pytest.mark.parametrize("truth, present", [
+    ("f", True), ("f", False), ("./f", True), ("./f", False), ("link", True),  # a hard link needs its file
+])
+def test_gen_refuses_one_file_for_both_outputs(tmp_path, monkeypatch, capsys, truth, present):
+    monkeypatch.chdir(tmp_path)
+    if present:
+        Path("f").write_bytes(b"keep\n")
+        os.link("f", "link")
+    rc = run("gen", "--preset", "2022", "--count", "5", "--out", "f", "--truth-out", truth)
+    assert rc == 2
+    assert capsys.readouterr().err == f"roottrace: f and {truth} name one file\n"
+    assert sorted(os.listdir()) == (["f", "link"] if present else [])
+    if present:
+        assert Path("f").read_bytes() == b"keep\n"
+
+
+def test_gen_writes_both_outputs_to_one_device(capsys):
+    # a pipe, a terminal or /dev/null holds nothing that one handle could write over
+    assert run("gen", "--preset", "2022", "--count", "5", "--out", os.devnull, "--truth-out", os.devnull) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_gen_truth_file(tmp_path):
     trace = tmp_path / "t.tsv"
     truth = tmp_path / "t.truth"

@@ -1,4 +1,5 @@
 import bisect
+import gc
 import io
 import ipaddress
 import json
@@ -6,7 +7,7 @@ import math
 import random
 import socket
 import struct
-import tracemalloc
+import sys
 from itertools import accumulate, compress
 
 import pytest
@@ -1084,21 +1085,21 @@ def test_decode_pcap_memory_does_not_grow_with_distinct_sources():
     n = 50_000
     payload = dns_payload([b"com"], 2)
 
-    def peak(sources) -> int:
+    def growth(sources) -> int:
+        """The most memory blocks the decode holds, sampled at each block
+        it yields: untraced, as tracemalloc's per-allocation line lookup
+        costs seconds here."""
         stream = io.BytesIO(pcap_file([udp6(source, payload) for source in sources]))
         stats = IngestStats()
-        tracemalloc.start()
-        try:
-            for _ in decode_pcap(stream, stats):
-                pass
-            used = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        gc.collect()
+        base = most = sys.getallocatedblocks()
+        for _ in decode_pcap(stream, stats):
+            most = max(most, sys.getallocatedblocks())
         assert stats.records_emitted == n
-        return used
+        return most - base
 
-    one = peak(["2600:1:2::3"] * n)
-    distinct = peak([f"2600:{i >> 16:x}:{i & 0xFFFF:x}::{i:x}" for i in range(n)])
+    one = growth(["2600:1:2::3"] * n)
+    distinct = growth([f"2600:{i >> 16:x}:{i & 0xFFFF:x}::{i:x}" for i in range(n)])
     # a reader that kept anything per distinct source would grow with the capture
     assert distinct <= 2 * one, (distinct, one)
 

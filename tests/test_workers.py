@@ -26,6 +26,7 @@ from roottrace import cli, ingest, workers
 from roottrace.cli import main
 from roottrace.ingest import PcapError, decode_pcap
 from roottrace.names import NameParseError, parse_presentation
+from roottrace.report import Report
 from roottrace.synth import generate, tsv_bytes, year_mix
 
 from test_ingest import dns_payload, pcap_file, udp4, udp6, with_caplen
@@ -54,9 +55,9 @@ def time_bound():
 def splits(monkeypatch):
     """(task count, the indexes of the tasks folded again in this process)
     of each input split in workers, in order; a task that does not begin
-    where the one before it stopped is folded again from there. No fork
-    fails in the tests that use this, so every later task this process
-    folds is such a refold."""
+    where the one before it stopped is folded again from there, and so is
+    one whose worker delivered nothing. No fork fails in the tests that use
+    this, so every later task this process folds is such a refold."""
     real = workers.fold_in_workers
     seen = []
 
@@ -407,7 +408,20 @@ def test_a_cut_in_a_file_that_cannot_be_opened_fails_in_its_turn(first, tmp_path
     assert run(argv, 2, monkeypatch, capsys, out) == (2, err, None)
 
 
-def test_a_worker_that_dies_fails_the_command(tmp_path, monkeypatch, capsys):
+def assert_dead_workers_tasks_folded_here(path, monkeypatch, capsys, splits):
+    """Split runs whose every worker dies give the one-process bytes, each
+    worker's task folded once by the command's own process."""
+    argv = ["classify", "--in", str(path)]
+    out = path.parent / "out"
+    expected = run(argv, 1, monkeypatch, capsys, out)
+    assert expected[:2] == (0, "")
+    for count in (2, 3):
+        del splits[:]
+        assert run(argv, count, monkeypatch, capsys, out) == expected
+        assert splits == [(count, list(range(1, count)))]
+
+
+def test_a_worker_that_dies_has_its_task_folded_here(tmp_path, monkeypatch, capsys, splits):
     path = tmp_path / "t.tsv"
     path.write_bytes(tsv_bytes(RECORDS))
     parent = os.getpid()
@@ -419,14 +433,11 @@ def test_a_worker_that_dies_fails_the_command(tmp_path, monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, "fold_blocks", fold_blocks)
-    for count in (2, 3):
-        code, err, written = run(["classify", "--in", str(path)], count, monkeypatch, capsys, tmp_path / "out")
-        assert (code, written) == (2, None)
-        assert err == "roottrace: a worker process ended without a result (exit status 3)\n"
+    assert_dead_workers_tasks_folded_here(path, monkeypatch, capsys, splits)
 
 
 @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
-def test_a_worker_that_dies_part_way_through_its_send_fails_the_command(share, tmp_path, monkeypatch, capsys):
+def test_a_worker_that_dies_part_way_through_its_send_has_its_task_folded_here(share, tmp_path, monkeypatch, capsys, splits):
     # the worker writes the first byte, half, or all but the last byte of
     # its pickled (stop, Report) before it dies
     path = tmp_path / "t.tsv"
@@ -443,10 +454,31 @@ def test_a_worker_that_dies_part_way_through_its_send_fails_the_command(share, t
         os._exit(3)
 
     monkeypatch.setattr(pickle, "dump", dump)
-    for count in (2, 3):
-        code, err, written = run(["classify", "--in", str(path)], count, monkeypatch, capsys, tmp_path / "out")
-        assert (code, written) == (2, None)
-        assert err == "roottrace: a worker process ended without a result (exit status 3)\n"
+    assert_dead_workers_tasks_folded_here(path, monkeypatch, capsys, splits)
+
+
+@pytest.mark.parametrize("error", [
+    lambda: NameParseError("bad-escape", "bad escape at byte 40"),  # its args are not its constructor's
+    lambda: Unpicklable("unpicklable at byte 40"),
+], ids=["name-parse-error", "unpicklable"])
+def test_a_workers_error_reaches_the_caller_as_itself(error, tmp_path):
+    # the fold of the task at byte 40 raises, in whichever process runs it
+    path = tmp_path / "f"
+    path.write_bytes(bytes(100))
+    expected = error()
+
+    def fold(ranges):
+        if ranges[0][1] == 40:
+            raise error()
+        return ranges[-1][2] or 100, Report()
+
+    tasks = [[(str(path), start, end)] for start, end in ((0, 20), (20, 40), (40, 60), (60, None))]
+    with pytest.raises(type(expected)) as raised:
+        workers.fold_in_workers(tasks, lambda fd, target: target, fold)
+    assert type(raised.value) is type(expected)
+    assert str(raised.value) == str(expected)
+    assert getattr(raised.value, "reason", None) == getattr(expected, "reason", None)
+    assert_no_child()
 
 
 def test_tasks_no_worker_could_be_forked_for_are_folded_here(tmp_path, monkeypatch, capsys):
