@@ -24,7 +24,7 @@ from .model import (
     Leaf,
 )
 from .ingest import Block, IngestStats
-from .names import NameParseError, label_has_bad_encoding, parse_presentation
+from .names import NameParseError, _parse_bytes, label_has_bad_encoding
 from .tlds import TldRegistry
 
 DEFAULT_APPLETALK_TLDS = frozenset({"appletalk"})
@@ -115,13 +115,16 @@ def classify_block(
         _table = registry, frozenset(appletalk_tlds), (tables := ({}, {}))
     entries, classes, failed = registry.entries, [], 0
     names = block.names
-    if names and not isinstance(names[0], DomainName):
-        names = map(_parsed, names)
+    parse = _parse_bytes if names and not isinstance(names[0], DomainName) else None
     for name in names:
-        if name is None:
-            cls = None
-            failed += 1
-        elif len(labels := name.labels) > 1:
+        if parse is not None:
+            try:
+                name = parse(name, name)
+            except NameParseError:
+                classes.append(None)
+                failed += 1
+                continue
+        if len(labels := name.labels) > 1:
             by_tld = tables[len(labels) == 2 and is_chromium_label(labels[0])]
             cls = by_tld.get(tld := labels[-1])
             if cls is None:
@@ -137,10 +140,3 @@ def classify_block(
         stats.names_unparseable += failed
     keep = [cls is not None for cls in classes]
     return list(compress(block.prefixes, keep)), list(compress(block.qtypes, keep)), list(compress(classes, keep))
-
-
-def _parsed(raw: bytes) -> Optional[DomainName]:
-    try:
-        return parse_presentation(raw)
-    except NameParseError:
-        return None

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import struct
+from _socket import AF_INET, inet_pton
 from bisect import bisect_left
 from itertools import accumulate, compress, islice, repeat
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -180,8 +181,12 @@ def decode_tsv(
                 if qtype is None:
                     qtype = qtype_code(qtype_b.decode("ascii"))
                 source = source_b.decode("ascii")
-                key = sender_key(source)
-            except (ValueError, UnicodeDecodeError):
+                if ":" in source:
+                    key = sender_key(source)
+                else:  # model.address_key's IPv4 /16 key, without its calls
+                    packed = inet_pton(AF_INET, source)
+                    key = packed[0] << 8 | packed[1]
+            except (ValueError, UnicodeDecodeError, OSError):
                 dropped += 1
                 continue
             if timestamp <= 0 or not qname_b:

@@ -54,7 +54,11 @@ def parse_presentation(raw: str | bytes) -> DomainName:
     left to right (an empty or over-long label), else for its length,
     whether or not it holds escapes.
     """
-    data = _as_bytes(raw)
+    return _parse_bytes(_as_bytes(raw), raw)
+
+
+def _parse_bytes(data: bytes, raw: str | bytes) -> DomainName:
+    """parse_presentation of data, a name's bytes; a NameParseError quotes raw, the name as given."""
     if not data:
         raise NameParseError("empty-name", "empty query name")
     if data == b".":

@@ -13,7 +13,7 @@ import heapq
 import json
 from collections import Counter
 from itertools import compress, islice, repeat
-from operator import attrgetter, ge, is_, lshift, or_
+from operator import add, attrgetter, ge, is_, lshift, or_
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -72,6 +72,21 @@ class Report(SimpleNamespace):
         """The records counted: the sum of leaf_counts."""
         return sum(self.leaf_counts.values())
 
+    def __reduce__(self):
+        """Pickle leaf_counts as columns (LEAVES indexes, TLDs, flags,
+        counts): a Classification key pickles and unpickles through a
+        Python-level call, and tuple.__new__ rebuilds one in C."""
+        state = vars(self).copy()
+        leaves, tlds, flags = tuple(zip(*self.leaf_counts)) or ((), (), ())
+        state["leaf_counts"] = bytes(map(_index_of, leaves)), tlds, bytes(flags), list(self.leaf_counts.values())
+        return type(self), (), state
+
+    def __setstate__(self, state: dict) -> None:
+        leaves, tlds, flags, counts = state["leaf_counts"]
+        keys = map(tuple.__new__, repeat(Classification), zip(map(LEAVES.__getitem__, leaves), tlds, map(bool, flags)))
+        vars(self).update(state, leaf_counts=Counter())
+        dict.update(self.leaf_counts, zip(keys, counts))
+
 
 def fold_blocks(
     blocks: Iterable[tuple[Sequence[int], Sequence[int], Sequence[Classification]]],
@@ -98,8 +113,8 @@ def fold_blocks(
             continue
         leaves = list(map(_leaf_of, classes))
         senders.update(map(or_, map(lshift, keys, repeat(LEAF_BITS)), map(_index_of, leaves)))
-        root_queries = map(or_, map(lshift, keys, repeat(QTYPE_BITS)), qtypes)
-        empties.update(compress(root_queries, map(is_, leaves, repeat(empty_leaf))))
+        root = list(map(is_, leaves, repeat(empty_leaf)))
+        empties.update(map(or_, map(lshift, compress(keys, root), repeat(QTYPE_BITS)), compress(qtypes, root)))
 
     return Report(
         label=label,
@@ -135,18 +150,24 @@ def _merge_labels(a: str, b: str) -> str:
     return "+".join(sorted(parts))
 
 
+def _add(acc: Counter, other: Counter) -> None:
+    """acc += other, key by key, in one C-level pass: Counter.update loops
+    in Python over other's keys once acc holds any."""
+    dict.update(acc, zip(other, map(add, map(acc.get, other, repeat(0)), other.values())))
+
+
 def merge_into(acc: Report, other: Report) -> Report:
     """Add other into acc in place and return acc: merge(acc, other)
-    without copying acc, and other is left as it was."""
+    without copying acc, and other is left as it was (unless it is acc)."""
     acc.label = _merge_labels(acc.label, other.label)
     acc.dropped += other.dropped
-    acc.leaf_counts.update(other.leaf_counts)
-    acc.qtype_counts.update(other.qtype_counts)
+    _add(acc.leaf_counts, other.leaf_counts)
+    _add(acc.qtype_counts, other.qtype_counts)
     if not (acc.senders_tracked and other.senders_tracked):
         acc.sender_counts, acc.empty_by_sender, acc.senders_tracked = Counter(), Counter(), False
         return acc
-    acc.sender_counts.update(other.sender_counts)
-    acc.empty_by_sender.update(other.empty_by_sender)
+    _add(acc.sender_counts, other.sender_counts)
+    _add(acc.empty_by_sender, other.empty_by_sender)
     return acc
 
 
@@ -157,42 +178,55 @@ def merge(a: Report, b: Report) -> Report:
     return merge_into(merge_into(Report(), a), b)
 
 
+def _leaf_totals(report: Report) -> dict:
+    """Each leaf's count in the report, 0 where it has none."""
+    totals = dict.fromkeys(LEAVES, 0)
+    for cls, n in report.leaf_counts.items():
+        totals[cls.leaf] += n
+    return totals
+
+
+def _fractions(leaf_totals: dict, total: int) -> dict[TopCategory, float]:
+    """The four-category rollup of per-leaf totals, as fractions of total."""
+    counts = dict.fromkeys(TopCategory, 0)
+    for leaf, n in leaf_totals.items():
+        counts[LEAF_TOP[leaf]] += n
+    return {cat: n / total for cat, n in counts.items()}
+
+
 def top_level_fractions(report: Report) -> dict[TopCategory, float]:
     """The four-category rollup as fractions of the report total."""
     total = report.total
     if total == 0:
         raise ValueError("empty report has no fractions")
-    counts = dict.fromkeys(TopCategory, 0)
-    for cls, n in report.leaf_counts.items():
-        counts[LEAF_TOP[cls.leaf]] += n
-    return {cat: n / total for cat, n in counts.items()}
+    return _fractions(_leaf_totals(report), total)
 
 
-def _ranked(report: Report, table: Counter, bits: int, k: int) -> tuple[int, list[tuple[int, str, int]]]:
-    """Over one of the report's sender tables, of key << bits | detail
-    counts: how many sender keys it holds, and (-total, prefix, key) for the
-    k keys with the largest totals, descending, ties broken on prefix text.
-    Only the keys whose total reaches the k-th largest are formatted."""
+def _ranked(report: Report, totals: dict, k: int) -> list[tuple[int, str, int]]:
+    """(-total, prefix, key) for the k sender keys of totals, a key's total
+    over one of the report's sender tables, with the largest totals,
+    descending, ties broken on prefix text. Only the keys whose total
+    reaches the k-th largest are formatted."""
     if k < 1:
         raise ValueError("k must be positive")
     if not report.senders_tracked:
         raise ValueError("sender tracking was disabled for this report")
-    totals: dict = {}
-    get = totals.get
-    for pair, n in table.items():
-        key = pair >> bits
-        totals[key] = get(key, 0) + n
     keys = totals
     if k < len(totals):
         kth = heapq.nlargest(k, totals.values())[-1]
         keys = compress(totals, map(ge, totals.values(), repeat(kth)))
-    return len(totals), heapq.nsmallest(k, [(-totals[key], prefix_text(key), key) for key in keys])
+    return heapq.nsmallest(k, [(-totals[key], prefix_text(key), key) for key in keys])
 
 
 def _senders_section(report: Report, k: int) -> dict:
     """The count and top of a report document's senders section."""
     table = report.sender_counts
-    count, ranked = _ranked(report, table, LEAF_BITS, k)
+    totals: dict = {}
+    get = totals.get
+    for pair, n in table.items():
+        key = pair >> LEAF_BITS
+        totals[key] = get(key, 0) + n
+    ranked = _ranked(report, totals, k)
     rows = []
     for neg_total, prefix, key in ranked:
         categories = dict.fromkeys(_CATEGORIES, 0)
@@ -200,7 +234,7 @@ def _senders_section(report: Report, k: int) -> dict:
         for i, top in enumerate(_ROW_TOPS):
             categories[top] += table.get(base | i, 0)
         rows.append({"prefix": prefix, "total": -neg_total, "categories": categories})
-    return {"count": count, "top": rows}
+    return {"count": len(totals), "top": rows}
 
 
 def top_senders(report: Report, k: int) -> list[dict]:
@@ -219,20 +253,24 @@ def empty_query_stats(report: Report, k: int = 10) -> dict:
     view: who sends root-name queries, and of what type. mean_per_sender
     is None when there are no root-name queries."""
     table = report.empty_by_sender
-    senders, ranked = _ranked(report, table, QTYPE_BITS, k)
-    total = report.leaf_counts.get(CLS_EMPTY, 0)
-    top = {key: {} for _, _, key in ranked}
+    totals: dict = {}
     qtype_totals: dict = {}
+    get, get_qtype = totals.get, qtype_totals.get
     for pair, n in table.items():
+        key = pair >> QTYPE_BITS
+        totals[key] = get(key, 0) + n
         code = pair & _QTYPE_MASK
-        qtype_totals[code] = qtype_totals.get(code, 0) + n
-        by_qtype = top.get(pair >> QTYPE_BITS)
-        if by_qtype is not None:
-            by_qtype[code] = n
+        qtype_totals[code] = get_qtype(code, 0) + n
+    ranked = _ranked(report, totals, k)
+    total = report.leaf_counts.get(CLS_EMPTY, 0)
+    top = {}
+    for _, _, key in ranked:
+        base = key << QTYPE_BITS
+        top[key] = {code: table[base | code] for code in qtype_totals if base | code in table}
     return {
         "total": total,
-        "senders": senders,
-        "mean_per_sender": total / senders if senders else None,
+        "senders": len(totals),
+        "mean_per_sender": total / len(totals) if totals else None,
         "qtype_fractions": {m: n / total for m, n in _by_mnemonic(qtype_totals).items()} if total else {},
         "top": [
             {"prefix": prefix, "total": -neg_total, "qtypes": _by_mnemonic(top[key])}
@@ -265,13 +303,14 @@ INVALID_ONLY_POLICY = UnexpectedPolicy(
 POLICIES = {p.name: p for p in (DEFAULT_POLICY, INVALID_ONLY_POLICY)}
 
 
+def _unexpected(leaf_totals: dict, total: int, policy: UnexpectedPolicy) -> float:
+    """The share of total that per-leaf totals put in the policy's leaves."""
+    return sum(n for leaf, n in leaf_totals.items() if leaf in policy.leaves) / total if total else 0.0
+
+
 def unexpected_fraction(report: Report, policy: UnexpectedPolicy = DEFAULT_POLICY) -> float:
     """Fraction of classified queries the policy marks unexpected."""
-    total = report.total
-    if total == 0:
-        return 0.0
-    hits = sum(n for cls, n in report.leaf_counts.items() if cls.leaf in policy.leaves)
-    return hits / total
+    return _unexpected(_leaf_totals(report), report.total, policy)
 
 
 # --- report documents -------------------------------------------------------
@@ -284,43 +323,36 @@ def build_report_doc(
     top_k: int = 10,
 ) -> dict:
     """The report document of a Report, in the shape _DOC_SCHEMA gives."""
-    minimized_by_tld: Counter = Counter()
-    valid_by_tld: Counter = Counter()
-    invalid_other_by_tld: Counter = Counter()
-    scalar = Counter()
+    # one walk of leaf_counts: each leaf's total, and the TLD counts of the leaves that carry one
+    scalar = dict.fromkeys(LEAVES, 0)
+    by_tld: dict = {Leaf.ONE_WORD_MINIMIZED: {}, Leaf.VALID_TLD: {}, Leaf.INVALID_OTHER: {}}
     valid_chromium_like = 0
-    for cls, n in report.leaf_counts.items():
-        leaf = cls.leaf
-        if leaf is Leaf.ONE_WORD_MINIMIZED:
-            minimized_by_tld[cls.tld] += n
-        elif leaf is Leaf.VALID_TLD:
-            valid_by_tld[cls.tld] += n
-            if cls.chromium_like:
-                valid_chromium_like += n
-        elif leaf is Leaf.INVALID_OTHER:
-            invalid_other_by_tld[cls.tld] += n
+    for (leaf, tld, chromium_like), n in report.leaf_counts.items():
         scalar[leaf] += n
+        tlds = by_tld.get(leaf)
+        if tlds is not None:
+            tlds[tld] = tlds.get(tld, 0) + n
+            if chromium_like and leaf is Leaf.VALID_TLD:
+                valid_chromium_like += n
 
     doc_meta = dict(meta or {})
     doc_meta.setdefault("label", report.label)
     doc_meta.setdefault("senders_tracked", report.senders_tracked)
 
-    total = report.total
+    total = sum(scalar.values())
     totals: dict = {
         "records": total,
         "dropped_unparseable": report.dropped,
     }
     if total:
-        totals["fractions"] = {
-            cat.value: frac for cat, frac in top_level_fractions(report).items()
-        }
+        totals["fractions"] = {cat.value: frac for cat, frac in _fractions(scalar, total).items()}
 
     leaves = {
         "empty": scalar[Leaf.EMPTY],
         "one_word": {
             "minimized": {
                 "total": scalar[Leaf.ONE_WORD_MINIMIZED],
-                "by_tld": dict(sorted(minimized_by_tld.items())),
+                "by_tld": dict(sorted(by_tld[Leaf.ONE_WORD_MINIMIZED].items())),
             },
             "chromium": scalar[Leaf.ONE_WORD_CHROMIUM],
             "other": scalar[Leaf.ONE_WORD_OTHER],
@@ -329,7 +361,7 @@ def build_report_doc(
             "valid": {
                 "total": scalar[Leaf.VALID_TLD],
                 "chromium_like": valid_chromium_like,
-                "by_tld": dict(sorted(valid_by_tld.items())),
+                "by_tld": dict(sorted(by_tld[Leaf.VALID_TLD].items())),
             },
             "invalid": {
                 "appletalk": scalar[Leaf.INVALID_APPLETALK],
@@ -338,7 +370,7 @@ def build_report_doc(
                 "chromium": scalar[Leaf.INVALID_CHROMIUM],
                 "other": {
                     "total": scalar[Leaf.INVALID_OTHER],
-                    "by_tld": dict(sorted(invalid_other_by_tld.items())),
+                    "by_tld": dict(sorted(by_tld[Leaf.INVALID_OTHER].items())),
                 },
             },
         },
@@ -361,7 +393,7 @@ def build_report_doc(
         "policy": {
             "name": policy.name,
             "unexpected_leaves": sorted(leaf.value for leaf in policy.leaves),
-            "unexpected_fraction": unexpected_fraction(report, policy),
+            "unexpected_fraction": _unexpected(scalar, total, policy),
         },
     }
 
@@ -529,21 +561,18 @@ _VALUE_KINDS = {
     bool: ("true or false", lambda v: type(v) is bool),
     object: ("any value", lambda v: True),
     None: ("null", lambda v: v is None),
+    # the kinds of every object shape and every array shape
+    dict: ("a JSON object", lambda v: type(v) is dict),
+    list: ("a JSON array", lambda v: type(v) is list),
 }
 
 
 def _check(value, shape, path: str, required: set) -> None:
     """Raise ValueError at the first place where value departs from shape;
     required holds the key suffixes ("+", "*") whose keys must be present."""
-    if isinstance(shape, dict):
-        expected, ok = "a JSON object", type(value) is dict
-    elif isinstance(shape, list):
-        expected, ok = "a JSON array", type(value) is list
-    else:
-        kinds = [_VALUE_KINDS[s] for s in (shape if isinstance(shape, tuple) else (shape,))]
-        expected = " or ".join(name for name, _ in kinds)
-        ok = any(test(value) for _, test in kinds)
-    if not ok:
+    kinds = (type(shape),) if isinstance(shape, (dict, list)) else shape if isinstance(shape, tuple) else (shape,)
+    if not any(_VALUE_KINDS[s][1](value) for s in kinds):
+        expected = " or ".join(_VALUE_KINDS[s][0] for s in kinds)
         where = repr(path) if path else "the top level"
         held = json.dumps(value)
         if len(held) > 40:
@@ -552,6 +581,8 @@ def _check(value, shape, path: str, required: set) -> None:
     if isinstance(shape, list):
         for i, item in enumerate(value):
             _check(item, shape[0], f"{path}[{i}]", required)
+    elif shape is _COUNTS and all(type(n) is int and n >= 0 for n in value.values()):
+        return  # a map of counts, checked in one pass; the walk below names a bad key
     elif isinstance(shape, dict):
         listed = set()
         for key, inner in shape.items():

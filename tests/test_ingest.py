@@ -29,7 +29,7 @@ from roottrace.ingest import (
     sampler,
     window,
 )
-from roottrace.model import DomainName, QueryRecord, prefix_text, sender_key
+from roottrace.model import DomainName, QueryRecord, address_key, prefix_text, sender_key
 from roottrace.names import parse_presentation, to_presentation
 from roottrace.report import fold, write_report
 from roottrace.synth import generate, tsv_bytes, year_mix
@@ -112,6 +112,34 @@ def test_tsv_round_trip():
     out, stats = run_tsv(tsv_bytes(records))
     assert out == records
     assert stats.records_dropped_unparseable == 0
+
+
+EDGE_SOURCES = ["0.0.0.0", "255.255.255.255", "01.2.3.4", "1.2.3", "256.0.0.1", "1.2.3.4 ", " 1.2.3.4",
+                "1.2.3.4\x00", "1.2.3.\x004", "١.2.3.4", "1.2.3.４", "1.2.3.4%eth0", "1.2.3.4.", "",
+                "2001:db8::1", "fe80::1%eth0", "::", "::ffff:1.2.3.4", "1.2.3.4:53", "2001:db8::1 "]
+
+
+def test_decode_tsv_keys_a_source_as_sender_key_does():
+    """decode_tsv keys an IPv4 source inline; line by line, it keeps the
+    key model.sender_key gives, or drops the line where sender_key raises."""
+    for source in EDGE_SOURCES:
+        stats = IngestStats()
+        line = b"1\t" + source.encode() + b"\tIN\tA\tcom.\n"
+        keys = [key for block in decode_tsv(io.BytesIO(line), stats) for key in block.prefixes]
+        try:
+            expected = ([sender_key(source)], 1, 0)
+        except ValueError:
+            expected = ([], 0, 1)
+        assert (keys, stats.records_emitted, stats.records_dropped_unparseable) == expected, source
+    assert sender_key("0.0.0.0") == 0 and sender_key("255.255.255.255") == 0xFFFF
+
+
+def test_decode_tsv_keys_dotted_quads_by_address_key():
+    rng = random.Random(0x1B)
+    sources = ["%d.%d.%d.%d" % tuple(rng.randrange(256) for _ in range(4)) for _ in range(20_000)]
+    text = b"".join(b"1\t%s\tIN\tA\tcom.\n" % source.encode() for source in sources)
+    keys = [key for block in decode_tsv(io.BytesIO(text)) for key in block.prefixes]
+    assert keys == [address_key(socket.inet_pton(socket.AF_INET, source)) for source in sources]
 
 
 def test_tsv_io_error_aborts_with_position():

@@ -274,6 +274,57 @@ def test_reports_and_ingest_stats_pickle_to_their_equals():
     assert Report() != IngestStats() and Report(dropped=1) != Report()
 
 
+def test_a_sent_report_rebuilds_classification_keys_with_bool_flags():
+    """A Report pickles leaf_counts as columns; what comes back holds the
+    same keys in the same order, each a Classification of a Leaf member, a
+    TLD or None, and a bool."""
+    keys = [Classification(leaf) for leaf in Leaf] + [
+        Classification(Leaf.VALID_TLD, "com", True), Classification(Leaf.VALID_TLD, "com", False),
+        Classification(Leaf.ONE_WORD_MINIMIZED, "net"), Classification(Leaf.INVALID_OTHER, "internal"),
+        Classification(Leaf.INVALID_OTHER, None, True), Classification(Leaf.VALID_TLD, None, True)]
+    report = Report("r", Counter(dict(zip(keys, [0, 1, 2**40, *range(3, len(keys))]))), dropped=4)
+    for back in (sent(report), pickle.loads(pickle.dumps(report, 2))):
+        assert back == report
+        assert list(back.leaf_counts.items()) == list(report.leaf_counts.items())
+        for key in back.leaf_counts:
+            assert type(key) is Classification and type(key.chromium_like) is bool
+            assert LEAVES[LEAVES.index(key.leaf)] is key.leaf
+    assert sent(Report()) == Report()
+
+
+def test_merge_into_itself_doubles_every_count():
+    rng = random.Random(54)
+    for _ in range(50):
+        report = random_report(rng, label="a")
+        report.dropped = rng.randint(0, 9)
+        before = sent(report)
+        assert merge_into(report, report) is report
+        assert (report.label, report.dropped) == (before.label, 2 * before.dropped)
+        for name, table in vars(before).items():
+            if isinstance(table, Counter):
+                assert list(getattr(report, name).items()) == [(key, 2 * n) for key, n in table.items()], name
+
+
+def test_merging_zero_counts_adds_as_counter_update_does():
+    """Zero counts are kept as keys, in Counter.update's order."""
+    rng = random.Random(55)
+    for _ in range(100):
+        a, b = random_report(rng, label="a"), random_report(rng, label="b")
+        for report in (a, b):
+            for table in vars(report).values():
+                if isinstance(table, Counter) and table:
+                    for key in rng.sample(list(table), rng.randint(0, len(table))):
+                        table[key] = 0
+        expected = {}
+        for name, table in vars(a).items():
+            if isinstance(table, Counter):
+                expected[name] = Counter(table)
+                expected[name].update(getattr(b, name))
+        merge_into(a, b)
+        for name, table in expected.items():
+            assert list(getattr(a, name).items()) == list(table.items()), name
+
+
 def test_top_level_fractions_sum_to_one():
     rng = random.Random(6)
     for _ in range(50):
@@ -631,6 +682,24 @@ def test_read_report_doc_rejects_unlisted_keys_outside_meta():
     doc["totals"]["extra"] = 1
     with pytest.raises(ValueError, match="unexpected key 'totals.extra'"):
         read_report_doc(json.dumps(doc))
+
+
+@pytest.mark.parametrize("table, keys", [("qtypes", ("A", "AAAA", "NS")),
+                                         ("leaves.has_tld.valid.by_tld", ("com", "net", "org"))])
+@pytest.mark.parametrize("value, held", [(-1, "-1"), (True, "true"), (1.5, "1.5")])
+def test_read_report_doc_names_the_first_bad_count_in_a_map(table, keys, value, held):
+    """A map of counts is checked in one pass; where it fails, the message
+    names its first bad key in document order."""
+    pairs = [(QueryRecord(1, "44.242.1.2", 1, qtype, "x."), Classification(Leaf.VALID_TLD, tld))
+             for qtype, tld in zip((1, 2, 28), ("com", "net", "org"))]
+    doc = json.loads(write_report(fold(pairs), "json"))
+    node, _ = parent_and_key(doc, table + ".x")
+    assert tuple(node) == keys
+    node[keys[1]] = value
+    node[keys[2]] = "x"
+    with pytest.raises(ValueError) as caught:
+        read_report_doc(json.dumps(doc))
+    assert str(caught.value) == f"not a report document: '{table}.{keys[1]}' holds {held}, not a count"
 
 
 PERFBENCH_META = {"inputs": ["trace000.tsv"], "format": "tsv", "sample_rate": 1.0, "seed": 0,

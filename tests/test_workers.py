@@ -10,9 +10,12 @@ the refold that follows a missed resync.
 """
 
 import ast
+import json
 import os
 import pickle
+import random
 import signal
+import string
 import struct
 import subprocess
 import sys
@@ -201,6 +204,27 @@ def test_edge_lines_give_one_process_bytes(tmp_path, monkeypatch, capsys, splits
     starts = [line for count in (2, 3, 8, 16) for line in range_starts(paths, count)]
     assert b"junk line\n" in starts or b"1\t1.2.3.4\tIN\tA\n" in starts
     assert any(line.endswith(b"\r\n") for line in starts)
+
+
+def test_ten_thousand_invalid_tlds_give_one_process_bytes(tmp_path, monkeypatch, capsys, splits):
+    """Each line leaks its own TLD to the root, so leaf_counts holds a key
+    per line and the split runs send and merge ~10^4 leaf keys."""
+    rng = random.Random(18)
+    lines = []
+    for i in range(12_000):
+        tld = "".join(rng.choices(string.ascii_lowercase, k=rng.randint(5, 13)))
+        lines.append(b"%d\t10.%d.%d.1\tIN\tA\thost%d.%s.\n" % (i + 1, i % 251, i % 7, i, tld.encode()))
+    path = tmp_path / "wide.tsv"
+    path.write_bytes(b"".join(lines))
+    out = tmp_path / "out"
+    for argv in (["classify"], ["classify", "--no-senders"]):
+        argv = argv + ["--in", str(path)]
+        code, err, expected = run(argv, 1, monkeypatch, capsys, out)
+        assert (code, err) == (0, "")
+        assert len(json.loads(expected)["leaves"]["has_tld"]["invalid"]["other"]["by_tld"]) > 10_000
+        for count in (2, 3):
+            assert run(argv, count, monkeypatch, capsys, out) == (0, "", expected)
+            assert splits.pop() == (count, [])
 
 
 def test_more_workers_than_lines(tmp_path, monkeypatch, capsys, splits):
@@ -746,13 +770,15 @@ def test_importing_the_cli_loads_no_process_machinery(tmp_path):
 
 def test_start_up_loads_no_introspection_and_a_split_run_no_signal(tmp_path):
     """Set-up time is import time. Start-up loads none of dataclasses,
-    inspect (which dataclasses loads) or pkgutil, and a run split across
-    CPUs kills its workers with _signal's SIGKILL, so signal, which builds
-    its IntEnums on import, stays unloaded. -S, as a site-packages .pth file
-    may import any of them first."""
+    inspect (which dataclasses loads) or pkgutil, nor hashlib and OpenSSL's
+    _hashlib for the registry's fingerprint, and a run split across CPUs
+    kills its workers with _signal's SIGKILL, so signal, which builds its
+    IntEnums on import, stays unloaded. -S, as a site-packages .pth file may
+    import any of them first."""
 
     def loaded(code: str, *args) -> str:
-        shown = "print(sorted(m for m in ('dataclasses', 'inspect', 'pkgutil', 'signal') if m in sys.modules))"
+        unloaded = ('dataclasses', 'inspect', 'pkgutil', 'signal', 'hashlib', '_hashlib')
+        shown = f"print(sorted(m for m in {unloaded} if m in sys.modules))"
         proc = subprocess.run([sys.executable, "-S", "-c", f"import sys\n{code}\n{shown}", *map(str, args)],
                               capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
         assert proc.returncode == 0, proc.stderr
