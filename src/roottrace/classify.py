@@ -24,7 +24,7 @@ from .model import (
     Leaf,
 )
 from .ingest import Block, IngestStats
-from .names import NameParseError, _parse_bytes, label_has_bad_encoding
+from .names import NameParseError, _new_tuple, _parse_bytes, label_has_bad_encoding
 from .tlds import TldRegistry
 
 DEFAULT_APPLETALK_TLDS = frozenset({"appletalk"})
@@ -105,9 +105,9 @@ def classify_block(
     """The (sender keys, qtypes, classifications) columns of a block's records
     whose names classify, in order: what report.fold_blocks counts.
 
-    A pcap block's names are decoded DomainNames; a TSV block's are
-    presentation bytes, each parsed here, and a record whose name fails to
-    parse is left out and bumps stats.names_unparseable.
+    A pcap block's names are label tuples and a TSV block's presentation
+    bytes, parsed here: a record whose name fails to parse is left out and
+    bumps stats.names_unparseable. Another type, DomainName too, raises TypeError.
     """
     global _table
     owner, appletalk, tables = _table
@@ -115,22 +115,24 @@ def classify_block(
         _table = registry, frozenset(appletalk_tlds), (tables := ({}, {}))
     entries, classes, failed = registry.entries, [], 0
     names = block.names
-    parse = _parse_bytes if names and not isinstance(names[0], DomainName) else None
-    for name in names:
-        if parse is not None:
+    kind = type(names[0]) if names else tuple
+    if kind not in (bytes, tuple):
+        raise TypeError(f"a block's names are label tuples or presentation bytes, not {kind.__name__}")
+    for labels in names:
+        if kind is bytes:
             try:
-                name = parse(name, name)
+                labels = _parse_bytes(labels, labels)
             except NameParseError:
                 classes.append(None)
                 failed += 1
                 continue
-        if len(labels := name.labels) > 1:
+        if len(labels) > 1:
             by_tld = tables[len(labels) == 2 and is_chromium_label(labels[0])]
             cls = by_tld.get(tld := labels[-1])
             if cls is None:
                 if len(by_tld) >= TABLE_CAP:
                     by_tld.clear()
-                cls = by_tld[tld] = classify(name, registry, appletalk_tlds)
+                cls = by_tld[tld] = classify(_new_tuple(DomainName, (labels,)), registry, appletalk_tlds)
         else:
             cls = _one_word(labels[0], entries) if labels else CLS_EMPTY
         classes.append(cls)

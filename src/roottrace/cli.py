@@ -42,11 +42,22 @@ MIN_TASK_BYTES = 1 << 17
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse flavor exiting 1 (not 2) on usage errors."""
+    """argparse flavor exiting 1 (not 2) on usage errors; its help width is shutil's, found without shutil."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def _get_formatter(self):
+        try:
+            columns = int(os.environ["COLUMNS"])
+        except (KeyError, ValueError):
+            columns = 0
+        try:
+            columns = columns if columns > 0 else os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+        return self.formatter_class(prog=self.prog, width=(columns or 80) - 2)
 
 
 def _digits(text: str) -> int:

@@ -36,12 +36,12 @@ from .model import (
     qtype_code,
     sender_key,
 )
-from .names import MAX_NAME, _new_tuple, to_presentation
+from .names import MAX_NAME, to_presentation
 
 TSV_FIELDS = 5  # epoch_micros, source_ip, qclass, qtype, qname
 
 # Records per block. At 512, what a block keeps alive (a pcap block's
-# DomainNames, a TSV block's classifications) stays under the collector's
+# label tuples, a TSV block's classifications) stays under the collector's
 # 700-allocation young-generation threshold, so a block is usually freed
 # before a collection scans it; blocks of 4,096 spent ~7% of a pcap run in
 # the collector.
@@ -97,9 +97,8 @@ class Block(NamedTuple):
     """A run of records as parallel columns, in input order: entry i of
     each column belongs to record i. A TSV block holds each source as text
     and each name as presentation bytes; a pcap block holds the packed 4- or
-    16-byte address and the DomainName decoded off the wire. prefixes holds
-    each source's sender key (model.sender_key), derived as the record is
-    read."""
+    16-byte address and the name's label tuple decoded off the wire. prefixes
+    holds each source's sender key (model.sender_key), derived as read."""
 
     timestamps: Sequence[int]
     sources: Sequence
@@ -307,7 +306,7 @@ def decode_pcap(
     keep: Optional[Callable[[int], bool]] = None,
 ) -> Iterator[Block]:
     """Read the queries of a classic pcap capture as Blocks, sources as
-    packed addresses and names as the DomainNames decoded off the wire.
+    packed addresses and names as the label tuples decoded off the wire.
 
     Handles Ethernet and raw-IP link types, IPv4/IPv6, UDP to port 53. A
     query's DNS message ends at the first of: the end of its captured
@@ -345,7 +344,6 @@ def decode_pcap(
         stream.seek(0)
     unpack_rec, nano, ethernet, _ = _pcap_header(stream.read(24))
     subsecond = 1_000_000_000 if nano else 1_000_000
-    block_size = BLOCK
     base = 24  # the file offset of buf[0]
     if start > base:
         stream.seek(start)
@@ -353,7 +351,7 @@ def decode_pcap(
     counted = base if start else 0  # bytes_read covers the file up to here
     buf = b""
     pos = 0  # of the next record header in buf
-    block = Block([], [], [], [], [], [])
+    block, room = Block([], [], [], [], [], []), BLOCK  # room: the records the block has room for
     add_ts, add_source, add_qclass, add_qtype, add_name, add_key = (column.append for column in block)
 
     while True:
@@ -381,6 +379,7 @@ def decode_pcap(
                 # Ethernet + IPv4 with a 20-byte header, the common frame: its
                 # fields up to the qdcount in one unpack
                 total, fragment, protocol, source, port, length, flags, qdcount = _FRAME(buf, at)
+                key = source[0] << 8 | source[1]  # model.address_key's IPv4 key, without the call
                 udp = at + 34
                 if at + 14 + total < stop:
                     stop = at + 14 + total  # the datagram ends before its captured frame does
@@ -419,6 +418,7 @@ def decode_pcap(
                     continue
                 port, length = _UDP(buf, udp)
                 flags = -1  # the DNS header is read once it is known to be whole
+                key = address_key(source)
 
             if port != 53 or length < 8:
                 stats.packets_skipped += 1  # another port, or a short UDP length
@@ -469,14 +469,14 @@ def decode_pcap(
             add_source(source)
             add_qclass(qclass)
             add_qtype(qtype)
-            add_name(_new_tuple(DomainName, (tuple(labels),)))
-            add_key(address_key(source))
-            if len(block.names) == block_size:
+            add_name(tuple(labels))
+            add_key(key)
+            if not (room := room - 1):
                 stats.bytes_read += base + pos - counted
                 counted = base + pos
-                stats.records_emitted += block_size
+                stats.records_emitted += BLOCK
                 yield block
-                block = Block([], [], [], [], [], [])
+                block, room = Block([], [], [], [], [], []), BLOCK
                 add_ts, add_source, add_qclass, add_qtype, add_name, add_key = (column.append for column in block)
 
         if pos + 16 <= size and pos >= limit:
@@ -544,8 +544,8 @@ def read_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterato
     CLI classifies decode_pcap's names without rendering them.
     """
     for block in decode_pcap(stream, stats):
-        sources = map(_address_text, block.sources)
-        yield from map(QueryRecord, block.timestamps, sources, *block[2:4], map(to_presentation, block.names))
+        for timestamp, source, qclass, qtype, labels, _ in zip(*block):
+            yield QueryRecord(timestamp, _address_text(source), qclass, qtype, to_presentation(DomainName(labels)))
 
 
 def _address_text(packed: bytes) -> str:

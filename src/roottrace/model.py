@@ -108,9 +108,6 @@ class DomainName(NamedTuple):
         return not self.labels
 
 
-ROOT_NAME = DomainName(())
-
-
 class Leaf(Enum):
     """Leaves of the query-name taxonomy. Exactly one per parseable name."""
 

@@ -1,15 +1,15 @@
 """Presentation-format query name parsing.
 
-Converts the dotted text form of a DNS name (with RFC 1035 \\DDD and \\X
-escapes) into a DomainName, and back. Parsing decodes escapes before any
-classification happens, so "\\099\\111\\109" and "com" are the same label.
+Converts the dotted text form of a DNS name (RFC 1035 \\DDD and \\X escapes
+decoded first, so "\\099\\111\\109" and "com" are one label) into a DomainName,
+and back. Inside the package a name is its label tuple, as _parse_bytes gives.
 """
 
 from __future__ import annotations
 
 import re
 
-from .model import ROOT_NAME, DomainName
+from .model import DomainName
 
 MAX_LABEL = 63
 MAX_NAME = 255  # encoded length: sum(len(label) + 1) + 1 root byte
@@ -54,15 +54,15 @@ def parse_presentation(raw: str | bytes) -> DomainName:
     left to right (an empty or over-long label), else for its length,
     whether or not it holds escapes.
     """
-    return _parse_bytes(_as_bytes(raw), raw)
+    return _new_tuple(DomainName, (_parse_bytes(_as_bytes(raw), raw),))
 
 
-def _parse_bytes(data: bytes, raw: str | bytes) -> DomainName:
-    """parse_presentation of data, a name's bytes; a NameParseError quotes raw, the name as given."""
+def _parse_bytes(data: bytes, raw: str | bytes) -> tuple[bytes, ...]:
+    """parse_presentation's labels of data, a name's bytes (() for the root); a NameParseError quotes raw."""
     if not data:
         raise NameParseError("empty-name", "empty query name")
     if data == b".":
-        return ROOT_NAME
+        return ()
 
     if _BACKSLASH not in data:
         body = data[:-1] if data[-1] == _DOT else data
@@ -77,7 +77,7 @@ def _parse_bytes(data: bytes, raw: str | bytes) -> DomainName:
                 if len(part) > MAX_LABEL:
                     raise NameParseError("label-too-long", f"label over {MAX_LABEL} bytes in {raw!r}")
             raise NameParseError("name-too-long", f"encoded name over {MAX_NAME} bytes: {raw!r}")
-        return _new_tuple(DomainName, (tuple(parts),))
+        return tuple(parts)
 
     labels: list[bytes] = []
     current = bytearray()
@@ -124,7 +124,7 @@ def _parse_bytes(data: bytes, raw: str | bytes) -> DomainName:
         labels.append(bytes(current))
     if total > MAX_NAME:
         raise NameParseError("name-too-long", f"encoded name over {MAX_NAME} bytes: {raw!r}")
-    return DomainName(tuple(labels))
+    return tuple(labels)
 
 
 def to_presentation(name: DomainName) -> str:

@@ -214,12 +214,24 @@ def test_classify_block_counts_unparseable(registry):
 
 def test_classify_block_classifies_decoded_names(registry):
     names = [parse_presentation(raw) for raw in ("good.com.", ".", "daozjwend.")]
-    block = Block((1, 2, 3), (b"\x01\x02\x03\x04",) * 3, (1, 1, 1), (1, 2, 1), tuple(names), (sender_key("1.2.3.4"),) * 3)
+    labels = tuple(name.labels for name in names)
+    block = Block((1, 2, 3), (b"\x01\x02\x03\x04",) * 3, (1, 1, 1), (1, 2, 1), labels, (sender_key("1.2.3.4"),) * 3)
     stats = IngestStats()
     prefixes, qtypes, classes = classify_block(block, registry, stats=stats)
     assert list(classes) == [classify(name, registry) for name in names]
     assert (prefixes, qtypes) == (block.prefixes, block.qtypes)
     assert stats == IngestStats()
+
+
+@pytest.mark.parametrize("names", [[DomainName((b"example", b"com"))], [DomainName(())], ["example.com."],
+                                   [bytearray(b"example.com.")]])
+def test_classify_block_refuses_names_of_another_type(registry, names):
+    """A DomainName is a tuple too, so a block of them must not pass for
+    one of label tuples, each DomainName read as a one-label name; a
+    block's first name must be exactly bytes or a tuple."""
+    block = Block((1,), (b"\x01\x02\x03\x04",), (1,), (1,), names, (0,))
+    with pytest.raises(TypeError, match=type(names[0]).__name__):
+        classify_block(block, registry)
 
 
 def fresh_table(monkeypatch):
@@ -231,9 +243,11 @@ def table_sizes():
 
 
 def pcap_block(names):
-    """A block of decoded names, with the record index as the sender key."""
+    """A block of the DomainNames' label tuples, as decode_pcap holds them,
+    with the record index as the sender key."""
     n = len(names)
-    return Block(range(n), [b"\x01\x02\x03\x04"] * n, [1] * n, [1] * n, list(names), list(range(n)))
+    return Block(range(n), [b"\x01\x02\x03\x04"] * n, [1] * n, [1] * n, [name.labels for name in names],
+                 list(range(n)))
 
 
 def tsv_block(raws):

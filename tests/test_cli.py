@@ -559,3 +559,28 @@ def test_only_generating_loads_the_generator(tmp_path, trace):
     # the generator's names still resolve from the package, and its command loads it
     assert synth_loaded_after("import roottrace\nassert roottrace.generate and roottrace.MixSpec")
     assert synth_loaded_after(command, "gen", "--preset", "2013", "--count", "10", "--out", tmp_path / "g.tsv")
+
+
+@pytest.mark.parametrize("columns", ["80", "120", "45", None, "0", "wide"])
+def test_help_is_laid_out_at_argparse_s_own_width(monkeypatch, columns):
+    """The parser takes its help width as shutil.get_terminal_size gives it
+    to argparse, without loading shutil: every help and usage text reads as
+    argparse's own formatter lays it out, whatever COLUMNS holds."""
+    import argparse
+
+    from roottrace import cli
+
+    monkeypatch.delenv("LINES", raising=False)
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+
+    def texts():
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        return [text for p in (parser, *commands.values()) for text in (p.format_help(), p.format_usage())]
+
+    ours = texts()
+    monkeypatch.setattr(cli._Parser, "_get_formatter", argparse.ArgumentParser._get_formatter)
+    assert ours == texts()

@@ -1043,12 +1043,14 @@ def test_decode_pcap_is_read_pcap_before_rendering():
     data = differential_pcap()
     decoded_stats, read_stats = IngestStats(), IngestStats()
     queries = [row for block in decode_pcap(io.BytesIO(data), decoded_stats) for row in zip(*block)]
-    rendered = [QueryRecord(q[0], str(ipaddress.ip_address(q[1])), *q[2:4], to_presentation(q[4])) for q in queries]
+    assert all(type(q[4]) is tuple for q in queries)
+    rendered = [QueryRecord(q[0], str(ipaddress.ip_address(q[1])), *q[2:4], to_presentation(DomainName(q[4])))
+                for q in queries]
     assert rendered == list(read_pcap(io.BytesIO(data), read_stats))
     assert decoded_stats == read_stats
     assert len(queries) == 605
     for q in queries:
-        assert parse_presentation(to_presentation(q[4])) == q[4]
+        assert parse_presentation(to_presentation(DomainName(q[4]))).labels == q[4]
 
 
 @pytest.mark.parametrize("no_senders", [False, True])

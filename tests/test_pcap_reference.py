@@ -1,6 +1,7 @@
 """decode_pcap against the reference decoder in pcapref.py, on seeded valid
 captures and their mutations; and the Ethernet/IPv4 fast path against the
-general path, one IP datagram read both ways."""
+general path, one IP datagram read both ways. Every sender key decode_pcap
+gives, inline or by a call, must be model.address_key's for its source."""
 
 import io
 import ipaddress
@@ -12,7 +13,7 @@ import pytest
 import pcapref
 from fuzznames import random_label
 from roottrace.ingest import MAX_CAPLEN, IngestStats, PcapError, decode_pcap
-from roottrace.model import DomainName, prefix_text
+from roottrace.model import address_key, prefix_text, sender_key
 from test_ingest import dns_payload, pcap_file, udp4, udp6
 
 ETHERNET_HEADER = b"\xaa" * 6 + b"\xbb" * 6  # the ethertype follows
@@ -27,8 +28,9 @@ def decoded(data: bytes):
         for block in decode_pcap(io.BytesIO(data), stats):
             assert len({len(column) for column in block}) == 1
             for timestamp, source, qclass, qtype, name, key in zip(*block):
-                assert type(name) is DomainName
-                rows.append((timestamp, source, qclass, qtype, name.labels, prefix_text(key)))
+                assert type(name) is tuple
+                assert key == address_key(source)
+                rows.append((timestamp, source, qclass, qtype, name, prefix_text(key)))
     except PcapError as exc:
         return str(exc)
     counters = (stats.records_emitted, stats.records_dropped_unparseable, stats.packets_skipped, stats.bytes_read)
@@ -267,3 +269,30 @@ def test_an_ethernet_frame_decodes_as_its_raw_ip_datagram(name, endian):
     assert (rows, (emitted, dropped, skipped, bytes_read - 3 * 14)) == got_raw  # 14 bytes a record
     assert (emitted, dropped, skipped) == tuple(3 * count for count in outcome)
     assert got_ethernet == expected(ethernet)
+
+
+def test_every_sender_key_is_address_keys():
+    """decode_pcap keys the common frame's source inline (Ethernet + IPv4
+    with a 20-byte header) and any other by a call to model.address_key:
+    on every kind of frame, edge addresses among them, the key is the one
+    address_key and sender_key give for the source."""
+    rng = random.Random(0xADD5)
+    v4 = ["0.0.0.0", "255.255.255.255", "0.255.0.255", "255.0.255.0", "1.2.3.4"]
+    v4 += [str(ipaddress.IPv4Address(rng.getrandbits(32))) for _ in range(600)]
+    v6 = ["::", "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff", "::ffff:1.2.3.4", "2001:db8::1"]
+    v6 += [str(ipaddress.IPv6Address(rng.getrandbits(128))) for _ in range(600)]
+    payload = dns_payload([b"example", b"com"], 1)
+    captures = {
+        "Ethernet IPv4": (v4, pcap_file([udp4(a, payload) for a in v4])),
+        "Ethernet IPv4 with options": (v4, pcap_file([ETHERNET_HEADER + b"\x08\x00" + with_options(udp4(a, payload)[14:])
+                                                      for a in v4])),
+        "raw IPv4": (v4, pcap_file([udp4(a, payload)[14:] for a in v4], linktype=101)),
+        "Ethernet IPv6": (v6, pcap_file([udp6(a, payload) for a in v6])),
+        "raw IPv6": (v6, pcap_file([udp6(a, payload)[14:] for a in v6], linktype=12)),
+    }
+    for kind, (addresses, data) in captures.items():
+        blocks = list(decode_pcap(io.BytesIO(data)))
+        sources = [source for block in blocks for source in block.sources]
+        keys = [key for block in blocks for key in block.prefixes]
+        assert sources == [ipaddress.ip_address(a).packed for a in addresses], kind
+        assert keys == list(map(address_key, sources)) == list(map(sender_key, addresses)), kind

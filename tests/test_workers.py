@@ -771,13 +771,14 @@ def test_importing_the_cli_loads_no_process_machinery(tmp_path):
 def test_start_up_loads_no_introspection_and_a_split_run_no_signal(tmp_path):
     """Set-up time is import time. Start-up loads none of dataclasses,
     inspect (which dataclasses loads) or pkgutil, nor hashlib and OpenSSL's
-    _hashlib for the registry's fingerprint, and a run split across CPUs
+    _hashlib for the registry's fingerprint, nor shutil for argparse's help
+    width, and a run split across CPUs
     kills its workers with _signal's SIGKILL, so signal, which builds its
     IntEnums on import, stays unloaded. -S, as a site-packages .pth file may
     import any of them first."""
 
     def loaded(code: str, *args) -> str:
-        unloaded = ('dataclasses', 'inspect', 'pkgutil', 'signal', 'hashlib', '_hashlib')
+        unloaded = ('dataclasses', 'inspect', 'pkgutil', 'signal', 'hashlib', '_hashlib', 'shutil')
         shown = f"print(sorted(m for m in {unloaded} if m in sys.modules))"
         proc = subprocess.run([sys.executable, "-S", "-c", f"import sys\n{code}\n{shown}", *map(str, args)],
                               capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
