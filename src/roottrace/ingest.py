@@ -95,12 +95,14 @@ class IngestStats:
 
 class Block(NamedTuple):
     """A run of records as parallel columns, in input order: entry i of
-    each column belongs to record i. A TSV block holds each source as text
-    and each name as presentation bytes; a pcap block holds the packed 4- or
-    16-byte address and the name's label tuple decoded off the wire. prefixes
-    holds each source's sender key (model.sender_key), derived as read."""
+    each column belongs to record i. A TSV block holds each timestamp as its
+    line's ASCII digits (int() reads them; only window and read_tsv do),
+    each source as text and each name as presentation bytes; a pcap block
+    holds each timestamp as an int of microseconds, the packed 4- or 16-byte
+    address and the name's label tuple decoded off the wire. prefixes holds
+    each source's sender key (model.sender_key), derived as read."""
 
-    timestamps: Sequence[int]
+    timestamps: Sequence
     sources: Sequence
     qclasses: Sequence[int]
     qtypes: Sequence[int]
@@ -121,7 +123,9 @@ def decode_tsv(
 
     Malformed lines, a source that is not an IP address and a timestamp
     that is not a positive run of ASCII decimal digits among them, bump
-    records_dropped_unparseable and are left out. The lines of a block are
+    records_dropped_unparseable and are left out. A timestamp is kept as
+    those digits, leading zeros and all, and converted only where it is
+    read. The lines of a block are
     read at once, so an I/O failure aborts with a TsvReadError that names
     the line whose read failed, counted from the file's first line, before
     the block it cut short is yielded; only then are the newlines before
@@ -174,7 +178,6 @@ def decode_tsv(
             qclass = qclass_table.get(qclass_b)
             qtype = qtype_table.get(qtype_b)
             try:
-                timestamp = int(ts_b) if ts_b.isdigit() else 0  # ASCII decimal digits only
                 if qclass is None:
                     qclass = qclass_code(qclass_b.decode("ascii"))
                 if qtype is None:
@@ -188,10 +191,12 @@ def decode_tsv(
             except (ValueError, UnicodeDecodeError, OSError):
                 dropped += 1
                 continue
-            if timestamp <= 0 or not qname_b:
+            # bytes.isdigit takes ASCII decimal digits only; lstrip leaves
+            # nothing of a timestamp of zeros
+            if not (ts_b.isdigit() and ts_b.lstrip(b"0") and qname_b):
                 dropped += 1
                 continue
-            add_ts(timestamp)
+            add_ts(ts_b)
             add_source(source)
             add_qclass(qclass)
             add_qtype(qtype)
@@ -230,14 +235,16 @@ def line_start(fd: int, target: int) -> int:
 
 
 def read_tsv(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[QueryRecord]:
-    """decode_tsv's records as QueryRecords, names as latin-1 text.
+    """decode_tsv's records as QueryRecords, timestamps as ints and names
+    as latin-1 text.
 
     Malformed lines bump records_dropped_unparseable and are skipped. An
     I/O failure aborts with a TsvReadError naming the line whose read
     failed; the records of the block it cut short are not yielded.
     """
     for block in decode_tsv(stream, stats):
-        yield from map(QueryRecord, *block[:4], map(bytes.decode, block.names, repeat("latin-1")))
+        yield from map(QueryRecord, map(int, block.timestamps), *block[1:4],
+                       map(bytes.decode, block.names, repeat("latin-1")))
 
 
 _PCAP_MAGICS = {
@@ -603,9 +610,11 @@ def window(
     end_seconds: int,
     day_origin_micros: int,
 ) -> Iterator[Block]:
-    """Keep records whose timestamp falls in the half-open time-of-day window."""
+    """Keep records whose timestamp falls in the half-open time-of-day
+    window, reading each with int(): a TSV block's digits and a pcap
+    block's ints alike."""
     if not 0 <= start_seconds < end_seconds <= 86_400:
         raise ValueError(f"inverted or out-of-day window {start_seconds}..{end_seconds}")
     lo = day_origin_micros + start_seconds * 1_000_000
     hi = day_origin_micros + end_seconds * 1_000_000
-    return (block.select([lo <= t < hi for t in block.timestamps]) for block in blocks)
+    return (block.select([lo <= t < hi for t in map(int, block.timestamps)]) for block in blocks)

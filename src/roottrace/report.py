@@ -30,16 +30,24 @@ from .model import (
     sender_key,
 )
 
-# The sender tables are Counters of ints that pack a sender key
-# (model.sender_key) with one detail: sender_counts counts
-# key << LEAF_BITS | the record's LEAVES index, and empty_by_sender counts
-# key << QTYPE_BITS | the root-name query's qtype code.
+# The sender tables are Counters keyed by sender key (model.sender_key).
+# sender_counts holds one row per key: an int that packs the sender's count
+# in each TopCategory, in declaration order, into ROW_BITS-bit fields from
+# bit 0 up, with its total above them, so adding rows adds every count at
+# once and rows order as their totals do. A field holds at most the
+# report's total, so none carries while that is under 2**ROW_BITS
+# (build_report_doc refuses a report that reaches it). empty_by_sender
+# counts key << QTYPE_BITS | the root-name query's qtype code.
 LEAVES = tuple(Leaf)
 LEAF_INDEX = {leaf: i for i, leaf in enumerate(LEAVES)}
-LEAF_BITS = 4  # room for the ten leaves
+ROW_BITS = 40
 QTYPE_BITS = 16
 _QTYPE_MASK = (1 << QTYPE_BITS) - 1
-_ROW_TOPS = tuple(LEAF_TOP[leaf].value for leaf in LEAVES)
+_FIELD_MASK = (1 << ROW_BITS) - 1
+_FIELD_SHIFTS = {cat.value: ROW_BITS * i for i, cat in enumerate(TopCategory)}
+_TOTAL_SHIFT = ROW_BITS * len(TopCategory)
+# what one record of each leaf adds to its sender's row
+_leaf_row = {leaf: 1 << _TOTAL_SHIFT | 1 << _FIELD_SHIFTS[LEAF_TOP[leaf].value] for leaf in LEAVES}.__getitem__
 _leaf_of = attrgetter("leaf")
 _index_of = LEAF_INDEX.__getitem__
 
@@ -50,9 +58,12 @@ _CATEGORIES = tuple(cat.value for cat in TopCategory)
 class Report(SimpleNamespace):
     """Aggregate counts for one labelled slice of traffic (e.g. a year).
     Each count is kept once: total is derived from leaf_counts, and
-    merge_into is the one place every field is added. A counter not given
-    starts empty. SimpleNamespace gives ==, repr and pickling in C, and
-    vars(report) lists the fields in this order."""
+    merge_into is the one place every field is added. sender_counts holds
+    one row per sender key, its counts per TopCategory and total packed in
+    one int (see ROW_BITS), and empty_by_sender one count per (sender key,
+    root-name query qtype). A counter not given starts empty.
+    SimpleNamespace gives ==, repr and pickling in C, and vars(report)
+    lists the fields in this order."""
 
     def __init__(
         self, label: str = "", leaf_counts: Optional[Counter] = None, qtype_counts: Optional[Counter] = None,
@@ -62,7 +73,7 @@ class Report(SimpleNamespace):
         self.label = label
         self.leaf_counts = Counter() if leaf_counts is None else leaf_counts  # Classification -> n
         self.qtype_counts = Counter() if qtype_counts is None else qtype_counts  # qtype code -> n
-        self.sender_counts = Counter() if sender_counts is None else sender_counts  # key << LEAF_BITS | LEAVES index
+        self.sender_counts = Counter() if sender_counts is None else sender_counts  # key -> row of counts
         self.empty_by_sender = Counter() if empty_by_sender is None else empty_by_sender  # key << QTYPE_BITS | qtype
         self.dropped = dropped
         self.senders_tracked = senders_tracked
@@ -97,12 +108,14 @@ def fold_blocks(
     exactly once. A block is three parallel columns: the records' sender
     keys, qtypes and classifications (classify.classify_block gives them);
     the keys are read only when senders are tracked. Each record adds one to
-    leaf_counts, whose sum is the Report's total. dropped is left 0: the
+    leaf_counts, whose sum is the Report's total, and, with senders, its
+    leaf's weight to its sender's row: one in the total and one in the
+    field of the leaf's TopCategory. dropped is left 0: the
     caller knows what its reader dropped.
     """
     leaf_counts: Counter = Counter()
     qtype_counts: Counter = Counter()
-    senders: Counter = Counter()
+    rows: Counter = Counter()
     empties: Counter = Counter()
     empty_leaf = Leaf.EMPTY
 
@@ -112,7 +125,9 @@ def fold_blocks(
         if not track_senders:
             continue
         leaves = list(map(_leaf_of, classes))
-        senders.update(map(or_, map(lshift, keys, repeat(LEAF_BITS)), map(_index_of, leaves)))
+        # one C-level pass: rows.get is called as each pair is stored, so a
+        # key met twice in a block adds to the row its first record wrote
+        dict.update(rows, zip(keys, map(add, map(rows.get, keys, repeat(0)), map(_leaf_row, leaves))))
         root = list(map(is_, leaves, repeat(empty_leaf)))
         empties.update(map(or_, map(lshift, compress(keys, root), repeat(QTYPE_BITS)), compress(qtypes, root)))
 
@@ -120,7 +135,7 @@ def fold_blocks(
         label=label,
         leaf_counts=leaf_counts,
         qtype_counts=qtype_counts,
-        sender_counts=senders,
+        sender_counts=rows,
         empty_by_sender=empties,
         senders_tracked=track_senders,
     )
@@ -202,46 +217,41 @@ def top_level_fractions(report: Report) -> dict[TopCategory, float]:
     return _fractions(_leaf_totals(report), total)
 
 
-def _ranked(report: Report, totals: dict, k: int) -> list[tuple[int, str, int]]:
-    """(-total, prefix, key) for the k sender keys of totals, a key's total
-    over one of the report's sender tables, with the largest totals,
-    descending, ties broken on prefix text. Only the keys whose total
-    reaches the k-th largest are formatted."""
+def _ranked(report: Report, table: dict, k: int, shift: int = 0) -> list[tuple[int, str, int]]:
+    """(-total, prefix, key) for the k sender keys of table with the largest
+    totals, descending, ties broken on prefix text; a key's total is its
+    value in table >> shift, and values order as their totals do. Only the
+    keys whose total reaches the k-th largest are formatted."""
     if k < 1:
         raise ValueError("k must be positive")
     if not report.senders_tracked:
         raise ValueError("sender tracking was disabled for this report")
-    keys = totals
-    if k < len(totals):
-        kth = heapq.nlargest(k, totals.values())[-1]
-        keys = compress(totals, map(ge, totals.values(), repeat(kth)))
-    return heapq.nsmallest(k, [(-totals[key], prefix_text(key), key) for key in keys])
+    keys = table
+    if k < len(table):
+        kth = heapq.nlargest(k, table.values())[-1] >> shift << shift
+        keys = compress(table, map(ge, table.values(), repeat(kth)))
+    return heapq.nsmallest(k, [(-(table[key] >> shift), prefix_text(key), key) for key in keys])
 
 
-def _senders_section(report: Report, k: int) -> dict:
-    """The count and top of a report document's senders section."""
-    table = report.sender_counts
-    totals: dict = {}
-    get = totals.get
-    for pair, n in table.items():
-        key = pair >> LEAF_BITS
-        totals[key] = get(key, 0) + n
-    ranked = _ranked(report, totals, k)
-    rows = []
-    for neg_total, prefix, key in ranked:
-        categories = dict.fromkeys(_CATEGORIES, 0)
-        base = key << LEAF_BITS
-        for i, top in enumerate(_ROW_TOPS):
-            categories[top] += table.get(base | i, 0)
-        rows.append({"prefix": prefix, "total": -neg_total, "categories": categories})
-    return {"count": len(totals), "top": rows}
+def _senders_section(report: Report, k: int, total: int) -> dict:
+    """The count and top of a report document's senders section, for a
+    report of total records; only the rows it ranks are unpacked."""
+    if total >> ROW_BITS:
+        raise ValueError(f"a report of {total} records reaches the sender rows' limit of 2**{ROW_BITS} records")
+    rows = report.sender_counts
+    top = []
+    for neg_total, prefix, key in _ranked(report, rows, k, _TOTAL_SHIFT):
+        row = rows[key]
+        categories = {cat: row >> shift & _FIELD_MASK for cat, shift in _FIELD_SHIFTS.items()}
+        top.append({"prefix": prefix, "total": -neg_total, "categories": categories})
+    return {"count": len(rows), "top": top}
 
 
 def top_senders(report: Report, k: int) -> list[dict]:
     """The senders.top rows of a report document: the k busiest sender
     prefixes, descending, with their counts per category; ties break on
     prefix."""
-    return _senders_section(report, k)["top"]
+    return _senders_section(report, k, report.total)["top"]
 
 
 def _by_mnemonic(by_code: dict) -> dict:
@@ -378,7 +388,7 @@ def build_report_doc(
 
     senders: dict = {"tracked": report.senders_tracked}
     if report.senders_tracked:
-        senders.update(_senders_section(report, top_k))
+        senders.update(_senders_section(report, top_k, total))
         empty_stats = empty_query_stats(report, k=top_k)
     else:
         empty_stats = {"total": report.leaf_counts.get(CLS_EMPTY, 0)}

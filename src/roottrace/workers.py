@@ -25,7 +25,9 @@ compiles it.
 from __future__ import annotations
 
 import os
-import pickle
+# _pickle, not pickle: pickle.py is ~1 ms to load (2-CPU Xeon, Python 3.11)
+# and only wraps it
+from _pickle import UnpicklingError, dump, load
 # _signal, not signal: set-up time is import time, signal builds its IntEnums
 # on import (~0.9 ms, 2-CPU Xeon, Python 3.11), and _signal is loaded at start-up
 from _signal import SIGKILL
@@ -76,7 +78,7 @@ def _work(fd: int, task: list, fold) -> None:
     status = 1
     try:
         with open(fd, "wb") as pipe:
-            pickle.dump(fold(task), pipe, pickle.HIGHEST_PROTOCOL)
+            dump(fold(task), pipe, -1)  # -1: the highest protocol
         status = 0
     finally:
         os._exit(status)
@@ -88,8 +90,8 @@ def _receive(running: dict, i: int):
     pid, pipe = running[i]
     with pipe:
         try:
-            sent = pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError):
+            sent = load(pipe)
+        except (EOFError, UnpicklingError):
             sent = None
     os.waitpid(pid, 0)
     del running[i]

@@ -88,6 +88,22 @@ def test_tsv_malformed_lines_dropped(line):
     assert stats.records_dropped_unparseable == 1
 
 
+@pytest.mark.parametrize("field", [
+    b"0", b"000", b"0001", b"+1", b" 1", b"1_0", "\u0661".encode(), "\uff11".encode(), b"\xb2", b"",
+    b"1649721600000000",
+], ids=repr)
+def test_decode_tsv_keeps_a_positive_run_of_ascii_digits_as_read(field):
+    # the rule a timestamp was read by as an int: ASCII decimal digits whose
+    # value is positive; what passes is kept as its digits, leading zeros too
+    valid = field.isdigit() and int(field) > 0
+    stats = IngestStats()
+    blocks = list(decode_tsv(io.BytesIO(field + b"\t1.2.3.4\tIN\tA\tfoo.\n"), stats))
+    assert [list(block.timestamps) for block in blocks] == ([[field]] if valid else [])
+    assert (stats.records_emitted, stats.records_dropped_unparseable) == ((1, 0) if valid else (0, 1))
+    records, _ = run_tsv(field + b"\t1.2.3.4\tIN\tA\tfoo.\n")
+    assert [r.timestamp for r in records] == ([int(field)] if valid else [])
+
+
 def test_tsv_accounting_invariant():
     text = (
         b"1\t1.2.3.4\tIN\tA\tfoo.\n"
@@ -175,7 +191,7 @@ def test_tsv_io_error_names_the_line_whose_read_failed(monkeypatch):
 def test_tsv_io_error_names_its_line_wherever_blocks_break(monkeypatch):
     monkeypatch.setattr(ingest, "BLOCK", 4)
     lines = [b"%d\t1.2.3.4\tIN\tA\tfoo.\n" % (i + 1) for i in range(11)]
-    whole = [list(block.timestamps) for block in decode_tsv(iter(lines))]
+    whole = [list(map(int, block.timestamps)) for block in decode_tsv(iter(lines))]
     assert whole == [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11]]
 
     def failing(bad_line):
@@ -330,7 +346,8 @@ def test_sample_composition():
 
 def test_sample_preserves_order():
     data = tsv_bytes(make_records(10_000))
-    out = [timestamp for block in decode_tsv(io.BytesIO(data), keep=sampler(0.5, 3)) for timestamp in block.timestamps]
+    blocks = decode_tsv(io.BytesIO(data), keep=sampler(0.5, 3))
+    out = [int(timestamp) for block in blocks for timestamp in block.timestamps]
     assert 0 < len(out) < 10_000
     assert out == sorted(out)
 
@@ -457,6 +474,21 @@ def test_window_keeps_half_open():
     ]
     kept = flatten(window(in_blocks(records, 3), 6 * 3600, 7 * 3600, DAY))
     assert [r.qname_raw for r in kept] == ["a.", "c."]
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "pcap"])
+def test_window_keeps_the_same_records_from_either_reader(fmt):
+    lo, hi = ts(6), ts(7)
+    times = [lo - 1, lo, hi - 1, hi, lo - 1_000_000, hi + 1]
+    records = [QueryRecord(t, "1.2.3.4", 1, 1, f"r{i}.") for i, t in enumerate(times)]
+    if fmt == "tsv":  # digits with leading zeros read as their value
+        data = tsv_bytes(records).replace(b"\n%d\t" % (hi - 1), b"\n000%d\t" % (hi - 1))
+        assert b"\n000" in data
+        blocks, names = decode_tsv(io.BytesIO(data)), [b"r1.", b"r2."]
+    else:
+        blocks, names = decode_pcap(io.BytesIO(capture_of(records))), [(b"r1",), (b"r2",)]
+    kept = [row for block in window(blocks, 6 * 3600, 7 * 3600, DAY) for row in zip(*block)]
+    assert [(int(row[0]), row[4]) for row in kept] == [(lo, names[0]), (hi - 1, names[1])]
 
 
 def test_window_empty_input():

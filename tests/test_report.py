@@ -20,13 +20,14 @@ from roottrace.model import (
     TopCategory,
     prefix_text,
     qtype_mnemonic,
+    sender_key,
 )
 from roottrace.report import (
     DEFAULT_POLICY,
     INVALID_ONLY_POLICY,
-    LEAF_BITS,
     LEAVES,
     QTYPE_BITS,
+    ROW_BITS,
     Report,
     build_report_doc,
     chromium_fractions,
@@ -64,6 +65,21 @@ LEAF_POOL = [
 ]
 
 QTYPES = [1, 2, 6, 28, 48]
+
+
+def packed_row(categories: dict) -> int:
+    """A sender_counts row of counts by TopCategory, as the layout goes:
+    each count in its ROW_BITS-bit field, in declaration order from bit 0,
+    and the total above them."""
+    fields = sum(categories.get(cat, 0) << ROW_BITS * i for i, cat in enumerate(TopCategory))
+    return sum(categories.values()) << ROW_BITS * len(TopCategory) | fields
+
+
+def unpacked_row(row: int) -> tuple[int, dict]:
+    """(total, counts by TopCategory value) of a sender_counts row."""
+    mask = (1 << ROW_BITS) - 1
+    categories = {cat.value: row >> ROW_BITS * i & mask for i, cat in enumerate(TopCategory)}
+    return row >> ROW_BITS * len(TopCategory), categories
 
 
 def random_pairs(rng, n, sources=("44.242.1.2", "34.223.9.9", "2600:1:2:3::9")):
@@ -114,10 +130,51 @@ def test_fold_counting_invariants(registry):
     assert report.total == 5_000
     assert sum(report.leaf_counts.values()) == report.total
     assert sum(report.qtype_counts.values()) == report.total
-    per_sender = sum(report.sender_counts.values())
+    per_sender = sum(unpacked_row(row)[0] for row in report.sender_counts.values())
     assert per_sender == report.total
     empty_total = report.leaf_counts.get(Classification(Leaf.EMPTY), 0)
     assert sum(report.empty_by_sender.values()) == empty_total
+
+
+def test_fold_blocks_rows_equal_a_count_record_by_record():
+    rng = random.Random(61)
+    sources = ("44.242.1.2", "44.242.9.9", "34.223.9.9", "2600:1:2:3::9", "2600:1:2:ffff::1", "ffff:ffff:ffff::1")
+    blocks = []
+    for _ in range(30):
+        n = rng.randint(1, 40)
+        keys = [sender_key(rng.choice(sources)) for _ in range(n)]
+        blocks.append((keys, [rng.choice(QTYPES) for _ in range(n)], [rng.choice(LEAF_POOL) for _ in range(n)]))
+    assert {cls.leaf for _, _, classes in blocks for cls in classes} == set(Leaf)
+    repeated = {key for keys, _, _ in blocks for key in keys if keys.count(key) > 1}
+    assert min(repeated) < 1 << 16 < max(repeated)  # IPv4 and IPv6 keys met twice in one block
+    counts = {}
+    for keys, _, classes in blocks:
+        for key, cls in zip(keys, classes):
+            row = counts.setdefault(key, dict.fromkeys(TopCategory, 0))
+            row[LEAF_TOP[cls.leaf]] += 1
+    report = fold_blocks(blocks)
+    assert {key: unpacked_row(row) for key, row in report.sender_counts.items()} == {
+        key: (sum(row.values()), {cat.value: n for cat, n in row.items()}) for key, row in counts.items()
+    }
+    assert report.sender_counts == {key: packed_row(row) for key, row in counts.items()}
+
+
+def test_report_doc_refuses_a_report_at_the_sender_rows_limit():
+    com = Classification(Leaf.VALID_TLD, "com", False)
+
+    def report(n, tracked=True):
+        rows = Counter({7: packed_row({TopCategory.VALID_TLD: n})}) if tracked else Counter()
+        return Report(leaf_counts=Counter({com: n}), sender_counts=rows, senders_tracked=tracked)
+
+    limit = 2**40
+    categories = {"empty": 0, "one_word": 0, "invalid_tld": 0, "valid_tld": limit - 1}
+    assert build_report_doc(report(limit - 1))["senders"]["top"] == [
+        {"prefix": "0.7.0.0/16", "total": limit - 1, "categories": categories}]
+    for call in (build_report_doc, lambda r: top_senders(r, 10)):
+        with pytest.raises(ValueError, match=re.escape("limit of 2**40 records")):
+            call(report(limit))
+    # without sender rows nothing is packed
+    assert build_report_doc(report(limit, tracked=False))["totals"]["records"] == limit
 
 
 def test_total_is_derived_from_leaf_counts():
@@ -139,7 +196,7 @@ def nondefault_reports() -> list[Report]:
         "label": "2013+2022",
         "leaf_counts": Counter({Classification(Leaf.EMPTY): 3, Classification(Leaf.VALID_TLD, "com", False): 2}),
         "qtype_counts": Counter({2: 3, 1: 2}),
-        "sender_counts": Counter({7 << LEAF_BITS | 0: 3, 9 << LEAF_BITS | 5: 2}),
+        "sender_counts": Counter({7: packed_row({TopCategory.EMPTY: 3}), 9: packed_row({TopCategory.VALID_TLD: 2})}),
         "empty_by_sender": Counter({7 << QTYPE_BITS | 2: 3}),
         "dropped": 4,
     }
@@ -248,7 +305,7 @@ def test_pickled_report_keeps_edge_keys_qtypes_and_counts():
     pairs += [(QueryRecord(1, "ffff:ffff:ffff::1", 1, qtype, "."), empty) for qtype in (0, 65535, 65535)]
     report = fold(pairs)
     acc = random_report(rng, label="acc")
-    assert max(report.sender_counts) >> LEAF_BITS > 2**32
+    assert max(report.sender_counts) > 2**32
     assert {0, 65535} <= {pair & ((1 << QTYPE_BITS) - 1) for pair in report.empty_by_sender}
     assert merge_into(merge(acc, Report()), sent(report)) == merge(acc, report)
 
@@ -750,11 +807,8 @@ def test_sender_rollup_consistency(registry):
 
 
 def sender_rows(report):
-    """Each sender prefix's LEAVES-ordered row of counts."""
-    rows = {}
-    for pair, n in report.sender_counts.items():
-        rows.setdefault(prefix_text(pair >> LEAF_BITS), [0] * len(LEAVES))[pair & ((1 << LEAF_BITS) - 1)] += n
-    return rows
+    """Each sender prefix's (total, counts by TopCategory value)."""
+    return {prefix_text(key): unpacked_row(row) for key, row in report.sender_counts.items()}
 
 
 def empty_rows(report):
@@ -767,11 +821,9 @@ def empty_rows(report):
 
 def full_sort_senders(report):
     rows = []
-    for prefix, row in sender_rows(report).items():
-        categories = {cat.value: 0 for cat in TopCategory}
-        for leaf, n in zip(LEAVES, row):
-            categories[LEAF_TOP[leaf].value] += n
-        rows.append((prefix, sum(row), categories))
+    for prefix, (total, categories) in sender_rows(report).items():
+        assert total == sum(categories.values())
+        rows.append((prefix, total, categories))
     rows.sort(key=lambda r: (-r[1], r[0]))
     return rows
 

@@ -467,7 +467,7 @@ def test_a_worker_that_dies_part_way_through_its_send_has_its_task_folded_here(s
     path = tmp_path / "t.tsv"
     path.write_bytes(tsv_bytes(RECORDS))
     parent = os.getpid()
-    real = pickle.dump
+    real = workers.dump
 
     def dump(obj, file, protocol=None):
         if os.getpid() == parent:
@@ -477,7 +477,7 @@ def test_a_worker_that_dies_part_way_through_its_send_has_its_task_folded_here(s
         file.flush()
         os._exit(3)
 
-    monkeypatch.setattr(pickle, "dump", dump)
+    monkeypatch.setattr(workers, "dump", dump)
     assert_dead_workers_tasks_folded_here(path, monkeypatch, capsys, splits)
 
 
@@ -774,11 +774,12 @@ def test_start_up_loads_no_introspection_and_a_split_run_no_signal(tmp_path):
     _hashlib for the registry's fingerprint, nor shutil for argparse's help
     width, and a run split across CPUs
     kills its workers with _signal's SIGKILL, so signal, which builds its
-    IntEnums on import, stays unloaded. -S, as a site-packages .pth file may
-    import any of them first."""
+    IntEnums on import, stays unloaded, and pickles with _pickle, so
+    pickle.py does too. -S, as a site-packages .pth file may import any of
+    them first."""
 
     def loaded(code: str, *args) -> str:
-        unloaded = ('dataclasses', 'inspect', 'pkgutil', 'signal', 'hashlib', '_hashlib', 'shutil')
+        unloaded = ('dataclasses', 'inspect', 'pkgutil', 'signal', 'hashlib', '_hashlib', 'shutil', 'pickle')
         shown = f"print(sorted(m for m in {unloaded} if m in sys.modules))"
         proc = subprocess.run([sys.executable, "-S", "-c", f"import sys\n{code}\n{shown}", *map(str, args)],
                               capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
