@@ -20,7 +20,6 @@ from .ingest import (  # noqa: F401
 )
 from .model import (  # noqa: F401
     Classification,
-    DomainName,
     Leaf,
     QueryRecord,
     TopCategory,
@@ -42,9 +41,6 @@ from .report import (  # noqa: F401
     fold,
     fold_blocks,
     merge,
-    top_level_fractions,
-    top_senders,
-    unexpected_fraction,
     write_report,
 )
 from .tlds import TldRegistry, default_registry, load_registry, load_registry_path  # noqa: F401

@@ -20,11 +20,10 @@ from .model import (
     CLS_ONE_WORD_CHROMIUM,
     CLS_ONE_WORD_OTHER,
     Classification,
-    DomainName,
     Leaf,
 )
 from .ingest import Block, IngestStats
-from .names import NameParseError, _new_tuple, _parse_bytes, label_has_bad_encoding
+from .names import NameParseError, _parse_bytes, label_has_bad_encoding
 from .tlds import TldRegistry
 
 DEFAULT_APPLETALK_TLDS = frozenset({"appletalk"})
@@ -50,18 +49,17 @@ def _one_word(label: bytes, entries: frozenset) -> Classification:
 
 
 def classify(
-    name: DomainName,
+    labels: tuple[bytes, ...],
     registry: TldRegistry,
     appletalk_tlds: frozenset[str] = DEFAULT_APPLETALK_TLDS,
 ) -> Classification:
-    """Assign a parsed name its taxonomy leaf.
+    """Assign a parsed name (its label tuple) its taxonomy leaf.
 
     Total over parseable names: never raises, always returns exactly one
     leaf. Test order within the invalid-TLD branch runs most-specific
     first (appletalk, bad encoding, all-numeric, probe-shaped, other) to
     keep the leaves disjoint.
     """
-    labels = name.labels
     if not labels:
         return CLS_EMPTY
 
@@ -107,7 +105,8 @@ def classify_block(
 
     A pcap block's names are label tuples and a TSV block's presentation
     bytes, parsed here: a record whose name fails to parse is left out and
-    bumps stats.names_unparseable. Another type, DomainName too, raises TypeError.
+    bumps stats.names_unparseable. Another type raises TypeError: a str or
+    bytearray name would otherwise be read as labels.
     """
     global _table
     owner, appletalk, tables = _table
@@ -132,7 +131,7 @@ def classify_block(
             if cls is None:
                 if len(by_tld) >= TABLE_CAP:
                     by_tld.clear()
-                cls = by_tld[tld] = classify(_new_tuple(DomainName, (labels,)), registry, appletalk_tlds)
+                cls = by_tld[tld] = classify(labels, registry, appletalk_tlds)
         else:
             cls = _one_word(labels[0], entries) if labels else CLS_EMPTY
         classes.append(cls)

@@ -29,7 +29,6 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Seque
 from .model import (
     QCLASS_MNEMONICS,
     QTYPE_MNEMONICS,
-    DomainName,
     QueryRecord,
     address_key,
     qclass_code,
@@ -545,14 +544,15 @@ def pcap_start(fd: int, target: int) -> Optional[int]:
 
 
 def read_pcap(stream: IO[bytes], stats: Optional[IngestStats] = None) -> Iterator[QueryRecord]:
-    """decode_pcap's queries as QueryRecords, sources and names as text.
+    """decode_pcap's queries as QueryRecords: each source as text, and each
+    label tuple in presentation form (to_presentation).
 
     The view for library callers that want records like read_tsv's; the
     CLI classifies decode_pcap's names without rendering them.
     """
     for block in decode_pcap(stream, stats):
         for timestamp, source, qclass, qtype, labels, _ in zip(*block):
-            yield QueryRecord(timestamp, _address_text(source), qclass, qtype, to_presentation(DomainName(labels)))
+            yield QueryRecord(timestamp, _address_text(source), qclass, qtype, to_presentation(labels))
 
 
 def _address_text(packed: bytes) -> str:
@@ -598,7 +598,9 @@ def parse_day(value: str) -> int:
     the day_origin_micros that window takes."""
     from datetime import datetime, timezone
 
-    if value.isdigit() and value.isascii():  # int() would also take other scripts' digits
+    if not value.isascii():  # int() and strptime's %Y would also take other scripts' digits
+        raise ValueError(f"not an ASCII date or epoch seconds: {value!r}")
+    if value.isdigit():
         return int(value) * 1_000_000
     dt = datetime.strptime(value, "%Y-%m-%d").replace(tzinfo=timezone.utc)
     return int(dt.timestamp()) * 1_000_000

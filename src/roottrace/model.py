@@ -1,7 +1,8 @@
 """Shared domain types for root-server query trace analysis.
 
-Everything here is an immutable value type; instances can be shared freely
-between worker threads.
+Everything here is an immutable value type. A query name has no type of
+its own: it is its label tuple, a tuple of bytes (() for the root), as
+names.parse_presentation gives it.
 """
 
 from __future__ import annotations
@@ -92,20 +93,6 @@ class QueryRecord(NamedTuple):
     qclass: int
     qtype: int
     qname_raw: str
-
-
-class DomainName(NamedTuple):
-    """A parsed query name: decoded label bytes, leftmost label first.
-
-    The root name is the empty label tuple. Labels keep their raw bytes;
-    no case folding happens at parse time.
-    """
-
-    labels: tuple[bytes, ...]
-
-    @property
-    def is_root(self) -> bool:
-        return not self.labels
 
 
 class Leaf(Enum):

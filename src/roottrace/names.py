@@ -1,23 +1,20 @@
 """Presentation-format query name parsing.
 
 Converts the dotted text form of a DNS name (RFC 1035 \\DDD and \\X escapes
-decoded first, so "\\099\\111\\109" and "com" are one label) into a DomainName,
-and back. Inside the package a name is its label tuple, as _parse_bytes gives.
+decoded first, so "\\099\\111\\109" and "com" are one label) into its label
+tuple, and back. A name is its label tuple everywhere: a tuple of its
+labels' raw bytes, leftmost first, with no case folded, and () for the root.
 """
 
 from __future__ import annotations
 
 import re
 
-from .model import DomainName
-
 MAX_LABEL = 63
 MAX_NAME = 255  # encoded length: sum(len(label) + 1) + 1 root byte
 
 _DOT = 0x2E
 _BACKSLASH = 0x5C
-
-_new_tuple = tuple.__new__  # makes a DomainName without its Python-level __new__
 
 # bytes a text dump renders without a \DDD escape
 _BAD_ENCODING_RE = re.compile(rb"[^0-9A-Za-z_-]")
@@ -44,8 +41,8 @@ def _as_bytes(raw: str | bytes) -> bytes:
         raise NameParseError("bad-escape", f"non-byte character in name {raw!r}") from None
 
 
-def parse_presentation(raw: str | bytes) -> DomainName:
-    """Parse a presentation-format name into a DomainName.
+def parse_presentation(raw: str | bytes) -> tuple[bytes, ...]:
+    """Parse a presentation-format name into its label tuple.
 
     "." is the root. A single trailing dot is the root terminator, not an
     empty label. Raises NameParseError for structural violations; callers
@@ -54,7 +51,7 @@ def parse_presentation(raw: str | bytes) -> DomainName:
     left to right (an empty or over-long label), else for its length,
     whether or not it holds escapes.
     """
-    return _new_tuple(DomainName, (_parse_bytes(_as_bytes(raw), raw),))
+    return _parse_bytes(_as_bytes(raw), raw)
 
 
 def _parse_bytes(data: bytes, raw: str | bytes) -> tuple[bytes, ...]:
@@ -127,16 +124,16 @@ def _parse_bytes(data: bytes, raw: str | bytes) -> tuple[bytes, ...]:
     return tuple(labels)
 
 
-def to_presentation(name: DomainName) -> str:
-    """Render a DomainName in absolute presentation form ("." terminated).
+def to_presentation(labels: tuple[bytes, ...]) -> str:
+    """Render a label tuple in absolute presentation form ("." terminated).
 
     Bytes outside printable ASCII become \\DDD escapes; dots and backslashes
     inside labels get a backslash. parse_presentation inverts this exactly.
     """
-    if name.is_root:
+    if not labels:
         return "."
     out: list[str] = []
-    for label in name.labels:
+    for label in labels:
         chunk: list[str] = []
         for byte in label:
             if byte == _DOT:

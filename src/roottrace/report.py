@@ -3,8 +3,9 @@
 A Report is a bag of exact integer counters; fractions are derived from
 the integers only at output time, so merging shards never drifts.
 fold_blocks() builds one, merge_into() is the one adder (merge() adds two
-into the empty Report), and build_report_doc() derives the report document,
-the one view every output format renders.
+into the empty Report), and build_report_doc() derives the report document:
+the one place the rollup fractions, the unexpected share and the sender
+tables are worked out, and the one view every output format renders.
 """
 
 from __future__ import annotations
@@ -193,30 +194,6 @@ def merge(a: Report, b: Report) -> Report:
     return merge_into(merge_into(Report(), a), b)
 
 
-def _leaf_totals(report: Report) -> dict:
-    """Each leaf's count in the report, 0 where it has none."""
-    totals = dict.fromkeys(LEAVES, 0)
-    for cls, n in report.leaf_counts.items():
-        totals[cls.leaf] += n
-    return totals
-
-
-def _fractions(leaf_totals: dict, total: int) -> dict[TopCategory, float]:
-    """The four-category rollup of per-leaf totals, as fractions of total."""
-    counts = dict.fromkeys(TopCategory, 0)
-    for leaf, n in leaf_totals.items():
-        counts[LEAF_TOP[leaf]] += n
-    return {cat: n / total for cat, n in counts.items()}
-
-
-def top_level_fractions(report: Report) -> dict[TopCategory, float]:
-    """The four-category rollup as fractions of the report total."""
-    total = report.total
-    if total == 0:
-        raise ValueError("empty report has no fractions")
-    return _fractions(_leaf_totals(report), total)
-
-
 def _ranked(report: Report, table: dict, k: int, shift: int = 0) -> list[tuple[int, str, int]]:
     """(-total, prefix, key) for the k sender keys of table with the largest
     totals, descending, ties broken on prefix text; a key's total is its
@@ -245,13 +222,6 @@ def _senders_section(report: Report, k: int, total: int) -> dict:
         categories = {cat: row >> shift & _FIELD_MASK for cat, shift in _FIELD_SHIFTS.items()}
         top.append({"prefix": prefix, "total": -neg_total, "categories": categories})
     return {"count": len(rows), "top": top}
-
-
-def top_senders(report: Report, k: int) -> list[dict]:
-    """The senders.top rows of a report document: the k busiest sender
-    prefixes, descending, with their counts per category; ties break on
-    prefix."""
-    return _senders_section(report, k, report.total)["top"]
 
 
 def _by_mnemonic(by_code: dict) -> dict:
@@ -313,16 +283,6 @@ INVALID_ONLY_POLICY = UnexpectedPolicy(
 POLICIES = {p.name: p for p in (DEFAULT_POLICY, INVALID_ONLY_POLICY)}
 
 
-def _unexpected(leaf_totals: dict, total: int, policy: UnexpectedPolicy) -> float:
-    """The share of total that per-leaf totals put in the policy's leaves."""
-    return sum(n for leaf, n in leaf_totals.items() if leaf in policy.leaves) / total if total else 0.0
-
-
-def unexpected_fraction(report: Report, policy: UnexpectedPolicy = DEFAULT_POLICY) -> float:
-    """Fraction of classified queries the policy marks unexpected."""
-    return _unexpected(_leaf_totals(report), report.total, policy)
-
-
 # --- report documents -------------------------------------------------------
 
 
@@ -355,7 +315,10 @@ def build_report_doc(
         "dropped_unparseable": report.dropped,
     }
     if total:
-        totals["fractions"] = {cat.value: frac for cat, frac in _fractions(scalar, total).items()}
+        by_category = dict.fromkeys(_CATEGORIES, 0)
+        for leaf, n in scalar.items():
+            by_category[LEAF_TOP[leaf].value] += n
+        totals["fractions"] = {cat: n / total for cat, n in by_category.items()}
 
     leaves = {
         "empty": scalar[Leaf.EMPTY],
@@ -386,6 +349,7 @@ def build_report_doc(
         },
     }
 
+    unexpected = sum(n for leaf, n in scalar.items() if leaf in policy.leaves)
     senders: dict = {"tracked": report.senders_tracked}
     if report.senders_tracked:
         senders.update(_senders_section(report, top_k, total))
@@ -403,7 +367,7 @@ def build_report_doc(
         "policy": {
             "name": policy.name,
             "unexpected_leaves": sorted(leaf.value for leaf in policy.leaves),
-            "unexpected_fraction": _unexpected(scalar, total, policy),
+            "unexpected_fraction": unexpected / total if total else 0.0,
         },
     }
 

@@ -2,8 +2,6 @@
 
 import random
 
-from roottrace.model import DomainName
-
 LOWER = "abcdefghijklmnopqrstuvwxyz"
 UPPER = LOWER.upper()
 DIGITS = "0123456789"
@@ -27,13 +25,13 @@ def random_label(rng: random.Random) -> bytes:
     return bytes(rng.randrange(256) for _ in range(n))
 
 
-def random_name(rng: random.Random, tld_sample: list) -> DomainName:
-    """A random parseable DomainName, biased to hit every taxonomy leaf."""
+def random_name(rng: random.Random, tld_sample: list) -> tuple[bytes, ...]:
+    """A random parseable name's label tuple, biased to hit every taxonomy leaf."""
     roll = rng.random()
     if roll < 0.03:
-        return DomainName(())
+        return ()
     if roll < 0.35:
-        return DomainName((random_label(rng),))
+        return (random_label(rng),)
     depth = rng.randint(2, 5)
     labels = [random_label(rng) for _ in range(depth - 1)]
     tld_roll = rng.random()
@@ -46,4 +44,4 @@ def random_name(rng: random.Random, tld_sample: list) -> DomainName:
     else:
         tld = random_label(rng)
     labels.append(tld)
-    return DomainName(tuple(labels))
+    return tuple(labels)

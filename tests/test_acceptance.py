@@ -13,8 +13,7 @@ from roottrace.cli import main
 from roottrace.ingest import IngestStats, decode_tsv, read_pcap
 from roottrace.model import Leaf, QueryRecord, TopCategory
 from roottrace.names import parse_presentation
-from roottrace.report import (Report, empty_query_stats, fold, fold_blocks, merge, merge_into,
-                              top_level_fractions)
+from roottrace.report import Report, build_report_doc, empty_query_stats, fold, fold_blocks, merge, merge_into
 from roottrace.synth import generate, tsv_bytes, year_mix
 from roottrace.tlds import default_registry
 
@@ -69,15 +68,15 @@ def test_oracle_roundtrip_2022_mix():
             mismatches += 1
         pairs.append((record, got))
     report = fold(pairs, track_senders=False)
-    fractions = top_level_fractions(report)
-    worst = max(abs(fractions[cat] - expected[cat]) for cat in expected)
+    fractions = build_report_doc(report)["totals"]["fractions"]
+    worst = max(abs(fractions[cat.value] - expected[cat]) for cat in expected)
     ok = mismatches == 0 and worst <= 0.0015
     report_line("oracle-roundtrip", ok,
                 f"({mismatches} mismatches, worst rollup error {worst * 100:.3f} pp)")
     assert mismatches == 0
     assert report.total == n
     for cat, want in expected.items():
-        assert abs(fractions[cat] - want) <= 0.0015, cat
+        assert abs(fractions[cat.value] - want) <= 0.0015, cat
 
 
 def test_chromium_detector_boundaries():

@@ -12,7 +12,7 @@ from roottrace.classify import (
     is_chromium_label,
 )
 from roottrace.ingest import Block, IngestStats
-from roottrace.model import Classification, DomainName, Leaf, QueryRecord, prefix_text, sender_key
+from roottrace.model import Classification, Leaf, QueryRecord, prefix_text, sender_key
 from roottrace.names import parse_presentation, to_presentation
 
 # the module, which the package's classify function shadows as an attribute
@@ -119,8 +119,8 @@ def test_tld_case_invariance(registry):
     for _ in range(200):
         tld = rng.choice(tlds)
         mixed = "".join(c.upper() if rng.random() < 0.5 else c for c in tld)
-        lower = classify(DomainName((b"host", tld.encode())), registry)
-        upper = classify(DomainName((b"host", mixed.encode())), registry)
+        lower = classify((b"host", tld.encode()), registry)
+        upper = classify((b"host", mixed.encode()), registry)
         assert lower == upper == Classification(Leaf.VALID_TLD, tld, False)
 
 
@@ -147,7 +147,7 @@ def test_is_chromium_label(label, expected):
     (b"", False),
 ])
 def test_is_all_numeric(label, expected, registry):
-    got = classify(DomainName((b"host", label)), registry)
+    got = classify((b"host", label), registry)
     assert (got.leaf is Leaf.INVALID_ALL_NUMERIC) is expected
 
 
@@ -214,8 +214,8 @@ def test_classify_block_counts_unparseable(registry):
 
 def test_classify_block_classifies_decoded_names(registry):
     names = [parse_presentation(raw) for raw in ("good.com.", ".", "daozjwend.")]
-    labels = tuple(name.labels for name in names)
-    block = Block((1, 2, 3), (b"\x01\x02\x03\x04",) * 3, (1, 1, 1), (1, 2, 1), labels, (sender_key("1.2.3.4"),) * 3)
+    block = Block((1, 2, 3), (b"\x01\x02\x03\x04",) * 3, (1, 1, 1), (1, 2, 1), tuple(names),
+                  (sender_key("1.2.3.4"),) * 3)
     stats = IngestStats()
     prefixes, qtypes, classes = classify_block(block, registry, stats=stats)
     assert list(classes) == [classify(name, registry) for name in names]
@@ -223,12 +223,12 @@ def test_classify_block_classifies_decoded_names(registry):
     assert stats == IngestStats()
 
 
-@pytest.mark.parametrize("names", [[DomainName((b"example", b"com"))], [DomainName(())], ["example.com."],
+@pytest.mark.parametrize("names", [[[b"example", b"com"]], ["."], ["example.com."],
                                    [bytearray(b"example.com.")]])
 def test_classify_block_refuses_names_of_another_type(registry, names):
-    """A DomainName is a tuple too, so a block of them must not pass for
-    one of label tuples, each DomainName read as a one-label name; a
-    block's first name must be exactly bytes or a tuple."""
+    """A block's first name must be exactly bytes or a tuple: a str or
+    bytearray name would otherwise be read as labels, each of its
+    characters or bytes one label, and so would a list."""
     block = Block((1,), (b"\x01\x02\x03\x04",), (1,), (1,), names, (0,))
     with pytest.raises(TypeError, match=type(names[0]).__name__):
         classify_block(block, registry)
@@ -243,10 +243,10 @@ def table_sizes():
 
 
 def pcap_block(names):
-    """A block of the DomainNames' label tuples, as decode_pcap holds them,
-    with the record index as the sender key."""
+    """A block of label tuples, as decode_pcap holds them, with the record
+    index as the sender key."""
     n = len(names)
-    return Block(range(n), [b"\x01\x02\x03\x04"] * n, [1] * n, [1] * n, [name.labels for name in names],
+    return Block(range(n), [b"\x01\x02\x03\x04"] * n, [1] * n, [1] * n, list(names),
                  list(range(n)))
 
 
@@ -262,8 +262,7 @@ def shaped_names(rng, tlds, mixed_case=True):
     if mixed_case and rng.random() < 0.5:
         tld = bytes(c ^ 0x20 if 0x61 <= c <= 0x7A and rng.random() < 0.5 else c for c in tld)
     other = random_label(rng)
-    return [DomainName((probe, tld)), DomainName((other, probe, tld)), DomainName((probe, other, tld)),
-            DomainName((other, tld)), DomainName((probe,)), DomainName((tld,))]
+    return [(probe, tld), (other, probe, tld), (probe, other, tld), (other, tld), (probe,), (tld,)]
 
 
 def unparseable(rng):
@@ -329,9 +328,9 @@ def test_table_stays_bounded(registry, monkeypatch):
     invalid = [b"%016x" % rng.getrandbits(64) for _ in range(110_000)]
     assert len(set(invalid)) == len(invalid) and not set(invalid) & registry.entries
     letters = bytes.maketrans(bytes(range(256)), bytes(0x61 + i % 26 for i in range(256)))
-    probes = [DomainName((rng.randbytes(rng.randint(7, 15)).translate(letters),)) for _ in range(100_000)]
+    probes = [(rng.randbytes(rng.randint(7, 15)).translate(letters),) for _ in range(100_000)]
     for i in range(0, len(invalid), 500):
-        classify_block(pcap_block([DomainName((b"host", tld)) for tld in invalid[i:i + 500]]), registry)
+        classify_block(pcap_block([(b"host", tld) for tld in invalid[i:i + 500]]), registry)
         assert max(table_sizes()) <= classify_module.TABLE_CAP
     tables, sizes = classify_module._table[2], table_sizes()
     for i in range(0, len(probes), 500):
@@ -356,6 +355,6 @@ def test_table_lives_for_the_run(registry, monkeypatch):
     keys = len(tlds) * 2
     for _ in range(6):
         names = [name for _ in range(100) for name in shaped_names(rng, tlds, mixed_case=False)]
-        names.append(DomainName(()))
+        names.append(())
         assert classify_block(pcap_block(names), registry)[2] == [classify(n, registry) for n in names]
     assert 0 < len(calls) <= keys

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import accumulate
@@ -11,6 +12,7 @@ import pytest
 
 from roottrace.cli import main
 from roottrace.ingest import sampler
+from roottrace.model import Classification, Leaf
 from test_ingest import dns_payload, pcap_file, udp4
 from test_report import parent_and_key
 
@@ -38,6 +40,27 @@ def test_gen_then_classify_round_trip(tmp_path, trace):
     assert doc["meta"]["label"] == "2022"
     assert doc["totals"]["fractions"]["empty"] == pytest.approx(0.3724, abs=0.03)
     assert doc["policy"]["unexpected_fraction"] > 0.5
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    """The first code block under README's Library heading runs as written
+    on a trace.tsv made by gen: its classify call gives the Classification
+    its comment names, and its pipeline gives the CLI's document."""
+    library = (Path(__file__).resolve().parent.parent / "README.md").read_text().split("\n## Library\n", 1)[1]
+    before, code = library.split("```python\n", 1)
+    assert "\n## " not in before
+    code = code.split("```", 1)[0]
+    named = re.search(r"^# (Classification\(.*\))$", code, re.M).group(1)
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "--preset", "2022", "--count", "5000", "--seed", "11", "--out", "trace.tsv") == 0
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    named = re.sub(r"<(Leaf\.\w+)>", r"\1", named)  # the repr's <Leaf.X> as an expression
+    assert scope["cls"] == eval(named, {"Classification": Classification, "Leaf": Leaf})
+    assert run("classify", "--in", "trace.tsv", "--label", "2022", "--out", "r.json") == 0
+    cli, doc = json.loads(Path("r.json").read_text()), scope["doc"]
+    assert (doc["totals"], doc["policy"]) == (cli["totals"], cli["policy"])
+    assert doc["senders"]["top"] == cli["senders"]["top"][:5] and len(doc["senders"]["top"]) == 5
 
 
 def test_classify_deterministic_bytes(tmp_path, trace):
@@ -95,7 +118,7 @@ def test_bad_window_is_usage_error_before_ingest(tmp_path, window):
 
 
 @pytest.mark.parametrize("day", ["\u0661\u0666\u0664\u0669\u0667\u0662\u0661\u0666\u0660\u0660", "+1649721600",
-                                 "2022-04-1x"])
+                                 "2022-04-1x", "\u0662\u0660\u0662\u0662-04-12"])
 def test_bad_day_origin_is_usage_error_before_ingest(tmp_path, day):
     with pytest.raises(SystemExit) as err:
         run("classify", "--in", str(tmp_path / "missing.tsv"), "--window", "06:00-07:00",

@@ -39,7 +39,7 @@ def pcap_trace() -> bytes:
     frames = []
     times = []
     for record in RECORDS:
-        payload = dns_payload(parse_presentation(record.qname_raw).labels, record.qtype, record.qclass)
+        payload = dns_payload(parse_presentation(record.qname_raw), record.qtype, record.qclass)
         build = udp6 if ":" in record.source else udp4
         frames.append(build(record.source, payload))
         times.append(divmod(record.timestamp, 1_000_000))

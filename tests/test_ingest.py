@@ -29,7 +29,7 @@ from roottrace.ingest import (
     sampler,
     window,
 )
-from roottrace.model import DomainName, QueryRecord, address_key, prefix_text, sender_key
+from roottrace.model import QueryRecord, address_key, prefix_text, sender_key
 from roottrace.names import parse_presentation, to_presentation
 from roottrace.report import fold, write_report
 from roottrace.synth import generate, tsv_bytes, year_mix
@@ -379,7 +379,7 @@ def test_sample_binomial_bound_on_file_offsets():
 def capture_of(records) -> bytes:
     """A capture of the records' queries in Ethernet frames, timed as the
     records are."""
-    frames = [(udp6 if ":" in r.source else udp4)(r.source, dns_payload(parse_presentation(r.qname_raw).labels, r.qtype, r.qclass))
+    frames = [(udp6 if ":" in r.source else udp4)(r.source, dns_payload(parse_presentation(r.qname_raw), r.qtype, r.qclass))
               for r in records]
     return pcap_file(frames, times=[divmod(r.timestamp, 1_000_000) for r in records])
 
@@ -1053,15 +1053,15 @@ def differential_pcap() -> bytes:
     tld_sample = sorted(default_registry().entries)[:40]
     names = [random_name(rng, tld_sample) for _ in range(600)]
     names += [
-        DomainName((b"dot.ted", b"com")),
-        DomainName((b"back\\slash", b"net")),
-        DomainName((b"sp ace",)),
-        DomainName((b"\x00\x1f\x7f\xff", b"\\.", b"org")),
-        DomainName((b"x", b"\\")),
+        (b"dot.ted", b"com"),
+        (b"back\\slash", b"net"),
+        (b"sp ace",),
+        (b"\x00\x1f\x7f\xff", b"\\.", b"org"),
+        (b"x", b"\\"),
     ]
     frames = []
-    for i, name in enumerate(names):
-        payload = dns_payload(name.labels, (1, 2, 28, 65)[i % 4])
+    for i, labels in enumerate(names):
+        payload = dns_payload(labels, (1, 2, 28, 65)[i % 4])
         if i % 7 == 3:
             frames.append(udp6(f"2001:db8:{i % 5:x}::{i:x}", payload))
         else:
@@ -1076,13 +1076,13 @@ def test_decode_pcap_is_read_pcap_before_rendering():
     decoded_stats, read_stats = IngestStats(), IngestStats()
     queries = [row for block in decode_pcap(io.BytesIO(data), decoded_stats) for row in zip(*block)]
     assert all(type(q[4]) is tuple for q in queries)
-    rendered = [QueryRecord(q[0], str(ipaddress.ip_address(q[1])), *q[2:4], to_presentation(DomainName(q[4])))
+    rendered = [QueryRecord(q[0], str(ipaddress.ip_address(q[1])), *q[2:4], to_presentation(q[4]))
                 for q in queries]
     assert rendered == list(read_pcap(io.BytesIO(data), read_stats))
     assert decoded_stats == read_stats
     assert len(queries) == 605
     for q in queries:
-        assert parse_presentation(to_presentation(DomainName(q[4]))).labels == q[4]
+        assert parse_presentation(to_presentation(q[4])) == q[4]
 
 
 @pytest.mark.parametrize("no_senders", [False, True])
@@ -1174,7 +1174,7 @@ def synth_trace_pair(count: int = 20_000) -> tuple[bytes, bytes]:
     records = [record for record, _ in generate(year_mix(2013, seed=2013), count)]
     frames = []
     for record in records:
-        payload = dns_payload(parse_presentation(record.qname_raw).labels, record.qtype, record.qclass)
+        payload = dns_payload(parse_presentation(record.qname_raw), record.qtype, record.qclass)
         frames.append((udp6 if ":" in record.source else udp4)(record.source, payload))
     times = [divmod(record.timestamp, 1_000_000) for record in records]
     return tsv_bytes(records), pcap_file(frames, times=times)

@@ -5,7 +5,6 @@ import pytest
 from roottrace.model import (
     LEAF_TOP,
     Classification,
-    DomainName,
     Leaf,
     QueryRecord,
     TopCategory,
@@ -75,11 +74,6 @@ def test_classification_rollup():
     assert LEAF_TOP[Classification(Leaf.INVALID_OTHER, "internal").leaf] is TopCategory.INVALID_TLD
     assert LEAF_TOP[Classification(Leaf.EMPTY).leaf] is TopCategory.EMPTY
     assert LEAF_TOP[Classification(Leaf.VALID_TLD, "com", True).leaf] is TopCategory.VALID_TLD
-
-
-def test_domain_name_root():
-    assert DomainName(()).is_root
-    assert not DomainName((b"com",)).is_root
 
 
 def test_sender_key_v4():

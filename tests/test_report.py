@@ -41,10 +41,7 @@ from roottrace.report import (
     merge_into,
     read_report_doc,
     render_doc,
-    top_level_fractions,
-    top_senders,
     trend_csv_from_docs,
-    unexpected_fraction,
     write_report,
 )
 from roottrace.synth import tsv_bytes
@@ -98,6 +95,21 @@ def random_pairs(rng, n, sources=("44.242.1.2", "34.223.9.9", "2600:1:2:3::9")):
 
 def random_report(rng, label=""):
     return fold(random_pairs(rng, rng.randint(0, 60)), label=label)
+
+
+def top_rows(report, k):
+    """The senders.top rows of the report's document at top_k=k."""
+    return build_report_doc(report, top_k=k)["senders"]["top"]
+
+
+def fractions_of(report):
+    """The totals.fractions of the report's document, by TopCategory value."""
+    return build_report_doc(report)["totals"]["fractions"]
+
+
+def unexpected_of(report, policy=DEFAULT_POLICY):
+    """The policy.unexpected_fraction of the report's document under policy."""
+    return build_report_doc(report, policy=policy)["policy"]["unexpected_fraction"]
 
 
 def fold_tsv_like(raw_names, registry, source="1.2.3.4"):
@@ -170,9 +182,8 @@ def test_report_doc_refuses_a_report_at_the_sender_rows_limit():
     categories = {"empty": 0, "one_word": 0, "invalid_tld": 0, "valid_tld": limit - 1}
     assert build_report_doc(report(limit - 1))["senders"]["top"] == [
         {"prefix": "0.7.0.0/16", "total": limit - 1, "categories": categories}]
-    for call in (build_report_doc, lambda r: top_senders(r, 10)):
-        with pytest.raises(ValueError, match=re.escape("limit of 2**40 records")):
-            call(report(limit))
+    with pytest.raises(ValueError, match=re.escape("limit of 2**40 records")):
+        build_report_doc(report(limit))
     # without sender rows nothing is packed
     assert build_report_doc(report(limit, tracked=False))["totals"]["records"] == limit
 
@@ -388,20 +399,24 @@ def test_top_level_fractions_sum_to_one():
         report = random_report(rng)
         if report.total == 0:
             continue
-        fractions = top_level_fractions(report)
+        fractions = fractions_of(report)
+        assert list(fractions) == [cat.value for cat in TopCategory]
         assert abs(sum(fractions.values()) - 1.0) < 1e-9
 
 
 def test_top_level_fractions_single_empty(registry):
     report = fold_tsv_like(["."], registry)
-    fractions = top_level_fractions(report)
-    assert fractions[TopCategory.EMPTY] == 1.0
-    assert fractions[TopCategory.VALID_TLD] == 0.0
+    fractions = fractions_of(report)
+    assert fractions[TopCategory.EMPTY.value] == 1.0
+    assert fractions[TopCategory.VALID_TLD.value] == 0.0
 
 
 def test_top_level_fractions_rejects_empty_report():
-    with pytest.raises(ValueError):
-        top_level_fractions(Report())
+    """An empty report's document has no fractions, and a trend refuses it."""
+    doc = build_report_doc(Report())
+    assert "fractions" not in doc["totals"]
+    with pytest.raises(ValueError, match="is empty; no trend row"):
+        trend_csv_from_docs([doc])
 
 
 def test_top_senders_ranking(registry):
@@ -410,7 +425,7 @@ def test_top_senders_ranking(registry):
     heavy = fold_tsv_like(names, registry, source="44.242.1.2")
     light = fold_tsv_like(["www.example.com."] * 3, registry, source="9.9.9.9")
     report = merge(heavy, light)
-    rows = top_senders(report, k=2)
+    rows = top_rows(report, k=2)
     assert rows[0]["prefix"] == "44.242.0.0/16"
     assert rows[0]["total"] == 10
     categories = rows[0]["categories"]
@@ -421,13 +436,13 @@ def test_top_senders_ranking(registry):
 
 def test_top_senders_k_larger_than_population(registry):
     report = fold_tsv_like(["a.com."], registry)
-    assert len(top_senders(report, k=50)) == 1
+    assert len(top_rows(report, k=50)) == 1
 
 
 def test_top_senders_tie_breaks_lexicographically(registry):
     a = fold_tsv_like(["a.com."], registry, source="10.2.0.1")
     b = fold_tsv_like(["b.com."], registry, source="10.10.0.1")
-    rows = top_senders(merge(a, b), k=2)
+    rows = top_rows(merge(a, b), k=2)
     # "10.10.0.0/16" < "10.2.0.0/16" as strings
     assert [r["prefix"] for r in rows] == ["10.10.0.0/16", "10.2.0.0/16"]
 
@@ -435,30 +450,33 @@ def test_top_senders_tie_breaks_lexicographically(registry):
 def test_top_senders_totals_non_increasing():
     rng = random.Random(7)
     report = fold(random_pairs(rng, 3_000, sources=tuple(f"10.{i}.0.1" for i in range(30))))
-    rows = top_senders(report, k=30)
+    rows = top_rows(report, k=30)
     totals = [r["total"] for r in rows]
     assert totals == sorted(totals, reverse=True)
 
 
 def test_top_senders_rejects_bad_k(registry):
     report = fold_tsv_like(["a.com."], registry)
-    with pytest.raises(ValueError):
-        top_senders(report, k=0)
+    with pytest.raises(ValueError, match="k must be positive"):
+        build_report_doc(report, top_k=0)
 
 
 @pytest.mark.parametrize("k", [0, -1])
 def test_sender_rankings_reject_bad_k(registry, k):
     report = fold_tsv_like([".", "a.com."], registry)
     with pytest.raises(ValueError, match="k must be positive"):
-        top_senders(report, k=k)
+        top_rows(report, k=k)
     with pytest.raises(ValueError, match="k must be positive"):
         empty_query_stats(report, k=k)
 
 
 def test_top_senders_requires_tracking():
+    """Without sender tracking the document has no sender table, and the
+    ranking refuses the report."""
     report = fold([], track_senders=False)
-    with pytest.raises(ValueError):
-        top_senders(report, k=1)
+    assert build_report_doc(report, top_k=1)["senders"] == {"tracked": False}
+    with pytest.raises(ValueError, match="sender tracking was disabled"):
+        empty_query_stats(report, k=1)
 
 
 def test_empty_query_stats_by_construction():
@@ -548,12 +566,12 @@ def test_qmin_series_no_minimized(registry):
 
 def test_unexpected_all_valid(registry):
     report = fold_tsv_like(["www.example.com."] * 5, registry)
-    assert unexpected_fraction(report) == 0.0
+    assert unexpected_of(report) == 0.0
 
 
 def test_unexpected_all_empty(registry):
     report = fold_tsv_like(["."] * 5, registry)
-    assert unexpected_fraction(report) == 1.0
+    assert unexpected_of(report) == 1.0
 
 
 def test_unexpected_matches_complement_exactly():
@@ -561,19 +579,20 @@ def test_unexpected_matches_complement_exactly():
     for _ in range(100):
         report = random_report(rng)
         if report.total == 0:
-            assert unexpected_fraction(report) == 0.0
+            assert unexpected_of(report) == 0.0
             continue
         expected_counts = sum(
             n for cls, n in report.leaf_counts.items()
             if cls.leaf in (Leaf.VALID_TLD, Leaf.ONE_WORD_MINIMIZED)
         )
-        assert unexpected_fraction(report) == (report.total - expected_counts) / report.total
-        assert 0.0 <= unexpected_fraction(report) <= 1.0
+        assert unexpected_of(report) == (report.total - expected_counts) / report.total
+        assert 0.0 <= unexpected_of(report) <= 1.0
 
 
 def test_invalid_only_policy(registry):
     report = fold_tsv_like(["host.internal.", ".", "com."], registry)
-    assert unexpected_fraction(report, INVALID_ONLY_POLICY) == pytest.approx(1 / 3)
+    assert unexpected_of(report, INVALID_ONLY_POLICY) == pytest.approx(1 / 3)
+    assert unexpected_of(report) == pytest.approx(2 / 3)
 
 
 def test_chromium_components_bounded():
@@ -625,7 +644,7 @@ def test_trend_csv(registry):
     r2 = fold_tsv_like(["host.internal."], registry)
     r2.label = "2022"
     for report in (r1, r2):
-        assert abs(sum(top_level_fractions(report).values()) - 1.0) < 1e-9
+        assert abs(sum(fractions_of(report).values()) - 1.0) < 1e-9
     csv = trend_csv_from_docs([build_report_doc(r1), build_report_doc(r2)])
     lines = csv.strip().split("\n")
     assert lines[0] == "label,empty,one_word,invalid_tld,valid_tld"
@@ -641,8 +660,12 @@ def test_trend_from_docs_round_trip(registry):
         reports.append(report)
     docs = [read_report_doc(write_report(r, "json")) for r in reports]
     csv = trend_csv_from_docs(docs)
-    rows = [",".join([r.label] + [str(f) for f in top_level_fractions(r).values()])
-            for r in reports]
+    rows = []
+    for r in reports:
+        counts = dict.fromkeys(TopCategory, 0)
+        for cls, n in r.leaf_counts.items():
+            counts[LEAF_TOP[cls.leaf]] += n
+        rows.append(",".join([r.label] + [str(n / r.total) for n in counts.values()]))
     assert csv == "\n".join(["label,empty,one_word,invalid_tld,valid_tld"] + rows) + "\n"
 
 
@@ -794,7 +817,7 @@ def test_csv_label_is_quoted(registry, label):
 def test_sender_rollup_consistency(registry):
     rng = random.Random(10)
     report = fold(random_pairs(rng, 2_000))
-    rows = top_senders(report, k=100)
+    rows = top_rows(report, k=100)
     for cat in TopCategory:
         total_cat = sum(r["categories"][cat.value] for r in rows)
         leaf_total = sum(
@@ -853,7 +876,7 @@ def tied_report():
 
 def test_top_senders_tie_across_kth_place():
     report = tied_report()
-    rows = top_senders(report, k=3)
+    rows = top_rows(report, k=3)
     assert [(r["prefix"], r["total"]) for r in rows] == [
         ("10.9.0.0/16", 5), ("10.200.0.0/16", 3), ("10.30.0.0/16", 3),
     ]
@@ -862,7 +885,7 @@ def test_top_senders_tie_across_kth_place():
 
 def test_top_senders_k_beyond_population_equals_full_sort():
     report = tied_report()
-    rows = top_senders(report, k=50)
+    rows = top_rows(report, k=50)
     assert [(r["prefix"], r["total"], r["categories"]) for r in rows] == full_sort_senders(report)
 
 
@@ -894,7 +917,7 @@ def test_top_k_matches_full_sort_on_tie_heavy_reports():
             for m, n in qtypes.items():
                 qtype_totals[m] = qtype_totals.get(m, 0) + n
         for k in (1, 2, 5, 17, 41, 100):
-            rows = top_senders(report, k)
+            rows = top_rows(report, k)
             assert [(r["prefix"], r["total"], r["categories"]) for r in rows] == senders[:k]
             stats = empty_query_stats(report, k=k)
             assert [(r["prefix"], r["total"], r["qtypes"]) for r in stats["top"]] == empties[:k]
@@ -976,7 +999,6 @@ def test_sender_sections_match_text_keyed_tables():
                 doc = build_report_doc(report, top_k=k)
                 assert doc["senders"] == senders, (seed, k)
                 assert doc["empty_stats"] == empty_stats, (seed, k)
-                assert top_senders(report, k) == senders["top"]
                 assert empty_query_stats(report, k) == empty_stats
 
 

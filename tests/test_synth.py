@@ -7,7 +7,7 @@ from roottrace.classify import classify
 from roottrace.ingest import read_tsv
 from roottrace.model import Leaf, TopCategory, qtype_mnemonic
 from roottrace.names import parse_presentation
-from roottrace.report import fold, top_level_fractions
+from roottrace.report import build_report_doc, fold
 from roottrace.synth import (
     MAX_PREFIXES,
     STRATA,
@@ -242,6 +242,8 @@ def test_parse_mixspec_epoch_day():
     # ASCII decimal digits only: int() would also read other scripts' digits
     with pytest.raises(MixSpecError, match="bad value"):
         parse_mixspec("day = \u0661\u0666\u0664\u0669\u0667\u0662\u0661\u0666\u0660\u0660\nweight.empty = 1.0\n")
+    with pytest.raises(MixSpecError, match="bad value"):
+        parse_mixspec("day = \u0662\u0660\u0662\u0662-04-12\nweight.empty = 1.0\n")
 
 
 @pytest.mark.parametrize(
@@ -280,9 +282,9 @@ def test_fold_of_generated_matches_top_level(registry):
     report = fold(
         (rec, truth) for rec, truth in generate(spec, n, registry)
     )
-    fractions = top_level_fractions(report)
-    assert fractions[TopCategory.EMPTY] == pytest.approx(0.372394, abs=0.005)
-    assert fractions[TopCategory.VALID_TLD] == pytest.approx(0.172357, abs=0.005)
+    fractions = build_report_doc(report)["totals"]["fractions"]
+    assert fractions[TopCategory.EMPTY.value] == pytest.approx(0.372394, abs=0.005)
+    assert fractions[TopCategory.VALID_TLD.value] == pytest.approx(0.172357, abs=0.005)
 
 
 def three_sigma(p, n):
@@ -292,7 +294,7 @@ def three_sigma(p, n):
 def test_2013_mix_recovers_target_rollup(registry):
     n = 100_000
     report = fold(generate(year_mix(2013), n, registry), label="2013")
-    fractions = top_level_fractions(report)
+    fractions = build_report_doc(report)["totals"]["fractions"]
     targets = {
         TopCategory.EMPTY: 0.029603,
         TopCategory.ONE_WORD: 0.081450,
@@ -300,11 +302,11 @@ def test_2013_mix_recovers_target_rollup(registry):
         TopCategory.VALID_TLD: 0.579595,
     }
     for cat, p in targets.items():
-        assert abs(fractions[cat] - p) <= three_sigma(p, n), cat
+        assert abs(fractions[cat.value] - p) <= three_sigma(p, n), cat
 
 
 def test_2020_mix_probe_series(registry):
-    from roottrace.report import build_report_doc, chromium_fractions
+    from roottrace.report import chromium_fractions
 
     n = 100_000
     doc = build_report_doc(fold(generate(year_mix(2020), n, registry), label="2020"))
@@ -315,8 +317,6 @@ def test_2020_mix_probe_series(registry):
 
 
 def test_2022_mix_qmin_series(registry):
-    from roottrace.report import build_report_doc
-
     n = 100_000
     doc = build_report_doc(fold(generate(year_mix(2022), n, registry), label="2022"))
     by_tld = doc["leaves"]["one_word"]["minimized"]["by_tld"]
@@ -330,8 +330,6 @@ def test_2022_mix_unexpected_fraction(registry):
     # under the default policy this is exactly 1 - (valid + minimized);
     # the value is what the generated mix implies, and the policy applied
     # is recorded in report output rather than tuned to any headline figure
-    from roottrace.report import unexpected_fraction
-
     n = 100_000
     spec = year_mix(2022)
     report = fold(generate(spec, n, registry), label="2022")
@@ -340,6 +338,6 @@ def test_2022_mix_unexpected_fraction(registry):
         + spec.weights["valid_tld_chromium"]
         + spec.weights["one_word_minimized"]
     )
-    got = unexpected_fraction(report)
+    got = build_report_doc(report)["policy"]["unexpected_fraction"]
     assert implied == pytest.approx(0.748409, abs=1e-5)
     assert abs(got - implied) <= three_sigma(implied, n)

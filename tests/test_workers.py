@@ -119,7 +119,7 @@ def pcap_of(records, endian="<", nano=False, linktype=1) -> bytes:
     type 101, as raw IP."""
     frames, times = [], []
     for record in records:
-        payload = dns_payload(parse_presentation(record.qname_raw).labels, record.qtype, record.qclass)
+        payload = dns_payload(parse_presentation(record.qname_raw), record.qtype, record.qclass)
         frame = (udp6 if ":" in record.source else udp4)(record.source, payload)
         frames.append(frame if linktype == 1 else frame[14:])
         sec, micros = divmod(record.timestamp, 1_000_000)
