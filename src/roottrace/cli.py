@@ -1,5 +1,5 @@
-"""Command-line surface: classify traces, reformat reports, build trend
-tables and top-sender tables, and generate synthetic traces.
+"""Command-line surface: classify traces, render reports (sender tables
+among them), build trend tables, and generate synthetic traces.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error. All randomness is
 seeded and recorded in report metadata, so identical invocations produce
@@ -20,10 +20,8 @@ from .ingest import (IngestError, IngestStats, decode_pcap, decode_tsv, line_sta
                      sampler, window)
 from .report import (
     POLICIES,
+    RENDERERS,
     Report,
-    build_report_doc,
-    doc_to_empty_senders_csv,
-    doc_to_top_senders_csv,
     fold_blocks,
     read_report_doc,
     render_doc,
@@ -84,26 +82,6 @@ def _parse_window(text: str) -> tuple[int, int]:
     return start, end
 
 
-def _add_ingest_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--in", dest="inputs", nargs="+", action="extend", required=True,
-                     metavar="PATH", help="input trace file(s), folded into one report")
-    sub.add_argument("--format", choices=("tsv", "pcap"), default="tsv")
-    sub.add_argument("--tld-list", metavar="PATH",
-                     help="TLD registry file (default: $ROOTTRACE_TLDS or the pinned snapshot)")
-    sub.add_argument("--appletalk", default="appletalk", metavar="TLDS",
-                     help="comma-separated TLDs treated as appletalk leakage")
-    sub.add_argument("--sample-rate", type=float, default=1.0, metavar="F",
-                     help="keep each record with probability F, decided by --seed and the "
-                          "record's byte offset in its file alone")
-    sub.add_argument("--seed", type=int, default=0, help="sampling seed")
-    sub.add_argument("--window", metavar="HH:MM-HH:MM",
-                     help="keep a time-of-day window (requires --day-origin)")
-    sub.add_argument("--day-origin", metavar="DATE",
-                     help="UTC day start for --window: ISO date or epoch seconds")
-    sub.add_argument("--label", default="", help="report label, e.g. a year")
-    sub.add_argument("--out", required=True, metavar="PATH")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="roottrace",
                      description="Classify and aggregate DNS root-server query traces.")
@@ -111,25 +89,34 @@ def build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("classify", help="ingest, classify and fold a trace into a JSON report")
-    _add_ingest_options(p)
+    p.add_argument("--in", dest="inputs", nargs="+", action="extend", required=True,
+                   metavar="PATH", help="input trace file(s), folded into one report")
+    p.add_argument("--format", choices=("tsv", "pcap"), default="tsv")
+    p.add_argument("--tld-list", metavar="PATH",
+                   help="TLD registry file (default: the pinned snapshot)")
+    p.add_argument("--appletalk", default="appletalk", metavar="TLDS",
+                   help="comma-separated TLDs treated as appletalk leakage")
+    p.add_argument("--sample-rate", type=float, default=1.0, metavar="F",
+                   help="keep each record with probability F, decided by --seed and the "
+                        "record's byte offset in its file alone")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p.add_argument("--window", metavar="HH:MM-HH:MM",
+                   help="keep a time-of-day window (requires --day-origin)")
+    p.add_argument("--day-origin", metavar="DATE",
+                   help="UTC day start for --window: ISO date or epoch seconds")
+    p.add_argument("--label", default="", help="report label, e.g. a year")
+    p.add_argument("--out", required=True, metavar="PATH")
     p.add_argument("--policy", choices=sorted(POLICIES), default="default",
                    help="unexpected-traffic rollup policy")
     p.add_argument("--top-k", type=int, default=10, help="sender table size in the report")
     p.add_argument("--no-senders", action="store_true", help="skip per-sender tables")
     p.set_defaults(func=_cmd_classify)
 
-    p = commands.add_parser("report", help="reformat an existing JSON report")
+    p = commands.add_parser("report", help="render an existing JSON report in another format")
     p.add_argument("--in", dest="inputs", nargs=1, action="extend", required=True, metavar="PATH")
-    p.add_argument("--format", choices=("json", "csv", "plotdata"), default="csv")
+    p.add_argument("--format", choices=tuple(RENDERERS), default="csv")
     p.add_argument("--out", required=True, metavar="PATH")
     p.set_defaults(func=_cmd_report)
-
-    p = commands.add_parser("top-senders", help="classify a trace and emit the top-sender table")
-    _add_ingest_options(p)
-    p.add_argument("-k", type=int, default=10, help="number of senders")
-    p.add_argument("--empty", action="store_true",
-                   help="rank senders of root-name queries instead of all queries")
-    p.set_defaults(func=_cmd_top_senders)
 
     p = commands.add_parser("trend", help="merge labelled JSON reports into a trend CSV")
     p.add_argument("--in", dest="inputs", nargs="+", action="extend", required=True, metavar="PATH")
@@ -229,7 +216,7 @@ def _size(path: str) -> int:
         return 0  # the read of the file raises the error in its turn
 
 
-def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, dict]:
+def _ingest_report(args, parser) -> tuple[Report, dict]:
     if args.window and not args.day_origin:
         parser.error("--window requires --day-origin")
     if not 0 < args.sample_rate <= 1:
@@ -264,7 +251,7 @@ def _ingest_report(args, parser, track_senders: bool = True) -> tuple[Report, di
                         yield classify_block(block, registry, appletalk, stats)
                     stop = fh.tell()
 
-        report = fold_blocks(classified(), track_senders=track_senders)
+        report = fold_blocks(classified(), track_senders=not args.no_senders)
         report.dropped = stats.records_dropped_unparseable + stats.names_unparseable
         return stop, report
 
@@ -306,7 +293,7 @@ def _write(path: str, data: bytes) -> None:
 def _cmd_classify(args, parser) -> int:
     if args.top_k < 1:
         parser.error("--top-k must be positive")
-    report, meta = _ingest_report(args, parser, track_senders=not args.no_senders)
+    report, meta = _ingest_report(args, parser)
     data = write_report(report, "json", meta=meta, policy=POLICIES[args.policy], top_k=args.top_k)
     _write(args.out, data)
     return 0
@@ -317,15 +304,6 @@ def _cmd_report(args, parser) -> int:
         parser.error("report reformats one report; give --in once")
     doc = read_report_doc(_read(args.inputs[0]))
     _write(args.out, render_doc(doc, args.format))
-    return 0
-
-
-def _cmd_top_senders(args, parser) -> int:
-    if args.k < 1:
-        parser.error("-k must be positive")
-    report, _ = _ingest_report(args, parser)
-    render = doc_to_empty_senders_csv if args.empty else doc_to_top_senders_csv
-    _write(args.out, render(build_report_doc(report, top_k=args.k)))
     return 0
 
 

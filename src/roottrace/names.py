@@ -35,6 +35,8 @@ class NameParseError(ValueError):
 def _as_bytes(raw: str | bytes) -> bytes:
     if isinstance(raw, bytes):
         return raw
+    if not isinstance(raw, str):
+        raise TypeError(f"a presentation name is str or bytes, not {type(raw).__name__}")
     try:
         return raw.encode("latin-1")
     except UnicodeEncodeError:

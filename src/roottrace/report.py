@@ -443,18 +443,26 @@ def doc_to_plotdata(doc: dict) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _sender_table(doc: dict, section: str) -> list:
+    """The top rows of a section of a report document; a ValueError where
+    its senders were not tracked."""
+    if not doc["senders"]["tracked"]:
+        raise ValueError("the report holds no sender tables: it was classified with --no-senders")
+    return doc[section]["top"]
+
+
 def doc_to_top_senders_csv(doc: dict) -> bytes:
-    """The senders.top table of a report document with senders tracked."""
+    """The senders.top table of a report document."""
     lines = [",".join(_SENDER_COLUMNS)]
-    lines += [",".join(_sender_cells(row)) for row in doc["senders"]["top"]]
+    lines += [",".join(_sender_cells(row)) for row in _sender_table(doc, "senders")]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def doc_to_empty_senders_csv(doc: dict) -> bytes:
-    """The empty_stats.top table of a report document with senders tracked:
-    each prefix's root-name queries, with qtypes as 'NS=3;SOA=1'."""
+    """The empty_stats.top table of a report document: each prefix's
+    root-name queries, with qtypes as 'NS=3;SOA=1'."""
     lines = ["prefix,total,qtypes"]
-    for row in doc["empty_stats"]["top"]:
+    for row in _sender_table(doc, "empty_stats"):
         qtypes = ";".join(f"{m}={n}" for m, n in row["qtypes"].items())
         lines.append(f"{row['prefix']},{row['total']},{qtypes}")
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -464,6 +472,8 @@ RENDERERS = {
     "json": doc_to_json_bytes,
     "csv": doc_to_csv,
     "plotdata": doc_to_plotdata,
+    "top-senders": doc_to_top_senders_csv,
+    "empty-senders": doc_to_empty_senders_csv,
 }
 
 

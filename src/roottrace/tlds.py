@@ -22,8 +22,6 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-ENV_TLD_LIST = "ROOTTRACE_TLDS"
-
 _ENTRY_RE = re.compile(r"[A-Za-z0-9-]{1,63}")
 
 
@@ -93,11 +91,8 @@ _default: TldRegistry | None = None
 
 
 def default_registry() -> TldRegistry:
-    """The pinned snapshot shipped with the package (or $ROOTTRACE_TLDS)."""
+    """The pinned snapshot shipped with the package."""
     global _default
-    override = os.environ.get(ENV_TLD_LIST)
-    if override:
-        return load_registry_path(override)
     if _default is None:
         # the package's own loader, which is what pkgutil.get_data calls, so a
         # zip import reads the archive's snapshot; pkgutil itself would load

@@ -328,8 +328,10 @@ def test_trend_over_years(tmp_path):
 
 
 def test_top_senders_table(tmp_path, trace):
+    report = tmp_path / "r.json"
+    assert run("classify", "--in", str(trace), "--top-k", "5", "--out", str(report)) == 0
     out = tmp_path / "senders.csv"
-    assert run("top-senders", "--in", str(trace), "-k", "5", "--out", str(out)) == 0
+    assert run("report", "--in", str(report), "--format", "top-senders", "--out", str(out)) == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "prefix,total,empty,one_word,invalid_tld,valid_tld"
     assert len(lines) == 6
@@ -338,11 +340,23 @@ def test_top_senders_table(tmp_path, trace):
 
 
 def test_top_senders_empty_table(tmp_path, trace):
+    report = tmp_path / "r.json"
+    assert run("classify", "--in", str(trace), "--top-k", "3", "--out", str(report)) == 0
     out = tmp_path / "empty.csv"
-    assert run("top-senders", "--in", str(trace), "--empty", "-k", "3", "--out", str(out)) == 0
+    assert run("report", "--in", str(report), "--format", "empty-senders", "--out", str(out)) == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "prefix,total,qtypes"
     assert "NS=" in lines[1]
+
+
+@pytest.mark.parametrize("fmt", ["top-senders", "empty-senders"])
+def test_sender_tables_of_a_report_without_senders_are_refused(fmt, tmp_path, trace, capsys):
+    report = tmp_path / "r.json"
+    assert run("classify", "--in", str(trace), "--no-senders", "--out", str(report)) == 0
+    out = tmp_path / "t.csv"
+    assert run("report", "--in", str(report), "--format", fmt, "--out", str(out)) == 2
+    assert "--no-senders" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", ["out", "truth"])
@@ -575,8 +589,8 @@ def test_only_generating_loads_the_generator(tmp_path, trace):
     assert not synth_loaded_after("import roottrace")
     assert not synth_loaded_after("import roottrace.cli\nroottrace.cli.build_parser()")
     assert not synth_loaded_after(command, "classify", "--in", trace, "--out", tmp_path / "c.json")
-    assert not synth_loaded_after(command, "top-senders", "--in", trace, "--out", tmp_path / "t.csv")
-    assert not synth_loaded_after(command, "report", "--in", report, "--out", tmp_path / "r.csv")
+    for fmt in ("csv", "top-senders", "empty-senders"):
+        assert not synth_loaded_after(command, "report", "--in", report, "--format", fmt, "--out", tmp_path / "r.csv")
     window = ["--window", "00:00-12:00", "--day-origin", "2022-04-12"]
     assert not synth_loaded_after(command, "classify", "--in", trace, *window, "--out", tmp_path / "w.json")
     # the generator's names still resolve from the package, and its command loads it

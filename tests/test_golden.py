@@ -1,5 +1,6 @@
-"""Golden report bytes: classify, report, trend and top-senders outputs for
-one fixed-seed trace, read as TSV and as pcap, pinned by sha256.
+"""Golden report bytes: classify, report (the sender tables among its
+formats) and trend outputs for one fixed-seed trace, read as TSV and as
+pcap, pinned by sha256.
 
 A refactor that keeps these digests keeps every report byte. A change that
 means to alter report output must update the digests and say why.
@@ -79,13 +80,21 @@ COMMANDS = {
     "classify.json": ["classify", "--label", "golden", "--out", "out"],
     "classify-top50.json": ["classify", "--label", "golden", "--top-k", "50", "--out", "out"],
     "classify-nosenders.json": ["classify", "--label", "golden", "--no-senders", "--out", "out"],
-    "top-senders.csv": ["top-senders", "-k", "25", "--out", "out"],
-    "top-senders-empty.csv": ["top-senders", "-k", "25", "--empty", "--out", "out"],
+    # not pinned itself: the sender tables are rendered from it
+    "classify-top25.json": ["classify", "--label", "golden", "--top-k", "25", "--out", "out"],
     # the sampled records depend on their byte offsets in the trace, the window on their times
     "classify-sampled.json": ["classify", "--label", "golden", "--sample-rate", "0.3", "--seed", "5",
                               "--out", "out"],
     "classify-window.json": ["classify", "--label", "golden", "--window", "06:00-12:00",
                              "--day-origin", "2022-04-12", "--out", "out"],
+}
+
+# report --format renderings: name -> (the command output it renders, format)
+RENDERINGS = {
+    "classify.csv": ("classify.json", "csv"),
+    "classify.plotdata": ("classify.json", "plotdata"),
+    "top-senders.csv": ("classify-top25.json", "top-senders"),
+    "top-senders-empty.csv": ("classify-top25.json", "empty-senders"),
 }
 
 
@@ -97,14 +106,14 @@ def outputs(fmt: str) -> dict:
     out = {}
     for name, argv in COMMANDS.items():
         assert main(argv + ["--in", f"trace.{fmt}", "--format", fmt]) == 0
+        os.replace("out", name)
+        with open(name, "rb") as fh:
+            out[name] = fh.read()
+    for name, (source, report_fmt) in RENDERINGS.items():
+        assert main(["report", "--in", source, "--format", report_fmt, "--out", "out"]) == 0
         with open("out", "rb") as fh:
             out[name] = fh.read()
-    with open("classify.json", "wb") as fh:
-        fh.write(out["classify.json"])
-    for report_fmt in ("csv", "plotdata"):
-        assert main(["report", "--in", "classify.json", "--format", report_fmt, "--out", "out"]) == 0
-        with open("out", "rb") as fh:
-            out[f"classify.{report_fmt}"] = fh.read()
+    del out["classify-top25.json"]
     doc = json.loads(out["classify.json"])
     doc["meta"]["label"] = "relabelled"
     with open("relabelled.json", "w", encoding="utf-8") as fh:
@@ -118,7 +127,6 @@ def outputs(fmt: str) -> dict:
 @pytest.mark.parametrize("fmt", ["tsv", "pcap"])
 def test_report_bytes_match_golden(fmt, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("ROOTTRACE_TLDS", raising=False)
     digests = {f"{fmt}/{name}": hashlib.sha256(data).hexdigest() for name, data in outputs(fmt).items()}
     assert digests == {k: v for k, v in GOLDEN.items() if k.startswith(f"{fmt}/")}
 
@@ -189,8 +197,7 @@ GENERATOR_GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(GENERATOR_SPECS))
-def test_generated_bytes_match_golden(name, monkeypatch):
-    monkeypatch.delenv("ROOTTRACE_TLDS", raising=False)
+def test_generated_bytes_match_golden(name):
     pairs = list(generate(GENERATOR_SPECS[name](), 20_000))
     truth = "".join(f"{cls.leaf.value}\t{cls.tld or ''}\t{int(cls.chromium_like)}\n" for _, cls in pairs)
     data = tsv_bytes(rec for rec, _ in pairs) + truth.encode("utf-8")

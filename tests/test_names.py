@@ -48,6 +48,12 @@ def test_bytes_input():
     assert parse_presentation(b"foo.bar.") == parse_presentation("foo.bar.")
 
 
+@pytest.mark.parametrize("raw", [bytearray(b"a.com."), memoryview(b"a.com."), None])
+def test_a_name_of_another_type_is_refused(raw):
+    with pytest.raises(TypeError, match=type(raw).__name__):
+        parse_presentation(raw)
+
+
 @pytest.mark.parametrize(
     "raw,reason",
     [

@@ -93,9 +93,8 @@ def test_default_registry_reads_the_snapshot_from_a_zip_import(tmp_path):
             if path.is_file() and "__pycache__" not in path.parts:
                 zf.write(path, path.relative_to(package.parent).as_posix())
     code = "import roottrace\nprint(roottrace.__file__)\nprint(roottrace.default_registry().source_description)"
-    env = {k: v for k, v in os.environ.items() if k != "ROOTTRACE_TLDS"}
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env=dict(env, PYTHONPATH=str(archive)))
+                          env=dict(os.environ, PYTHONPATH=str(archive)))
     assert proc.returncode == 0, proc.stderr
     first_file, description = proc.stdout.splitlines()
     assert first_file == str(archive / "roottrace" / "__init__.py")
@@ -110,11 +109,3 @@ def test_load_registry_path_description_is_deterministic(tmp_path):
     assert first.source_description == second.source_description
     assert "sha256:" in first.source_description
     assert str(path) in first.source_description
-
-
-def test_env_override(tmp_path, monkeypatch):
-    path = tmp_path / "alt.txt"
-    path.write_text("ZZ\n")
-    monkeypatch.setenv("ROOTTRACE_TLDS", str(path))
-    reg = default_registry()
-    assert reg.entries == {b"zz"}

@@ -1,6 +1,7 @@
-"""classify and top-senders fold their input in forked workers: each run
-must give the bytes, errors and exit codes of one process at any worker
-count, and leave no worker behind.
+"""classify folds its input in forked workers: each run must give the
+bytes, errors and exit codes of one process at any worker count, and leave
+no worker behind. Its document holds both sender tables that report
+--format top-senders and empty-senders render, so these hold them too.
 
 Every test forces the worker count and the smallest task, the way
 test_golden forces ingest.BLOCK, so that even small inputs are split. The
@@ -133,7 +134,7 @@ COMMANDS = {
     "nosenders": ["classify", "--label", "w", "--no-senders"],
     "sampled": ["classify", "--label", "w", "--sample-rate", "0.3", "--seed", "5"],
     "window": ["classify", "--label", "w", "--window", "06:00-12:00", "--day-origin", "2022-04-12"],
-    "top-senders": ["top-senders", "-k", "25", "--empty"],
+    "top-senders": ["classify", "--label", "w", "--top-k", "25"],
 }
 
 
@@ -193,7 +194,7 @@ def range_starts(paths, count):
 def test_edge_lines_give_one_process_bytes(tmp_path, monkeypatch, capsys, splits):
     paths = edge_files(tmp_path)
     out = tmp_path / "out"
-    for argv in (COMMANDS["classify"], COMMANDS["window"], ["top-senders", "-k", "5"]):
+    for argv in (COMMANDS["classify"], COMMANDS["window"], ["classify", "--top-k", "5"]):
         argv = argv + ["--in", *map(str, paths)]
         code, err, expected = run(argv, 1, monkeypatch, capsys, out)
         assert (code, err) == (0, "")
