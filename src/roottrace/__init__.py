@@ -40,6 +40,7 @@ from .report import (  # noqa: F401
     empty_query_stats,
     fold,
     fold_blocks,
+    fold_ranges,
     merge,
     write_report,
 )

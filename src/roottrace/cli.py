@@ -1,5 +1,6 @@
-"""Command-line surface: classify traces, render reports (sender tables
-among them), build trend tables, and generate synthetic traces.
+"""Command-line surface: classify traces (report.fold_ranges, bound to the
+run's settings, in this process or in workers), render reports (sender
+tables among them), build trend tables, and generate synthetic traces.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error. All randomness is
 seeded and recorded in report metadata, so identical invocations produce
@@ -12,17 +13,17 @@ import argparse
 import os
 import stat
 import sys
+from functools import partial
 from itertools import combinations
 
 from . import __version__
-from .classify import DEFAULT_APPLETALK_TLDS, classify_block
-from .ingest import (IngestError, IngestStats, decode_pcap, decode_tsv, line_start, parse_day, pcap_start,
-                     sampler, window)
+from .classify import DEFAULT_APPLETALK_TLDS
+from .ingest import IngestError, decode_pcap, decode_tsv, line_start, parse_day, pcap_start, sampler
 from .report import (
     POLICIES,
     RENDERERS,
     Report,
-    fold_blocks,
+    fold_ranges,
     read_report_doc,
     render_doc,
     trend_csv_from_docs,
@@ -230,31 +231,8 @@ def _ingest_report(args, parser) -> tuple[Report, dict]:
     registry = _registry_for(args)
     decode, find = (decode_pcap, pcap_start) if args.format == "pcap" else (decode_tsv, line_start)
     keep = sampler(args.sample_rate, args.seed) if args.sample_rate < 1 else None
-
-    def fold(ranges: list) -> tuple[int, Report]:
-        """The offset the last range stopped at, and the Report of the
-        records of each (path, start, end) byte range in turn, as decode_tsv
-        and decode_pcap read them: from the record that begins at byte start
-        up to the first that begins at or after byte end (to the end of the
-        file where end is None)."""
-        stats = IngestStats()
-        stop = 0
-
-        def classified():
-            nonlocal stop
-            for path, start, end in ranges:
-                with open(path, "rb") as fh:  # open while its blocks are folded
-                    blocks = decode(fh, stats, start, end, keep)
-                    if win:
-                        blocks = window(blocks, win[0], win[1], origin)
-                    for block in blocks:
-                        yield classify_block(block, registry, appletalk, stats)
-                    stop = fh.tell()
-
-        report = fold_blocks(classified(), track_senders=not args.no_senders)
-        report.dropped = stats.records_dropped_unparseable + stats.names_unparseable
-        return stop, report
-
+    fold = partial(fold_ranges, decode=decode, registry=registry, appletalk_tlds=appletalk, keep=keep,
+                   window=(*win, origin) if win else None, track_senders=not args.no_senders)
     sizes = [_size(path) for path in args.inputs]
     count = min(sum(sizes) // MIN_TASK_BYTES, _usable_cpus())
     if count > 1:

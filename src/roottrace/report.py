@@ -2,10 +2,12 @@
 
 A Report is a bag of exact integer counters; fractions are derived from
 the integers only at output time, so merging shards never drifts.
-fold_blocks() builds one, merge_into() is the one adder (merge() adds two
-into the empty Report), and build_report_doc() derives the report document:
-the one place the rollup fractions, the unexpected share and the sender
-tables are worked out, and the one view every output format renders.
+fold_blocks() builds one from classified blocks and fold_ranges(), the
+CLI's fold, from byte ranges of trace files; merge_into() is the one adder
+(merge() adds two into the empty Report), and build_report_doc() derives
+the report document: the one place the rollup fractions, the unexpected
+share and the sender tables are worked out, and the one view every output
+format renders.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from collections import Counter
 from itertools import compress, islice, repeat
 from operator import add, attrgetter, ge, is_, lshift, or_
 from types import SimpleNamespace
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import ingest
+from .classify import DEFAULT_APPLETALK_TLDS, classify_block
 from .model import (
     CLS_EMPTY,
     LEAF_TOP,
@@ -30,6 +33,7 @@ from .model import (
     qtype_mnemonic,
     sender_key,
 )
+from .tlds import TldRegistry
 
 # The sender tables are Counters keyed by sender key (model.sender_key).
 # sender_counts holds one row per key: an int that packs the sender's count
@@ -112,7 +116,7 @@ def fold_blocks(
     leaf_counts, whose sum is the Report's total, and, with senders, its
     leaf's weight to its sender's row: one in the total and one in the
     field of the leaf's TopCategory. dropped is left 0: the
-    caller knows what its reader dropped.
+    caller (fold_ranges) knows what its reader dropped.
     """
     leaf_counts: Counter = Counter()
     qtype_counts: Counter = Counter()
@@ -158,6 +162,36 @@ def fold(
             yield keys, [r.qtype for r in records], classes
 
     return fold_blocks(blocks(), label, track_senders)
+
+
+def fold_ranges(ranges: Iterable[tuple[str, int, Optional[int]]], decode: Callable, registry: TldRegistry,
+                appletalk_tlds: frozenset[str] = DEFAULT_APPLETALK_TLDS, keep: Optional[Callable[[int], bool]] = None,
+                window: Optional[tuple[int, int, int]] = None, track_senders: bool = True) -> tuple[int, Report]:
+    """The offset the last range stopped at, and the Report of the records of
+    each (path, start, end) byte range in turn, as decode (ingest.decode_tsv
+    or decode_pcap) reads them with keep: from the record that begins at byte
+    start up to the first that begins at or after byte end (None: the end of
+    the file), in the (start_seconds, end_seconds, day_origin_micros) window
+    where one is given. dropped counts what decode dropped and the names that
+    did not parse. Only a range with an end is met by a following one, so the
+    offset is 0 where the last range reads to the end of a file or pipe."""
+    stats = ingest.IngestStats()
+    stop = 0
+
+    def classified():
+        nonlocal stop
+        for path, start, end in ranges:
+            with open(path, "rb") as fh:  # open while its blocks are folded
+                blocks = decode(fh, stats, start, end, keep)
+                if window:
+                    blocks = ingest.window(blocks, *window)
+                for block in blocks:
+                    yield classify_block(block, registry, appletalk_tlds, stats)
+                stop = fh.tell() if end is not None else 0
+
+    report = fold_blocks(classified(), track_senders=track_senders)
+    report.dropped = stats.records_dropped_unparseable + stats.names_unparseable
+    return stop, report
 
 
 def _merge_labels(a: str, b: str) -> str:

@@ -7,9 +7,9 @@ a record's fate under sampling depends on its offset alone. fold_in_workers
 resolves each cut to its first record before it forks, with the finder
 the CLI gives it (ingest.line_start for a TSV file, ingest.pcap_start for
 a pcap capture). It folds the first task in this process and each other
-one in a forked worker, with the CLI's fold, which reads each range from
-its first record up to the first record that begins at or after its end
-target and returns that offset, where the task stopped, with its Report.
+one in a forked worker, with the CLI's report.fold_ranges, which reads
+each range from its first record up to the first record that begins at
+or after its end target and returns that offset, where it stopped.
 A worker pickles the two, as they are, down a pipe, or sends nothing, and
 the results are merged in input order. One rule recovers from every
 fault: a task that did not begin where the one before it stopped, or

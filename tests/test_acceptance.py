@@ -6,15 +6,18 @@ never loosened at runtime.
 import io
 import random
 import time
+from collections import Counter
+from itertools import islice
 
 from fuzznames import random_name
-from roottrace.classify import classify, classify_block
+from roottrace import workers
+from roottrace.classify import classify
 from roottrace.cli import main
-from roottrace.ingest import IngestStats, decode_tsv, read_pcap
+from roottrace.ingest import IngestStats, decode_pcap, decode_tsv, line_start, pcap_start, read_pcap
 from roottrace.model import Leaf, QueryRecord, TopCategory
 from roottrace.names import parse_presentation
-from roottrace.report import Report, build_report_doc, empty_query_stats, fold, fold_blocks, merge, merge_into
-from roottrace.synth import generate, tsv_bytes, year_mix
+from roottrace.report import Report, build_report_doc, empty_query_stats, fold, fold_ranges, merge, merge_into
+from roottrace.synth import generate, tsv_bytes, write_tsv, year_mix
 from roottrace.tlds import default_registry
 
 from test_ingest import dns_payload, pcap_file, udp4, udp6
@@ -49,9 +52,33 @@ def test_partition_property_one_million():
     assert elapsed <= 30.0
 
 
-def test_oracle_roundtrip_2022_mix():
+def fold_in_tasks(path, decode, find, count, **settings):
+    """The Report of the file as fold_ranges folds the `count` tasks
+    workers.plan_tasks cuts it into, each begun at the record find finds at
+    its cut, merged in task order; each task must begin where the one
+    before it stopped."""
+    tasks = workers.plan_tasks([str(path)], [path.stat().st_size], count)
+    assert len(tasks) == count
+    report, stop = Report(), 0
+    for (name, start, end), *rest in tasks:
+        with open(name, "rb") as fh:
+            begin = start and find(fh.fileno(), start)
+        assert begin == stop
+        stop, part = fold_ranges([(name, begin, end), *rest], decode, REGISTRY, **settings)
+        merge_into(report, part)
+    return report
+
+
+def oracle_2022(n=1_000_000):
+    """The oracle's seeded 2022-mix (record, truth) pairs."""
+    return generate(year_mix(2022, seed=20220412), n, REGISTRY)
+
+
+def test_oracle_roundtrip_2022_mix(tmp_path):
     """10^6 records from the 2022 mix: classifier equals ground truth on
-    every record; recovered rollup within 0.15 pp of the published one."""
+    every record; written as a TSV trace and folded by the CLI's fold, as
+    one range and as three tasks, the Report counts exactly the truth;
+    recovered rollup within 0.15 pp of the published one."""
     n = 1_000_000
     expected = {
         TopCategory.EMPTY: 0.372394,
@@ -59,24 +86,71 @@ def test_oracle_roundtrip_2022_mix():
         TopCategory.INVALID_TLD: 0.260706,
         TopCategory.VALID_TLD: 0.172357,
     }
-    spec = year_mix(2022, seed=20220412)
     mismatches = 0
-    pairs = []
-    for record, truth in generate(spec, n, REGISTRY):
-        got = classify(parse_presentation(record.qname_raw), REGISTRY)
-        if got != truth:
-            mismatches += 1
-        pairs.append((record, got))
-    report = fold(pairs, track_senders=False)
+    truth = Counter()
+
+    def records():
+        nonlocal mismatches
+        for record, cls in oracle_2022(n):
+            if classify(parse_presentation(record.qname_raw), REGISTRY) != cls:
+                mismatches += 1
+            truth[cls] += 1
+            yield record
+
+    path = tmp_path / "oracle.tsv"
+    with open(path, "wb") as fh:
+        write_tsv(records(), fh)
+    _, report = fold_ranges([(str(path), 0, None)], decode_tsv, REGISTRY, track_senders=False)
+    assert fold_in_tasks(path, decode_tsv, line_start, 3, track_senders=False) == report
     fractions = build_report_doc(report)["totals"]["fractions"]
     worst = max(abs(fractions[cat.value] - expected[cat]) for cat in expected)
-    ok = mismatches == 0 and worst <= 0.0015
+    ok = mismatches == 0 and report.leaf_counts == truth and worst <= 0.0015
     report_line("oracle-roundtrip", ok,
                 f"({mismatches} mismatches, worst rollup error {worst * 100:.3f} pp)")
     assert mismatches == 0
     assert report.total == n
+    assert report.leaf_counts == truth
+    assert report.dropped == 0
     for cat, want in expected.items():
         assert abs(fractions[cat.value] - want) <= 0.0015, cat
+
+
+def test_oracle_roundtrip_2022_mix_pcap(tmp_path):
+    """The oracle's first 2*10^5 records as a pcap capture, with a response,
+    a non-DNS frame and a compressed name mixed in: the CLI's fold, as one
+    range and as three tasks, gives the report document of the same records
+    as TSV, but for the compressed name, dropped as unparseable; the
+    response and the non-DNS frame count in neither."""
+    n = 200_000
+    records = [record for record, _ in islice(oracle_2022(), n)]
+    frames, times = [], []
+    for record in records:
+        payload = dns_payload(parse_presentation(record.qname_raw), record.qtype, record.qclass)
+        frames.append((udp6 if ":" in record.source else udp4)(record.source, payload))
+        times.append(divmod(record.timestamp, 1_000_000))
+    odd = [
+        udp4("192.0.2.1", dns_payload([b"com"], 2, qr=1)),  # a response: skipped
+        udp4("192.0.2.1", b"\0" * 48, dport=123),  # not DNS: skipped
+        udp4("192.0.2.1", dns_payload([], 1, name_override=b"\xc0\x0c\x00")),  # compressed: dropped
+    ]
+    for k, frame in reversed(list(enumerate(odd, 1))):  # each in a task of its own
+        at = k * n // (len(odd) + 1)
+        frames.insert(at, frame)
+        times.insert(at, times[at])
+    capture, trace = tmp_path / "oracle.pcap", tmp_path / "oracle.tsv"
+    capture.write_bytes(pcap_file(frames, times=times))
+    trace.write_bytes(tsv_bytes(records))
+
+    _, report = fold_ranges([(str(capture), 0, None)], decode_pcap, REGISTRY)
+    assert fold_in_tasks(capture, decode_pcap, pcap_start, 3) == report
+    _, text = fold_ranges([(str(trace), 0, None)], decode_tsv, REGISTRY)
+    doc, want = build_report_doc(report), build_report_doc(text)
+    ok = doc["totals"]["dropped_unparseable"] == 1 and report.total == n
+    report_line("oracle-roundtrip-pcap", ok, f"({report.total} records, {report.dropped} dropped)")
+    assert report.total == text.total == n
+    assert (report.dropped, text.dropped) == (1, 0)
+    doc["totals"]["dropped_unparseable"] = 0
+    assert doc == want
 
 
 def test_chromium_detector_boundaries():
@@ -242,20 +316,18 @@ def test_pcap_ingest_fidelity():
     assert stats.packets_skipped == 2
 
 
-def test_throughput_ten_million_soft_gate():
-    """Soft gate: 10^7 TSV records through read+classify+fold on one
-    worker; target 60 s, measured value reported either way."""
+def test_throughput_ten_million_soft_gate(tmp_path):
+    """Soft gate: 10^7 TSV records through the CLI's fold (read, classify
+    and fold into one Report) in one process; target 60 s, measured value
+    reported either way."""
     block_n = 100_000
     replays = 100
     spec = year_mix(2022, seed=8)
-    block = tsv_bytes(record for record, _ in generate(spec, block_n, REGISTRY))
+    path = tmp_path / "block.tsv"
+    path.write_bytes(tsv_bytes(record for record, _ in generate(spec, block_n, REGISTRY)))
 
     start = time.perf_counter()
-    report = Report()
-    for _ in range(replays):
-        stats = IngestStats()
-        blocks = decode_tsv(io.BytesIO(block), stats)
-        merge_into(report, fold_blocks(classify_block(b, REGISTRY, stats=stats) for b in blocks))
+    _, report = fold_ranges([(str(path), 0, None)] * replays, decode_tsv, REGISTRY)
     elapsed = time.perf_counter() - start
 
     total = report.total

@@ -13,6 +13,7 @@ import pytest
 from roottrace.cli import main
 from roottrace.ingest import sampler
 from roottrace.model import Classification, Leaf
+from test_golden import pcap_trace, tsv_trace
 from test_ingest import dns_payload, pcap_file, udp4
 from test_report import parent_and_key
 
@@ -549,6 +550,43 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("roottrace ")
+
+
+def without_inputs(path) -> dict:
+    doc = json.loads(Path(path).read_text())
+    del doc["meta"]["inputs"]
+    return doc
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "pcap"])
+def test_classify_reads_a_pipe_as_it_reads_the_file(fmt, tmp_path):
+    """`--in /dev/stdin` fed from a pipe, which cannot tell its offset, gives
+    the report of the file fed in, apart from meta.inputs."""
+    trace = tmp_path / f"trace.{fmt}"
+    trace.write_bytes(tsv_trace() if fmt == "tsv" else pcap_trace())
+    assert run("classify", "--in", str(trace), "--format", fmt, "--out", str(tmp_path / "file.json")) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "roottrace", "classify", "--in", "/dev/stdin", "--format", fmt,
+         "--out", str(tmp_path / "pipe.json")],
+        input=trace.read_bytes(), capture_output=True, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert without_inputs(tmp_path / "pipe.json") == without_inputs(tmp_path / "file.json")
+
+
+def test_gen_piped_into_classify(tmp_path, trace):
+    """`gen --out /dev/stdout | classify --in /dev/stdin` gives the report
+    of the trace gen writes to a file."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    assert run("classify", "--in", str(trace), "--out", str(tmp_path / "file.json")) == 0
+    gen = subprocess.Popen([sys.executable, "-m", "roottrace", "gen", "--preset", "2022", "--count", "5000",
+                            "--seed", "11", "--out", "/dev/stdout"], stdout=subprocess.PIPE, env=env)
+    with gen.stdout:
+        proc = subprocess.run([sys.executable, "-m", "roottrace", "classify", "--in", "/dev/stdin",
+                               "--out", str(tmp_path / "pipe.json")], stdin=gen.stdout, capture_output=True, env=env)
+    assert gen.wait() == 0
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert without_inputs(tmp_path / "pipe.json") == without_inputs(tmp_path / "file.json")
 
 
 def test_no_senders_flag(tmp_path, trace):

@@ -3,14 +3,15 @@ import io
 import ipaddress
 import json
 import math
+import os
 import pickle
 import random
 import re
+import tempfile
 from collections import Counter
 
 import pytest
 
-from roottrace.classify import classify_block
 from roottrace.ingest import IngestStats, decode_tsv
 from roottrace.model import (
     LEAF_TOP,
@@ -37,6 +38,7 @@ from roottrace.report import (
     empty_query_stats,
     fold,
     fold_blocks,
+    fold_ranges,
     merge,
     merge_into,
     read_report_doc,
@@ -113,11 +115,13 @@ def unexpected_of(report, policy=DEFAULT_POLICY):
 
 
 def fold_tsv_like(raw_names, registry, source="1.2.3.4"):
-    """The names as the lines of a TSV trace, folded like the CLI folds them."""
+    """The names as the lines of a TSV trace file, folded by the CLI's fold."""
     records = [QueryRecord(i + 1, source, 1, 1, name) for i, name in enumerate(raw_names)]
-    stats = IngestStats()
-    blocks = decode_tsv(io.BytesIO(tsv_bytes(records)), stats)
-    return fold_blocks(classify_block(block, registry, stats=stats) for block in blocks)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.tsv")
+        with open(path, "wb") as fh:
+            fh.write(tsv_bytes(records))
+        return fold_ranges([(path, 0, None)], decode_tsv, registry)[1]
 
 
 def test_fold_hand_countable(registry):

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from roottrace import cli, ingest, workers
+from roottrace import cli, ingest, report, workers
 from roottrace.cli import main
 from roottrace.ingest import PcapError, decode_pcap
 from roottrace.names import NameParseError, parse_presentation
@@ -450,14 +450,14 @@ def test_a_worker_that_dies_has_its_task_folded_here(tmp_path, monkeypatch, caps
     path = tmp_path / "t.tsv"
     path.write_bytes(tsv_bytes(RECORDS))
     parent = os.getpid()
-    real = cli.fold_blocks
+    real = report.fold_blocks
 
     def fold_blocks(*args, **kwargs):
         if os.getpid() != parent:
             os._exit(3)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "fold_blocks", fold_blocks)
+    monkeypatch.setattr(report, "fold_blocks", fold_blocks)
     assert_dead_workers_tasks_folded_here(path, monkeypatch, capsys, splits)
 
 
